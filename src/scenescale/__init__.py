@@ -12,7 +12,7 @@ from .geometry import (CameraParams, GroundObject, HorizonEstimate,
                        horizon_from_pitch, pitch_from_horizon,
                        project_vertical, depth_from_bottom)
 from .priors import (CategoryPrior, KeypointSet, DEFAULT_PRIORS,
-                     MissingKeypointsError, upright_ratio, is_standing)
+                     MissingKeypointsError, upright_ratio)
 from .solver import (DetectionBox, RefinementConfig, SceneEstimate,
                      LayerTrace, solve_scene)
 from .baselines import CamHeightPrior, pgm_fixed_height, pgm_full
@@ -36,7 +36,7 @@ __all__ = [
     "height_from_box_linear", "horizon_from_pitch", "pitch_from_horizon",
     "project_vertical", "depth_from_bottom",
     "CategoryPrior", "KeypointSet", "DEFAULT_PRIORS",
-    "MissingKeypointsError", "upright_ratio", "is_standing",
+    "MissingKeypointsError", "upright_ratio",
     "DetectionBox", "RefinementConfig", "SceneEstimate", "LayerTrace",
     "solve_scene",
     "CamHeightPrior", "pgm_fixed_height", "pgm_full",

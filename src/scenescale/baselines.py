@@ -9,21 +9,23 @@ whose bottom sits at v_bottom has its top at
 weighted median of the implied camera heights.  `pgm_full` keeps heights
 free, which makes the per-object reprojection exactly solvable, and
 maximizes the joint Gaussian posterior (object-height priors times a
-camera-height prior) over the remaining scale variable.  Its reported
-reprojection loss is zero by construction, which is why it is not a
-meaningful fit metric for this method.
+camera-height prior) over the remaining scale variable in closed form.
+Its reported reprojection loss is zero by construction, which is why it
+is not a meaningful fit metric for this method.
+
+Both read the scene's `SceneArrays`, so every box needs a height prior.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import priors
 from .priors import CategoryPrior
-from .solver import (DetectionBox, LayerTrace, SceneEstimate, weighted_median)
+from .solver import (LayerTrace, SceneArrays, SceneEstimate, scene_arrays,
+                     weighted_median)
 
 _SPAN_EPS = 1e-9
 _HORIZON_EPS = 1e-6
@@ -44,77 +46,52 @@ class CamHeightPrior:
             raise ValueError("camera height prior must have positive mean/sigma")
 
 
-def _ratio_votes(v0: float, boxes):
-    """Per-box (v_top - v_bottom) / (v0 - v_bottom) with degenerates skipped."""
-    qs, keep, excluded = [], [], []
-    for i, box in enumerate(boxes):
-        off = v0 - box.v_bottom
-        span = box.v_top - box.v_bottom
-        if abs(span) < _SPAN_EPS:
-            excluded.append((i, "zero-span"))
-        elif abs(off) <= _HORIZON_EPS:
-            excluded.append((i, "bottom-on-horizon"))
-        else:
-            qs.append(span / off)
-            keep.append(i)
-    return np.array(qs), keep, tuple(excluded)
+def _ratio_votes(v0: float, arrays: SceneArrays):
+    """Per-box (v_top - v_bottom) / (v0 - v_bottom) of the boxes in the
+    returned mask, with degenerates excluded with reasons."""
+    span = arrays.v_top - arrays.v_bottom
+    off = v0 - arrays.v_bottom
+    zero_span = np.abs(span) < _SPAN_EPS
+    keep = ~zero_span & (np.abs(off) > _HORIZON_EPS)
+    excluded = tuple(
+        (i, "zero-span" if zero_span[i] else "bottom-on-horizon")
+        for i in np.flatnonzero(~keep).tolist())
+    return span[keep] / off[keep], keep, excluded
 
 
-def _linear_tops(boxes, keep, heights, h_cam, v0):
-    tops = {}
-    for i, h in zip(keep, heights):
-        box = boxes[i]
-        tops[i] = box.v_bottom + h * (v0 - box.v_bottom) / h_cam
-    return tops
-
-
-def _finish(method: str, v0: float, boxes, keep, excluded, heights_by_idx,
-            h_cam: float, converged: bool, ill_posed: bool,
-            prior_map, prior_mode: str = "log_density") -> SceneEstimate:
-    n = len(boxes)
-    heights = [heights_by_idx.get(i) for i in range(n)]
-    tops = _linear_tops(boxes, keep,
-                        [heights_by_idx[i] for i in keep], h_cam, v0)
-    spans, residuals, res_list = [], [], []
-    for i in range(n):
-        if i in tops:
-            spans.append((tops[i], boxes[i].v_bottom))
-            r = boxes[i].v_top - tops[i]
-            residuals.append(r)
-            res_list.append(abs(r))
-        else:
-            spans.append(None)
-            residuals.append(None)
-    l_vt = float(np.mean(res_list)) if res_list else math.nan
-    kept_heights = np.array([heights_by_idx[i] for i in keep])
-    mu = np.array([prior_map[boxes[i].category].mean_m if boxes[i].category
-                   in prior_map else np.nan for i in keep])
-    sigma = np.array([prior_map[boxes[i].category].sigma_m if boxes[i].category
-                      in prior_map else np.nan for i in keep])
-    with np.errstate(invalid="ignore"):
-        z = (kept_heights - mu) / sigma
-        pen = 0.5 * z * z + np.log(sigma * math.sqrt(2 * math.pi))
-    prior_pen = float(np.nanmean(pen)) if keep else math.nan
-
-    heights_full = tuple(float(h) if h is not None else 0.0 for h in heights)
+def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
+            heights, h_cam: float, ill_posed: bool) -> SceneEstimate:
+    """Estimate with a one-entry trace of the linear-model reprojection of
+    the kept boxes and the prior loss of their heights."""
+    tops = arrays.v_bottom + heights * (v0 - arrays.v_bottom) / h_cam
+    res = arrays.v_top - tops
+    l_vt = float(np.mean(np.abs(res[keep])))
+    pen = priors.prior_penalty(heights[keep], arrays.mu[keep],
+                               arrays.sigma[keep], "log_density")
+    kept = keep.tolist()
+    spans = tuple((t, b) if k else None for t, b, k in zip(
+        tops.tolist(), arrays.v_bottom.tolist(), kept))
+    residuals = tuple(r if k else None for r, k in zip(res.tolist(), kept))
+    n = len(arrays)
+    heights_full = tuple(heights.tolist())
     trace = LayerTrace(
         layer=0,
         cam_height_m=h_cam,
         heights_m=heights_full,
         l_vt=l_vt,
-        prior_loss=prior_pen,
+        prior_loss=float(np.mean(pen)),
         total_loss=l_vt,
-        spans=tuple(spans),
-        residuals=tuple(residuals),
+        spans=spans,
+        residuals=residuals,
     )
     return SceneEstimate(
         method=method,
         cam_height_m=float(h_cam),
         heights_m=heights_full,
         upright_heights_m=heights_full,
-        upright_ratios=tuple(1.0 for _ in range(n)),
+        upright_ratios=(1.0,) * n,
         excluded=excluded,
-        converged=converged,
+        converged=True,
         ill_posed=ill_posed,
         trace=(trace,),
     )
@@ -130,7 +107,6 @@ def pgm_fixed_height(v0: float, boxes,
     reported object heights stay at their canonical values.
     """
     canonical_heights = canonical_heights or CANONICAL_HEIGHTS
-    prior_map = prior_map or priors.DEFAULT_PRIORS
     boxes = list(boxes)
     if not boxes:
         raise ValueError("no detections to estimate from")
@@ -139,80 +115,47 @@ def pgm_fixed_height(v0: float, boxes,
             raise ValueError(
                 f"no canonical height for category {box.category!r}; "
                 f"known: {sorted(canonical_heights)}")
-    qs, keep, excluded = _ratio_votes(v0, boxes)
-    if not keep:
+    heights = np.array([canonical_heights[b.category] for b in boxes],
+                       dtype=float)
+    arrays = scene_arrays(boxes, prior_map)
+    qs, keep, excluded = _ratio_votes(v0, arrays)
+    if not keep.any():
         raise ValueError("all detections are degenerate (zero span or on horizon)")
-    votes = [canonical_heights[boxes[i].category] / q for i, q in zip(keep, qs)]
-    weights = [boxes[i].weight for i in keep]
-    h_cam = weighted_median(votes, weights)
-    heights_by_idx = {i: canonical_heights[boxes[i].category]
-                      for i in range(len(boxes))}
-    return _finish("pgm-fixed", v0, boxes, keep, excluded, heights_by_idx,
-                   h_cam, converged=True, ill_posed=False, prior_map=prior_map)
+    h_cam = weighted_median(heights[keep] / qs, arrays.weight[keep])
+    return _finish("pgm-fixed", v0, arrays, keep, excluded, heights, h_cam,
+                   ill_posed=False)
 
 
 def pgm_full(v0: float, boxes,
              prior_map: dict[str, CategoryPrior] | None = None,
-             cam_height_prior: CamHeightPrior | None = None,
-             tol: float = 1e-10, max_iters: int = 100) -> SceneEstimate:
+             cam_height_prior: CamHeightPrior | None = None) -> SceneEstimate:
     """Joint MAP under the linear model with free object heights.
 
-    Given the camera height, each height follows in closed form from
-    zero reprojection (h_i = q_i * h_cam with q_i the box span over the
-    horizon offset); given the heights, the camera height maximizes the
-    Gaussian posterior.  Alternates to convergence of the posterior
-    (change below tol) or `max_iters`, flagging non-convergence.
+    Zero reprojection ties each height to the camera height, h_i = q_i *
+    h_cam with q_i the box span over the horizon offset.  The log
+    posterior is then quadratic in h_cam, with the closed-form maximum
+
+        h_cam = (sum q_i mu_i / s_i^2 + mu_c / s_c^2)
+                / (sum q_i^2 / s_i^2 + 1 / s_c^2).
+
+    Degenerate boxes keep their prior mean height.  The estimate is
+    flagged ill-posed when the boxes carry no information on the scale.
     The reported reprojection loss is identically zero by construction.
     """
-    prior_map = prior_map or priors.DEFAULT_PRIORS
     cam_height_prior = cam_height_prior or CamHeightPrior()
     boxes = list(boxes)
     if not boxes:
         raise ValueError("no detections to estimate from")
-    qs, keep, excluded = _ratio_votes(v0, boxes)
-    if not keep:
+    arrays = scene_arrays(boxes, prior_map)
+    qs, keep, excluded = _ratio_votes(v0, arrays)
+    if not keep.any():
         raise ValueError("all detections are degenerate (zero span or on horizon)")
-    mu = np.empty(len(keep))
-    var = np.empty(len(keep))
-    for j, i in enumerate(keep):
-        prior = prior_map.get(boxes[i].category)
-        if prior is None:
-            raise ValueError(
-                f"no height prior for category {boxes[i].category!r}; "
-                f"known: {sorted(prior_map)}")
-        mu[j], var[j] = prior.mean_m, prior.sigma_m ** 2
-
+    mu, var = arrays.mu[keep], arrays.sigma[keep] ** 2
     mu_c, var_c = cam_height_prior.mean_m, cam_height_prior.sigma_m ** 2
     info = float(np.sum(qs * qs / var))
-    ill_posed = info < _INFO_EPS
-
-    def log_posterior(h: float) -> float:
-        heights = qs * h
-        return (-0.5 * float(np.sum((heights - mu) ** 2 / var))
-                - 0.5 * (h - mu_c) ** 2 / var_c)
-
-    h_cam = mu_c
-    post = log_posterior(h_cam)
-    converged = False
-    for _ in range(max_iters):
-        # Heights given h_cam solve reprojection exactly; h_cam given the
-        # linkage maximizes the quadratic log posterior in closed form.
-        h_new = float((np.sum(qs * mu / var) + mu_c / var_c)
-                      / (info + 1.0 / var_c))
-        post_new = log_posterior(h_new)
-        h_cam = h_new
-        if abs(post_new - post) < tol:
-            converged = True
-            post = post_new
-            break
-        post = post_new
-
-    heights = qs * h_cam
-    heights_by_idx = {i: float(h) for i, h in zip(keep, heights)}
-    for i in range(len(boxes)):
-        if i not in heights_by_idx:
-            prior = prior_map.get(boxes[i].category)
-            heights_by_idx[i] = prior.mean_m if prior else 0.0
-    return _finish("pgm", v0, boxes, keep, excluded, heights_by_idx,
-                   float(h_cam), converged=converged, ill_posed=ill_posed,
-                   prior_map=prior_map)
+    h_cam = float((np.sum(qs * mu / var) + mu_c / var_c)
+                  / (info + 1.0 / var_c))
+    heights = arrays.mu.copy()
+    heights[keep] = qs * h_cam
+    return _finish("pgm", v0, arrays, keep, excluded, heights, h_cam,
+                   ill_posed=info < _INFO_EPS)

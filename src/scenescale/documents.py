@@ -18,7 +18,8 @@ import yaml
 
 from .baselines import CamHeightPrior, CANONICAL_HEIGHTS
 from .metrics import GroundTruth
-from .priors import CategoryPrior, KeypointSet, DEFAULT_PRIORS
+from .priors import (CategoryPrior, KeypointSet, DEFAULT_PRIORS,
+                     HEAD_KEYPOINT_NAMES)
 from .solver import DetectionBox, LayerTrace, SceneEstimate, RefinementConfig
 
 SCHEMA_VERSION = 1
@@ -396,9 +397,6 @@ class FilterResult:
     rejected: tuple[Rejection, ...]
 
 
-_HEAD_NAMES = ("nose", "left_eye", "right_eye", "left_ear", "right_ear")
-
-
 def filter_detections(doc: DetectionDocument,
                       filters: FilterConfig | None = None) -> FilterResult:
     """Split detections into solvable and rejected-with-reason.
@@ -416,7 +414,8 @@ def filter_detections(doc: DetectionDocument,
         reason = None
         if (filters.require_keypoint_visibility and box.category == "person"
                 and box.keypoints is not None):
-            has_head = any(box.keypoints.visible(n) for n in _HEAD_NAMES)
+            has_head = any(box.keypoints.visible(n)
+                           for n in HEAD_KEYPOINT_NAMES)
             has_ankle = (box.keypoints.visible("left_ankle")
                          or box.keypoints.visible("right_ankle"))
             if not (has_head and has_ankle):

@@ -22,10 +22,7 @@ COCO_KEYPOINT_NAMES = (
 )
 _KP_INDEX = {name: i for i, name in enumerate(COCO_KEYPOINT_NAMES)}
 
-_HEAD_NAMES = ("nose", "left_eye", "right_eye", "left_ear", "right_ear")
-
-# Posture ratios below this typically mean the person is not standing.
-NON_STANDING_RATIO = 0.90
+HEAD_KEYPOINT_NAMES = ("nose", "left_eye", "right_eye", "left_ear", "right_ear")
 
 # The visible head keypoints sit below the top of the skull; extend the
 # highest one upward by this fraction of the skeleton chain length.
@@ -133,7 +130,7 @@ def upright_ratio(kps: KeypointSet,
     """
     missing: list[str] = []
 
-    head_pts = [kps.coords(n) for n in _HEAD_NAMES if kps.visible(n)]
+    head_pts = [kps.coords(n) for n in HEAD_KEYPOINT_NAMES if kps.visible(n)]
     if not head_pts:
         missing.append("head (nose/eyes/ears)")
     shoulder_mid = _midpoint(kps, "left_shoulder", "right_shoulder")
@@ -176,60 +173,52 @@ def upright_ratio(kps: KeypointSet,
     return UprightRatio(ratio)
 
 
-def is_standing(ratio: UprightRatio | float) -> bool:
-    r = ratio.ratio if isinstance(ratio, UprightRatio) else ratio
-    return r >= NON_STANDING_RATIO
-
-
-def actual_to_upright(height_m: float, ratio: UprightRatio | float) -> float:
-    r = ratio.ratio if isinstance(ratio, UprightRatio) else ratio
-    return height_m / r
-
-
-def upright_to_actual(height_m: float, ratio: UprightRatio | float) -> float:
-    r = ratio.ratio if isinstance(ratio, UprightRatio) else ratio
-    return height_m * r
-
-
 # ---------------------------------------------------------------------------
-# Prior penalty.
+# Prior penalty, elementwise over heights with per-object mean and sigma.
+#
+# mode="log_density" is the negative log density (the solver's default and
+# the prior loss the baselines report); mode="density" is the negative
+# density, bounded below by -pdf(mean) and not scale-invariant.
 
-def gaussian_pdf(x, mean: float, sigma: float):
-    x = np.asarray(x, dtype=float)
-    z = (x - mean) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def prior_loss(heights_m, prior: CategoryPrior, mode: str = "density") -> float:
-    """Mean prior penalty of a batch of heights.
+def _gaussian_pdf(heights, mu, sigma):
+    z = (heights - mu) / sigma
+    return np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
 
-    mode="density" returns the negative mean Gaussian density (bounded
-    below by -pdf(mean), not scale-invariant); mode="log_density" returns
-    the negative mean log density, the better-conditioned default of the
-    solver.
-    """
+
+def _unknown_mode(mode: str) -> ValueError:
+    return ValueError(f"unknown prior mode {mode!r}")
+
+
+def prior_penalty(heights_m, mu, sigma, mode: str):
+    """Prior penalty of each height under N(mu, sigma^2)."""
     h = np.asarray(heights_m, dtype=float)
-    if h.size == 0:
-        raise ValueError("prior_loss needs at least one height")
     if mode == "density":
-        return float(-np.mean(gaussian_pdf(h, prior.mean_m, prior.sigma_m)))
+        return -_gaussian_pdf(h, mu, sigma)
     if mode == "log_density":
-        z = (h - prior.mean_m) / prior.sigma_m
-        const = math.log(prior.sigma_m * math.sqrt(2.0 * math.pi))
-        return float(np.mean(0.5 * z * z + const))
-    raise ValueError(f"unknown prior mode {mode!r}")
+        z = (h - mu) / sigma
+        return 0.5 * z * z + np.log(sigma * _SQRT_2PI)
+    raise _unknown_mode(mode)
 
 
-def prior_loss_gradient(heights_m, prior: CategoryPrior,
-                        mode: str = "density") -> np.ndarray:
-    """d prior_loss / d height_i, same conventions as `prior_loss`."""
+def prior_penalty_grad(heights_m, mu, sigma, mode: str):
+    """d prior_penalty_i / d height_i."""
     h = np.asarray(heights_m, dtype=float)
-    if h.size == 0:
-        raise ValueError("prior_loss_gradient needs at least one height")
-    n = h.size
     if mode == "density":
-        pdf = gaussian_pdf(h, prior.mean_m, prior.sigma_m)
-        return pdf * (h - prior.mean_m) / prior.sigma_m ** 2 / n
+        return _gaussian_pdf(h, mu, sigma) * (h - mu) / sigma ** 2
     if mode == "log_density":
-        return (h - prior.mean_m) / prior.sigma_m ** 2 / n
-    raise ValueError(f"unknown prior mode {mode!r}")
+        return (h - mu) / sigma ** 2
+    raise _unknown_mode(mode)
+
+
+def prior_curvature(heights_m, mu, sigma, mode: str):
+    """Nonnegative curvature of each penalty for a Gauss-Newton step model:
+    exact in log_density mode, the positive part in density mode."""
+    h = np.asarray(heights_m, dtype=float)
+    if mode == "density":
+        return _gaussian_pdf(h, mu, sigma) / sigma ** 2
+    if mode == "log_density":
+        return np.ones_like(h) / sigma ** 2
+    raise _unknown_mode(mode)

@@ -3,9 +3,14 @@
 Inputs are 2D detections plus a calibrated horizon and field of view;
 absolute scale comes from category size priors.  The pipeline:
 
+  0. Build the scene's array form once (`SceneArrays`: detected tops and
+     bottoms, the height prior of each box and its weight); every later
+     stage reads it.
   1. Initialize every object height at its category prior mean and the
      camera height as the weighted median of per-object votes obtained by
-     inverting the linear horizon-ratio model.
+     inverting the linear horizon-ratio model.  Which objects can be
+     reprojected depends only on the camera's pitch and focal length, so
+     it is decided once here and carried in the solver state.
   2. Run a fixed number of refinement layers.  Each layer takes one
      damped Gauss-Newton step on the total loss (L1 reprojection of the
      box tops + Gaussian prior penalty on upright heights) with
@@ -29,8 +34,6 @@ import numpy as np
 from . import geometry, priors
 from .geometry import CameraParams
 from .priors import CategoryPrior, KeypointSet
-
-FEATURE_DIM = 8
 
 _VOTE_SPAN_EPS = 1e-9     # |v_top - v_bottom| below this cannot vote
 _VOTE_HORIZON_EPS = 1e-6  # |v0 - v_bottom| below this cannot vote
@@ -98,13 +101,15 @@ class SceneState:
     upright_heights are the optimization variables; the actual heights
     used in reprojection are upright * ratio.  `active` marks objects
     that participate in the loss (bottoms on the ground side of the
-    horizon and off the degenerate band).
+    horizon and off the degenerate band).  `loss` is the state's total
+    loss when it is already known; `refine_layer` evaluates it when None.
     """
 
     camera: CameraParams
     upright_heights: tuple[float, ...]
     ratios: tuple[float, ...]
     active: tuple[bool, ...]
+    loss: float | None = None
 
     def actual_heights(self) -> np.ndarray:
         return np.asarray(self.upright_heights) * np.asarray(self.ratios)
@@ -143,6 +148,24 @@ class ReprojectionResult(NamedTuple):
     residuals: np.ndarray                  # signed v_top residual, NaN = excluded
     l_vt: float
     excluded: tuple[tuple[int, str], ...]
+    v_tops: np.ndarray                     # reprojected tops, meaningless if excluded
+
+
+@dataclass(frozen=True)
+class SceneArrays:
+    """Array form of a scene's detections, one read-only entry per box in
+    input order: detected top and bottom, the height prior of the box's
+    category and the box weight.  Built once per solve by `scene_arrays`.
+    """
+
+    v_top: np.ndarray
+    v_bottom: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.v_top)
 
 
 def weighted_median(values, weights) -> float:
@@ -169,6 +192,33 @@ def _prior_for(box: DetectionBox, prior_map: dict[str, CategoryPrior]) -> Catego
             f"known: {sorted(prior_map)}") from None
 
 
+def _v_columns(boxes) -> tuple[np.ndarray, np.ndarray]:
+    """(v_top, v_bottom) arrays of a box list or of a SceneArrays."""
+    if isinstance(boxes, SceneArrays):
+        return boxes.v_top, boxes.v_bottom
+    return (np.array([b.v_top for b in boxes], dtype=float),
+            np.array([b.v_bottom for b in boxes], dtype=float))
+
+
+def scene_arrays(boxes, prior_map: dict[str, CategoryPrior] | None = None
+                 ) -> SceneArrays:
+    """Array form of a box list; a SceneArrays passes through unchanged.
+
+    Raises ValueError naming the first category without a height prior.
+    """
+    if isinstance(boxes, SceneArrays):
+        return boxes
+    prior_map = prior_map or priors.DEFAULT_PRIORS
+    box_priors = [_prior_for(b, prior_map) for b in boxes]
+    columns = (*_v_columns(boxes),
+               np.array([p.mean_m for p in box_priors], dtype=float),
+               np.array([p.sigma_m for p in box_priors], dtype=float),
+               np.array([b.weight for b in boxes], dtype=float))
+    for column in columns:
+        column.flags.writeable = False
+    return SceneArrays(*columns)
+
+
 def box_ratios(boxes, config: RefinementConfig | None = None) -> tuple[float, ...]:
     """Posture ratio per box: computed from keypoints when present and
     enabled, 1.0 otherwise (including skeletons too sparse to score)."""
@@ -185,45 +235,6 @@ def box_ratios(boxes, config: RefinementConfig | None = None) -> tuple[float, ..
     return tuple(out)
 
 
-def assemble_init_features(v0: float, boxes,
-                           prior_map: dict[str, CategoryPrior] | None = None) -> np.ndarray:
-    """Per-object feature rows consumed by the initialization stage.
-
-    Row layout: [v0, u_left, u_right, v_top, v_bottom,
-                 v_top - v0, v_bottom - v0, prior mean height].
-    """
-    prior_map = prior_map or priors.DEFAULT_PRIORS
-    if not boxes:
-        raise ValueError("no detections to assemble features from")
-    rows = np.empty((len(boxes), FEATURE_DIM), dtype=float)
-    for i, box in enumerate(boxes):
-        mu = _prior_for(box, prior_map).mean_m
-        rows[i] = (v0, box.u_left, box.u_right, box.v_top, box.v_bottom,
-                   box.v_top - v0, box.v_bottom - v0, mu)
-    return rows
-
-
-def assemble_refine_features(v0: float, boxes, prev_tops, heights_m,
-                             cam_height_m: float) -> np.ndarray:
-    """Per-object feature rows consumed by one refinement layer.
-
-    Row layout: [v0, u_left, u_right, previous reprojected v_top,
-                 v_bottom, previous v_top - detected v_top,
-                 current height, current camera height].
-    """
-    if not boxes:
-        raise ValueError("no detections to assemble features from")
-    prev_tops = np.asarray(prev_tops, dtype=float)
-    heights_m = np.asarray(heights_m, dtype=float)
-    if prev_tops.shape != (len(boxes),) or heights_m.shape != (len(boxes),):
-        raise ValueError("prev_tops and heights_m must have one entry per box")
-    rows = np.empty((len(boxes), FEATURE_DIM), dtype=float)
-    for i, box in enumerate(boxes):
-        rows[i] = (v0, box.u_left, box.u_right, prev_tops[i], box.v_bottom,
-                   prev_tops[i] - box.v_top, heights_m[i], cam_height_m)
-    return rows
-
-
 def init_camera_height(v0: float, boxes,
                        prior_map: dict[str, CategoryPrior] | None = None,
                        config: RefinementConfig | None = None,
@@ -235,26 +246,22 @@ def init_camera_height(v0: float, boxes,
     prior mean unless explicit heights are given).  Votes are clamped to
     the configured camera-height bounds.
     """
-    prior_map = prior_map or priors.DEFAULT_PRIORS
     config = config or RefinementConfig()
-    if not boxes:
+    if not len(boxes):
         raise ValueError("no detections to initialize from")
-    if heights_m is None:
-        heights_m = [_prior_for(b, prior_map).mean_m for b in boxes]
-    lo, hi = config.cam_height_bounds
-    votes, weights = [], []
-    for box, h in zip(boxes, heights_m):
-        span = box.v_top - box.v_bottom
-        off = v0 - box.v_bottom
-        if abs(span) < _VOTE_SPAN_EPS or abs(off) <= _VOTE_HORIZON_EPS:
-            continue
-        votes.append(min(max(h * off / span, lo), hi))
-        weights.append(box.weight)
-    if not votes:
+    arrays = scene_arrays(boxes, prior_map)
+    heights = arrays.mu if heights_m is None else np.asarray(heights_m, float)
+    span = arrays.v_top - arrays.v_bottom
+    off = v0 - arrays.v_bottom
+    votes = (np.abs(span) >= _VOTE_SPAN_EPS) & (np.abs(off) > _VOTE_HORIZON_EPS)
+    if not votes.any():
         raise ValueError(
             "all detections are degenerate for initialization "
             "(zero span or bottom on the horizon)")
-    return weighted_median(votes, weights)
+    return weighted_median(
+        np.clip(heights[votes] * off[votes] / span[votes],
+                *config.cam_height_bounds),
+        arrays.weight[votes])
 
 
 def classify_boxes(camera: CameraParams, boxes) -> tuple[tuple[bool, ...],
@@ -264,79 +271,55 @@ def classify_boxes(camera: CameraParams, boxes) -> tuple[tuple[bool, ...],
     Depends only on pitch/focal and the detected bottom, never on the
     camera height, so it stays fixed across the whole solve.
     """
+    _, v_bottom = _v_columns(boxes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        depth = geometry.depths_from_bottoms(camera, v_bottom)
+    active, excluded = _eligibility(camera, v_bottom, depth)
+    return tuple(active.tolist()), excluded
+
+
+def _eligibility(camera: CameraParams, v_bottom, depth):
+    """(mask, excluded) of the boxes that can be reprojected, given the
+    ground depth of each bottom under this camera (any camera height).
+
+    A box is excluded when its bottom sits in the band around the
+    horizon, or when its depth is not finite and positive, which happens
+    iff the bottom ray points at or above the horizon.
+    """
     v0 = geometry.horizon_from_pitch(camera).v0
-    active, excluded = [], []
-    for i, box in enumerate(boxes):
-        if abs(box.v_bottom - v0) <= _HORIZON_EPS:
-            active.append(False)
-            excluded.append((i, "bottom-on-horizon"))
-            continue
-        # Positive ground depth iff the bottom ray points below the horizon.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            depth = geometry.depths_from_bottoms(camera, box.v_bottom)
-        if not np.isfinite(depth) or depth <= 0:
-            active.append(False)
-            excluded.append((i, "bottom-above-horizon"))
-            continue
-        active.append(True)
-    return tuple(active), tuple(excluded)
+    on_horizon = np.abs(v_bottom - v0) <= _HORIZON_EPS
+    with np.errstate(invalid="ignore"):
+        active = ~on_horizon & np.isfinite(depth) & (depth > 0)
+    excluded = tuple(
+        (i, "bottom-on-horizon" if on_horizon[i] else "bottom-above-horizon")
+        for i in np.flatnonzero(~active).tolist())
+    return active, excluded
 
 
 def reprojection_loss(camera: CameraParams, heights_m, boxes) -> ReprojectionResult:
     """Signed v_top residuals of bottom-anchored objects and their L1 mean.
 
     heights_m are actual heights, one per box.  Excluded (horizon-side)
-    objects get NaN residuals and do not enter the mean.
+    objects get NaN residuals and do not enter the mean; which objects
+    are excluded is read off the depths the projection returns, by the
+    rule of `classify_boxes`.
     """
-    if not boxes:
+    v_top, v_bottom = _v_columns(boxes)
+    if not len(v_top):
         raise ValueError("no detections to reproject")
     heights_m = np.asarray(heights_m, dtype=float)
-    if heights_m.shape != (len(boxes),):
+    if heights_m.shape != v_top.shape:
         raise ValueError("heights_m must have one entry per box")
-    active, excluded = classify_boxes(camera, boxes)
-    mask = np.asarray(active)
-    residuals = np.full(len(boxes), np.nan)
-    if mask.any():
-        vb = np.array([b.v_bottom for b in boxes])[mask]
-        vt_det = np.array([b.v_top for b in boxes])[mask]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vt, _, _, _ = geometry.project_tops_with_grads(
-                camera, vb, heights_m[mask])
-        residuals[mask] = vt_det - vt
-        l_vt = float(np.mean(np.abs(residuals[mask])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vt, _, _, depth = geometry.project_tops_with_grads(
+            camera, v_bottom, heights_m)
+        active, excluded = _eligibility(camera, v_bottom, depth)
+        residuals = np.where(active, v_top - vt, np.nan)
+    if active.any():
+        l_vt = float(np.mean(np.abs(residuals[active])))
     else:
         l_vt = math.nan
-    return ReprojectionResult(residuals, l_vt, excluded)
-
-
-def _per_box_priors(boxes, prior_map):
-    mu = np.array([_prior_for(b, prior_map).mean_m for b in boxes])
-    sigma = np.array([_prior_for(b, prior_map).sigma_m for b in boxes])
-    return mu, sigma
-
-
-def _prior_penalty(upright, mu, sigma, mode):
-    z = (upright - mu) / sigma
-    if mode == "density":
-        return -np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-    return 0.5 * z * z + np.log(sigma * math.sqrt(2.0 * math.pi))
-
-
-def _prior_penalty_grad(upright, mu, sigma, mode):
-    if mode == "density":
-        pdf = np.exp(-0.5 * ((upright - mu) / sigma) ** 2) \
-            / (sigma * math.sqrt(2.0 * math.pi))
-        return pdf * (upright - mu) / sigma ** 2
-    return (upright - mu) / sigma ** 2
-
-
-def _prior_curvature(upright, mu, sigma, mode):
-    # Positive-semidefinite curvature surrogate for the step model.
-    if mode == "density":
-        pdf = np.exp(-0.5 * ((upright - mu) / sigma) ** 2) \
-            / (sigma * math.sqrt(2.0 * math.pi))
-        return pdf / sigma ** 2
-    return np.ones_like(upright) / sigma ** 2
+    return ReprojectionResult(residuals, l_vt, excluded, vt)
 
 
 def total_loss(state: SceneState, boxes,
@@ -347,13 +330,13 @@ def total_loss(state: SceneState, boxes,
     Returns +inf when the current heights push some object top across the
     camera plane, so line searches reject such candidates.
     """
-    prior_map = prior_map or priors.DEFAULT_PRIORS
     config = config or RefinementConfig()
+    arrays = scene_arrays(boxes, prior_map)
     mask = np.asarray(state.active)
     if not mask.any():
         raise ValueError("no active objects to evaluate")
-    vb = np.array([b.v_bottom for b in boxes])[mask]
-    vt_det = np.array([b.v_top for b in boxes])[mask]
+    vb = arrays.v_bottom[mask]
+    vt_det = arrays.v_top[mask]
     actual = state.actual_heights()[mask]
     with np.errstate(divide="ignore", invalid="ignore"):
         vt, _, _, depth = geometry.project_tops_with_grads(state.camera, vb, actual)
@@ -363,10 +346,9 @@ def total_loss(state: SceneState, boxes,
     if not np.all(np.isfinite(vt)) or np.any(top_z <= 0):
         return math.inf
     l_vt = float(np.mean(np.abs(vt_det - vt)))
-    mu, sigma = _per_box_priors(boxes, prior_map)
     upright = np.asarray(state.upright_heights)[mask]
-    pen = float(np.mean(_prior_penalty(upright, mu[mask], sigma[mask],
-                                       config.prior_mode)))
+    pen = float(np.mean(priors.prior_penalty(
+        upright, arrays.mu[mask], arrays.sigma[mask], config.prior_mode)))
     return config.reprojection_weight * l_vt + config.prior_weight * pen
 
 
@@ -378,16 +360,15 @@ def total_loss_gradient(state: SceneState, boxes,
     Entries of inactive objects are zero.  Assumes no residual sits
     exactly on the L1 kink.
     """
-    prior_map = prior_map or priors.DEFAULT_PRIORS
     config = config or RefinementConfig()
+    arrays = scene_arrays(boxes, prior_map)
     mask = np.asarray(state.active)
-    n = len(boxes)
-    grad = np.zeros(n + 1)
+    grad = np.zeros(len(arrays) + 1)
     if not mask.any():
         return grad
     k = int(mask.sum())
-    vb = np.array([b.v_bottom for b in boxes])[mask]
-    vt_det = np.array([b.v_top for b in boxes])[mask]
+    vb = arrays.v_bottom[mask]
+    vt_det = arrays.v_top[mask]
     ratios = np.asarray(state.ratios)[mask]
     upright = np.asarray(state.upright_heights)[mask]
     actual = upright * ratios
@@ -397,8 +378,8 @@ def total_loss_gradient(state: SceneState, boxes,
     coef = config.reprojection_weight / k
     grad[0] = coef * np.sum(sign * (-d_hc))
     dr_dH = -d_h * ratios
-    mu, sigma = _per_box_priors(boxes, prior_map)
-    pg = _prior_penalty_grad(upright, mu[mask], sigma[mask], config.prior_mode)
+    pg = priors.prior_penalty_grad(upright, arrays.mu[mask],
+                                   arrays.sigma[mask], config.prior_mode)
     grad[1:][mask] = coef * sign * dr_dH + config.prior_weight / k * pg
     return grad
 
@@ -414,9 +395,9 @@ def _clamp_vars(x: np.ndarray, config: RefinementConfig) -> np.ndarray:
 def _state_with(state: SceneState, x: np.ndarray, mask: np.ndarray) -> SceneState:
     upright = np.asarray(state.upright_heights).copy()
     upright[mask] = x[1:]
-    return replace(state,
-                   camera=replace(state.camera, cam_height_m=float(x[0])),
-                   upright_heights=tuple(upright))
+    return SceneState(camera=replace(state.camera, cam_height_m=float(x[0])),
+                      upright_heights=tuple(upright.tolist()),
+                      ratios=state.ratios, active=state.active)
 
 
 def refine_layer(state: SceneState, boxes,
@@ -428,39 +409,34 @@ def refine_layer(state: SceneState, boxes,
     no decrease is found within the backtracking budget the input state
     is returned unchanged.
     """
-    prior_map = prior_map or priors.DEFAULT_PRIORS
     config = config or RefinementConfig()
+    arrays = scene_arrays(boxes, prior_map)
     mask = np.asarray(state.active)
     if not mask.any():
         return state
-    loss0 = total_loss(state, boxes, prior_map, config)
+    loss0 = state.loss
+    if loss0 is None:
+        loss0 = total_loss(state, arrays, prior_map, config)
     if not math.isfinite(loss0):
         return state
 
     k = int(mask.sum())
-    vb = np.array([b.v_bottom for b in boxes])[mask]
+    vb = arrays.v_bottom[mask]
     ratios = np.asarray(state.ratios)[mask]
     upright = np.asarray(state.upright_heights)[mask]
     actual = upright * ratios
     vt, d_hc, d_h, _ = geometry.project_tops_with_grads(state.camera, vb, actual)
-
-    # Refinement features: [v0, u_l, u_r, prev v_top, v_bottom,
-    # top residual, height, camera height] per object.
-    v0 = geometry.horizon_from_pitch(state.camera).v0
-    feats = assemble_refine_features(
-        v0, [b for b, m in zip(boxes, mask) if m], vt, actual,
-        state.camera.cam_height_m)
-    r = -feats[:, 5]                       # detected minus reprojected top
-    h_cam = float(feats[0, 7])
+    r = -(vt - arrays.v_top[mask])         # detected minus reprojected top
+    h_cam = state.camera.cam_height_m
 
     # IRLS quadratic model of the L1 term plus exact/nonnegative prior model.
     w = 1.0 / np.maximum(np.abs(r), _IRLS_FLOOR)
     coef = config.reprojection_weight / k
     a = -d_hc                              # d r / d cam height
     b = -d_h * ratios                      # d r / d upright height
-    mu, sigma = _per_box_priors(boxes, prior_map)
-    pg = _prior_penalty_grad(upright, mu[mask], sigma[mask], config.prior_mode)
-    pc = _prior_curvature(upright, mu[mask], sigma[mask], config.prior_mode)
+    mu, sigma = arrays.mu[mask], arrays.sigma[mask]
+    pg = priors.prior_penalty_grad(upright, mu, sigma, config.prior_mode)
+    pc = priors.prior_curvature(upright, mu, sigma, config.prior_mode)
 
     m = np.zeros((k + 1, k + 1))
     g = np.zeros(k + 1)
@@ -484,45 +460,33 @@ def refine_layer(state: SceneState, boxes,
     for _ in range(config.max_backtracks + 1):
         cand = _clamp_vars(x0 + step * delta, config)
         cand_state = _state_with(state, cand, mask)
-        if total_loss(cand_state, boxes, prior_map, config) < loss0:
+        if total_loss(cand_state, arrays, prior_map, config) < loss0:
             return cand_state
         step *= 0.5
     return state
 
 
-def _layer_trace(layer: int, state: SceneState, boxes, prior_map,
-                 config) -> LayerTrace:
+def _layer_trace(layer: int, state: SceneState, arrays: SceneArrays,
+                 prior_map, config) -> LayerTrace:
     mask = np.asarray(state.active)
     actual = state.actual_heights()
-    rep = reprojection_loss(state.camera, actual, boxes)
-    vb_all = np.array([b.v_bottom for b in boxes])
-    spans: list[tuple[float, float] | None] = []
-    residuals: list[float | None] = []
-    if mask.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vt_all, _, _, _ = geometry.project_tops_with_grads(
-                state.camera, vb_all, actual)
-    for i in range(len(boxes)):
-        if mask[i]:
-            spans.append((float(vt_all[i]), float(vb_all[i])))
-            residuals.append(float(rep.residuals[i]))
-        else:
-            spans.append(None)
-            residuals.append(None)
-    mu, sigma = _per_box_priors(boxes, prior_map)
-    upright = np.asarray(state.upright_heights)
-    pen = float(np.mean(_prior_penalty(
-        upright[mask], mu[mask], sigma[mask], config.prior_mode)))
-    total = total_loss(state, boxes, prior_map, config)
+    rep = reprojection_loss(state.camera, actual, arrays)
+    spans = tuple((t, b) if m else None for t, b, m in zip(
+        rep.v_tops.tolist(), arrays.v_bottom.tolist(), state.active))
+    residuals = tuple(r if m else None
+                      for r, m in zip(rep.residuals.tolist(), state.active))
+    upright = np.asarray(state.upright_heights)[mask]
+    pen = float(np.mean(priors.prior_penalty(
+        upright, arrays.mu[mask], arrays.sigma[mask], config.prior_mode)))
     return LayerTrace(
         layer=layer,
         cam_height_m=state.camera.cam_height_m,
-        heights_m=tuple(float(h) for h in actual),
+        heights_m=tuple(actual.tolist()),
         l_vt=rep.l_vt,
         prior_loss=pen,
-        total_loss=total,
-        spans=tuple(spans),
-        residuals=tuple(residuals),
+        total_loss=total_loss(state, arrays, prior_map, config),
+        spans=spans,
+        residuals=residuals,
     )
 
 
@@ -542,32 +506,34 @@ def solve_scene(v0: float, fov_rad: float, boxes,
         raise ValueError("no detections to solve from")
 
     ratios = box_ratios(boxes, config)
-    mu0 = np.array([_prior_for(b, prior_map).mean_m for b in boxes])
-    upright0 = np.clip(mu0, *config.object_height_bounds)
+    arrays = scene_arrays(boxes, prior_map)
+    upright0 = np.clip(arrays.mu, *config.object_height_bounds)
     actual0 = upright0 * np.asarray(ratios)
 
-    h_cam0 = init_camera_height(v0, boxes, prior_map, config,
+    h_cam0 = init_camera_height(v0, arrays, prior_map, config,
                                 heights_m=actual0)
 
     focal = geometry.focal_from_fov(fov_rad, 1.0)
     pitch = geometry.pitch_from_horizon(v0, focal, 1.0, principal_v)
     camera = CameraParams.from_fov(pitch, fov_rad, h_cam0, 1.0, 1.0,
                                    principal_v_px=principal_v)
-    active, excluded = classify_boxes(camera, boxes)
+    active, excluded = classify_boxes(camera, arrays)
     if not any(active):
         raise ValueError("every detection is horizon-degenerate; cannot solve")
 
     state = SceneState(camera=camera,
-                       upright_heights=tuple(float(h) for h in upright0),
+                       upright_heights=tuple(upright0.tolist()),
                        ratios=ratios,
                        active=active)
-    trace = [_layer_trace(0, state, boxes, prior_map, config)]
+    trace = [_layer_trace(0, state, arrays, prior_map, config)]
 
     converged = False
     for j in range(1, config.num_layers + 1):
         if not converged:
-            state = refine_layer(state, boxes, prior_map, config)
-        entry = _layer_trace(j, state, boxes, prior_map, config)
+            # The trace has just evaluated this state's loss.
+            state = refine_layer(replace(state, loss=trace[-1].total_loss),
+                                 arrays, prior_map, config)
+        entry = _layer_trace(j, state, arrays, prior_map, config)
         trace.append(entry)
         decrease = trace[-2].total_loss - entry.total_loss
         if decrease < config.loss_tolerance:

@@ -176,6 +176,7 @@ def test_pgm_full_single_box_closed_form():
     assert est.cam_height_m == pytest.approx(expect, rel=1e-12)
     assert est.heights_m[0] == pytest.approx(q * expect, rel=1e-12)
     assert est.method == "pgm"
+    assert est.converged and not est.ill_posed
 
 
 def test_pgm_full_matches_grid_search():
@@ -225,16 +226,6 @@ def test_pgm_full_flat_priors_flag_ill_posed():
     est = pgm_full(v0, [box], prior_map=flat)
     assert est.ill_posed
     assert est.cam_height_m == pytest.approx(1.6, rel=1e-9)
-
-
-def test_pgm_full_zero_iterations_not_converged():
-    v0 = 0.5
-    box = DetectionBox(u_left=0.4, u_right=0.5, v_top=0.7, v_bottom=0.9,
-                       category="person")
-    est = pgm_full(v0, [box], max_iters=0)
-    assert not est.converged
-    assert est.cam_height_m == CamHeightPrior().mean_m
-    assert pgm_full(v0, [box]).converged
 
 
 def test_pgm_full_excluded_boxes_fall_back_to_prior_mean():

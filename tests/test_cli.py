@@ -1,12 +1,15 @@
 """End-to-end command line tests, run in-process against cli.main."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 from scenescale import cli
 from scenescale.documents import parse_results
+
+_FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _read_tree(root):
@@ -104,6 +107,40 @@ def test_method_flag_switches_estimator(tmp_path, capsys):
                      "--out", str(out)]) == 0
     assert parse_results(out.read_bytes()).estimate.method == "pgm-fixed"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["pgm", "pgm-fixed"])
+def test_baseline_fixture_resolves_byte_identically(tmp_path, capsys, method):
+    # The committed results were produced by `solve --method METHOD`.
+    doc = tmp_path / "scene_0000.json"
+    doc.write_bytes((_FIXTURES / "scene_0000.json").read_bytes())
+    out = tmp_path / "out.json"
+    assert cli.main(["solve", str(doc), "--method", method,
+                     "--out", str(out)]) == 0
+    pinned = _FIXTURES / f"scene_0000.{method}.results.json"
+    assert out.read_bytes() == pinned.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["cascade", "pgm", "pgm-fixed"])
+def test_category_without_height_prior_fails_every_method(tmp_path, capsys,
+                                                          method):
+    # `bike` has a canonical height but no prior: every method refuses the
+    # document with the same reason instead of writing a partial answer.
+    payload = json.loads((_FIXTURES / "scene_0000.json").read_text())
+    for det in payload["detections"]:
+        det["category"] = "bike"
+    doc = tmp_path / "bikes.json"
+    doc.write_text(json.dumps(payload))
+    config = tmp_path / "config.yaml"
+    config.write_text("canonical_heights:\n  bike: 1.1\n  person: 1.7\n")
+    capsys.readouterr()
+    rc = cli.main(["solve", str(doc), "--method", method,
+                   "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "no height prior for category 'bike'" in err
+    assert not (tmp_path / "bikes.results.json").exists()
 
 
 def test_unknown_method_lists_valid_ones(tmp_path, capsys):

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from scenescale.priors import (COCO_KEYPOINT_NAMES, CategoryPrior,
                                DEFAULT_PRIORS, KeypointSet,
-                               MissingKeypointsError, NON_STANDING_RATIO,
-                               actual_to_upright, gaussian_pdf, is_standing,
-                               prior_loss, prior_loss_gradient,
-                               upright_ratio, upright_to_actual)
+                               MissingKeypointsError, _gaussian_pdf,
+                               prior_curvature, prior_penalty,
+                               prior_penalty_grad, upright_ratio)
 
 PERSON = DEFAULT_PRIORS["person"]
 CAR = DEFAULT_PRIORS["car"]
@@ -54,17 +53,21 @@ def test_prior_rejects_nonpositive_sigma():
 
 
 # ---------------------------------------------------------------------------
-# Prior loss.
+# Prior penalty.
+
+def _penalty(heights, prior, mode):
+    return prior_penalty(heights, prior.mean_m, prior.sigma_m, mode)
+
 
 def test_density_loss_at_person_mean():
     expected = -1.0 / (0.09 * math.sqrt(2.0 * math.pi))
-    loss = prior_loss([1.70], PERSON, mode="density")
+    loss = _penalty([1.70], PERSON, "density")[0]
     assert loss == pytest.approx(expected, rel=1e-12)
     assert loss == pytest.approx(-4.4326, abs=1e-4)
 
 
 def test_density_loss_at_car_mean():
-    loss = prior_loss([1.59], CAR, mode="density")
+    loss = _penalty([1.59], CAR, "density")[0]
     assert loss == pytest.approx(-1.0 / (0.21 * math.sqrt(2.0 * math.pi)),
                                  rel=1e-12)
     assert loss == pytest.approx(-1.8997, abs=1e-4)
@@ -72,54 +75,74 @@ def test_density_loss_at_car_mean():
 
 @pytest.mark.parametrize("mode", ["density", "log_density"])
 def test_mean_is_the_global_minimizer(mode):
-    at_mean = prior_loss([PERSON.mean_m], PERSON, mode=mode)
+    at_mean = _penalty([PERSON.mean_m], PERSON, mode)[0]
     for delta in (0.05, -0.05, 0.3, -0.3):
-        assert at_mean < prior_loss([PERSON.mean_m + delta], PERSON, mode=mode)
+        assert at_mean < _penalty([PERSON.mean_m + delta], PERSON, mode)[0]
 
 
 @pytest.mark.parametrize("mode", ["density", "log_density"])
 def test_loss_is_symmetric_about_the_mean(mode):
     for delta in (0.01, 0.12, 0.5):
-        hi = prior_loss([PERSON.mean_m + delta], PERSON, mode=mode)
-        lo = prior_loss([PERSON.mean_m - delta], PERSON, mode=mode)
+        hi = _penalty([PERSON.mean_m + delta], PERSON, mode)[0]
+        lo = _penalty([PERSON.mean_m - delta], PERSON, mode)[0]
         assert hi == pytest.approx(lo, abs=1e-12)
 
 
 def test_loss_averages_over_heights():
-    single = prior_loss([1.7], PERSON, mode="density")
-    assert prior_loss([1.7, 1.7, 1.7], PERSON, mode="density") == pytest.approx(
-        single, rel=1e-12)
-
-
-def test_empty_heights_rejected():
-    with pytest.raises(ValueError):
-        prior_loss([], PERSON)
+    # Elementwise over heights with per-object priors, so the mean over a
+    # mixed batch is the mean of the single-object penalties.
+    heights = [1.7, 1.5, 1.7]
+    mu = np.array([PERSON.mean_m, CAR.mean_m, PERSON.mean_m])
+    sigma = np.array([PERSON.sigma_m, CAR.sigma_m, PERSON.sigma_m])
+    batch = prior_penalty(heights, mu, sigma, "density")
+    singles = [prior_penalty([h], m, s, "density")[0]
+               for h, m, s in zip(heights, mu, sigma)]
+    np.testing.assert_array_equal(batch, singles)
+    assert np.mean(prior_penalty([1.7] * 3, PERSON.mean_m, PERSON.sigma_m,
+                                 "density")) == pytest.approx(
+        _penalty([1.7], PERSON, "density")[0], rel=1e-12)
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        prior_loss([1.7], PERSON, mode="huber")
+    for fn in (prior_penalty, prior_penalty_grad, prior_curvature):
+        with pytest.raises(ValueError):
+            fn([1.7], PERSON.mean_m, PERSON.sigma_m, "huber")
 
 
 @pytest.mark.parametrize("mode", ["density", "log_density"])
 def test_gradient_matches_central_differences(mode):
     rng = np.random.default_rng(3)
     heights = PERSON.mean_m + rng.uniform(-3, 3, 8) * PERSON.sigma_m
-    grad = prior_loss_gradient(heights, PERSON, mode=mode)
+    grad = prior_penalty_grad(heights, PERSON.mean_m, PERSON.sigma_m, mode)
     eps = 1e-6
-    for i in range(len(heights)):
-        hi = heights.copy()
-        lo = heights.copy()
-        hi[i] += eps
-        lo[i] -= eps
-        fd = (prior_loss(hi, PERSON, mode=mode)
-              - prior_loss(lo, PERSON, mode=mode)) / (2 * eps)
-        assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+    fd = (_penalty(heights + eps, PERSON, mode)
+          - _penalty(heights - eps, PERSON, mode)) / (2 * eps)
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
 
 
 def test_gaussian_pdf_peak():
-    assert gaussian_pdf(1.70, 1.70, 0.09) == pytest.approx(
+    # The density that all three density-mode functions share.
+    assert _gaussian_pdf(1.70, 1.70, 0.09) == pytest.approx(
         1.0 / (0.09 * math.sqrt(2 * math.pi)), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["density", "log_density"])
+def test_curvature_is_the_step_model_second_derivative(mode):
+    # Exact second derivative in log_density mode; in density mode the
+    # nonnegative surrogate, which is exact at the mean.
+    heights = PERSON.mean_m + np.linspace(-3, 3, 7) * PERSON.sigma_m
+    curv = prior_curvature(heights, PERSON.mean_m, PERSON.sigma_m, mode)
+    eps = 1e-6
+    fd = (prior_penalty_grad(heights + eps, PERSON.mean_m, PERSON.sigma_m,
+                             mode)
+          - prior_penalty_grad(heights - eps, PERSON.mean_m, PERSON.sigma_m,
+                               mode)) / (2 * eps)
+    assert np.all(curv > 0)
+    if mode == "log_density":
+        np.testing.assert_allclose(curv, fd, rtol=1e-5)
+    else:
+        assert curv[3] == pytest.approx(fd[3], rel=1e-5)
+        assert np.all(curv >= fd - 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +224,3 @@ def test_single_visible_shoulder_suffices():
 def test_keypoint_set_requires_seventeen_points():
     with pytest.raises(ValueError):
         KeypointSet(((0.0, 0.0, 0.0),) * 5)
-
-
-# ---------------------------------------------------------------------------
-# Standing classification and height conversion.
-
-def test_standing_threshold():
-    assert is_standing(NON_STANDING_RATIO)
-    assert is_standing(0.97)
-    assert not is_standing(NON_STANDING_RATIO - 1e-9)
-    assert not is_standing(0.5)
-
-
-def test_height_conversion_round_trip():
-    for ratio in (1.0, 0.9, 0.5, 1.05):
-        h = upright_to_actual(1.80, ratio)
-        assert actual_to_upright(h, ratio) == pytest.approx(1.80, rel=1e-12)
-
-
-def test_height_conversion_examples():
-    assert upright_to_actual(1.70, 1.0) == pytest.approx(1.70)
-    assert upright_to_actual(1.80, 0.5) == pytest.approx(0.90)

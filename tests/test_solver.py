@@ -11,16 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scenescale import synth
+from scenescale import solver, synth
 from scenescale.geometry import CameraParams, GroundObject, \
     horizon_from_pitch, project_vertical
-from scenescale.priors import DEFAULT_PRIORS, COCO_KEYPOINT_NAMES, KeypointSet
-from scenescale.solver import (FEATURE_DIM, DetectionBox, RefinementConfig,
-                               SceneState, assemble_init_features,
-                               assemble_refine_features, box_ratios,
-                               classify_boxes, init_camera_height,
-                               refine_layer, reprojection_loss, solve_scene,
-                               total_loss, total_loss_gradient,
+from scenescale.priors import (DEFAULT_PRIORS, COCO_KEYPOINT_NAMES,
+                               CategoryPrior, KeypointSet, prior_penalty)
+from scenescale.solver import (DetectionBox, RefinementConfig, SceneState,
+                               box_ratios, classify_boxes, init_camera_height,
+                               refine_layer, reprojection_loss, scene_arrays,
+                               solve_scene, total_loss, total_loss_gradient,
                                weighted_median)
 
 
@@ -72,49 +71,53 @@ def test_weighted_median_rejects_empty_and_bad_weights():
 
 
 # ---------------------------------------------------------------------------
-# Feature assembly.
+# Scene arrays.
 
-def test_init_feature_layout():
-    box = DetectionBox(u_left=0.2, u_right=0.4, v_top=0.55, v_bottom=0.8,
-                       category="person")
-    rows = assemble_init_features(0.5, [box])
-    assert rows.shape == (1, FEATURE_DIM)
-    np.testing.assert_allclose(
-        rows[0], [0.5, 0.2, 0.4, 0.55, 0.8, 0.05, 0.3, 1.70], atol=1e-15)
-
-
-def test_init_feature_offset_zero_when_top_on_horizon():
-    box = DetectionBox(u_left=0.2, u_right=0.4, v_top=0.5, v_bottom=0.8,
-                       category="person")
-    rows = assemble_init_features(0.5, [box])
-    assert rows[0, 5] == 0.0
-
-
-def test_init_features_preserve_order():
+def test_scene_arrays_layout_and_order():
     b1 = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.6, v_bottom=0.7,
                       category="person")
     b2 = DetectionBox(u_left=0.3, u_right=0.5, v_top=0.55, v_bottom=0.9,
-                      category="car")
-    rows = assemble_init_features(0.5, [b1, b2])
-    assert rows.shape == (2, FEATURE_DIM)
-    assert rows[0, 1] == 0.1 and rows[1, 1] == 0.3
-    assert rows[0, 7] == 1.70 and rows[1, 7] == 1.59
-
-
-def test_init_features_reject_empty():
+                      category="car", weight=2.5)
+    arrays = scene_arrays([b1, b2])
+    assert len(arrays) == 2
+    np.testing.assert_array_equal(arrays.v_top, [0.6, 0.55])
+    np.testing.assert_array_equal(arrays.v_bottom, [0.7, 0.9])
+    np.testing.assert_array_equal(arrays.mu, [1.70, 1.59])
+    np.testing.assert_array_equal(arrays.sigma, [0.09, 0.21])
+    np.testing.assert_array_equal(arrays.weight, [1.0, 2.5])
     with pytest.raises(ValueError):
-        assemble_init_features(0.5, [])
+        arrays.mu[0] = 2.0
+    # A prebuilt struct passes through unchanged, whatever the priors.
+    assert scene_arrays(arrays, {"car": CategoryPrior("car", 4.0, 1.0)}) \
+        is arrays
 
 
-def test_refine_feature_layout():
-    box = DetectionBox(u_left=0.2, u_right=0.4, v_top=0.55, v_bottom=0.8,
-                       category="person")
-    rows = assemble_refine_features(0.5, [box], prev_tops=[0.57],
-                                    heights_m=[1.68], cam_height_m=1.55)
-    assert rows.shape == (1, FEATURE_DIM)
-    np.testing.assert_allclose(
-        rows[0], [0.5, 0.2, 0.4, 0.57, 0.8, 0.57 - 0.55, 1.68, 1.55],
-        atol=1e-15)
+def test_scene_arrays_unknown_category_names_known_ones():
+    box = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.6, v_bottom=0.7,
+                       category="bike")
+    with pytest.raises(ValueError, match="no height prior for category "
+                       "'bike'; known: \\['car', 'person'\\]"):
+        scene_arrays([box])
+
+
+def test_helpers_accept_box_lists_and_scene_arrays_alike():
+    cam = _camera(pitch_deg=5.0, cam_height=1.9)
+    boxes = [_box_for(cam, 6.0, 1.7, weight=2.0), _box_for(cam, 11.0, 1.6),
+             DetectionBox(u_left=0.1, u_right=0.2, v_top=0.3, v_bottom=0.42,
+                          category="car")]
+    arrays = scene_arrays(boxes)
+    state = _state_for(cam, boxes, [1.8, 1.5, 1.6])
+    heights = [1.8, 1.5, 1.6]
+    assert classify_boxes(cam, arrays) == classify_boxes(cam, boxes)
+    assert init_camera_height(0.4, arrays) == init_camera_height(0.4, boxes)
+    assert total_loss(state, arrays) == total_loss(state, boxes)
+    np.testing.assert_array_equal(total_loss_gradient(state, arrays),
+                                  total_loss_gradient(state, boxes))
+    assert refine_layer(state, arrays) == refine_layer(state, boxes)
+    rep_a = reprojection_loss(cam, heights, arrays)
+    rep_b = reprojection_loss(cam, heights, boxes)
+    np.testing.assert_array_equal(rep_a.residuals, rep_b.residuals)
+    assert (rep_a.l_vt, rep_a.excluded) == (rep_b.l_vt, rep_b.excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +208,27 @@ def test_classify_boxes_reports_reasons():
     assert len(excluded) == 1 and excluded[0][0] == 1
 
 
+@given(pitch_deg=st.floats(-40.0, 40.0), fov_deg=st.floats(20.0, 120.0),
+       cam_height=st.floats(0.1, 50.0),
+       offsets=st.lists(st.sampled_from([0.0, 1e-10, -1e-10, 2e-9, -2e-9,
+                                         1e-3, -1e-3, 0.2, -0.2, 0.45]),
+                        min_size=1, max_size=8))
+@settings(deadline=None, max_examples=60)
+# A bottom on the horizon sends its ground depth to infinity.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_reprojection_excludes_exactly_what_classify_boxes_excludes(
+        pitch_deg, fov_deg, cam_height, offsets):
+    cam = _camera(pitch_deg=pitch_deg, fov_deg=fov_deg, cam_height=cam_height)
+    v0 = horizon_from_pitch(cam).v0
+    boxes = [DetectionBox(u_left=0.1, u_right=0.2, v_top=v0 + off - 0.1,
+                          v_bottom=v0 + off, category="person")
+             for off in offsets]
+    active, excluded = classify_boxes(cam, boxes)
+    rep = reprojection_loss(cam, [1.7] * len(boxes), boxes)
+    assert rep.excluded == excluded
+    assert tuple(~np.isnan(rep.residuals)) == active
+
+
 # ---------------------------------------------------------------------------
 # Total loss and gradient.
 
@@ -225,16 +249,21 @@ def test_total_loss_reduces_to_reprojection_when_prior_weight_zero():
 
 
 def test_total_loss_prior_only_matches_prior_module():
-    from scenescale.priors import prior_loss
     cam = _camera(pitch_deg=5.0, cam_height=1.9)
-    boxes = [_box_for(cam, 6.0, 1.7), _box_for(cam, 11.0, 1.7)]
-    state = _state_for(cam, boxes, [1.7, 1.7])
+    boxes = [_box_for(cam, 6.0, 1.7), _box_for(cam, 11.0, 1.7, "car")]
+    state = _state_for(cam, boxes, [1.7, 1.75])
     config = RefinementConfig(reprojection_weight=0.0, prior_weight=1.0,
                               prior_mode="log_density")
-    expected = prior_loss([1.7, 1.7], DEFAULT_PRIORS["person"],
-                          mode="log_density")
+    person, car = DEFAULT_PRIORS["person"], DEFAULT_PRIORS["car"]
+    expected = np.mean(prior_penalty(
+        [1.7, 1.75], np.array([person.mean_m, car.mean_m]),
+        np.array([person.sigma_m, car.sigma_m]), "log_density"))
     assert total_loss(state, boxes, config=config) == pytest.approx(
         expected, rel=1e-12)
+    # No active object leaves no heights to average the penalty over.
+    inactive = dataclasses.replace(state, active=(False, False))
+    with pytest.raises(ValueError, match="no active objects"):
+        total_loss(inactive, boxes, config=config)
 
 
 def test_total_loss_infinite_when_top_crosses_camera_plane():
@@ -397,6 +426,41 @@ def test_estimate_reports_exclusions_and_keeps_prior_height():
     assert est.trace[-1].spans[1] is None
     assert est.trace[-1].residuals[1] is None
     assert est.heights_m[1] == pytest.approx(1.70, abs=1e-9)
+
+
+def test_solve_classifies_once_and_refines_from_the_trace_loss(monkeypatch):
+    # Eligibility does not depend on the camera height, so one
+    # classification serves the whole solve, and each layer's loss is
+    # evaluated once, by the trace, not again by the refinement.
+    calls = {"classify": 0, "loss_in_refine": 0}
+    classify, loss, refine = (solver.classify_boxes, solver.total_loss,
+                              solver.refine_layer)
+    in_refine = []
+
+    def counting_classify(*args, **kwargs):
+        calls["classify"] += 1
+        return classify(*args, **kwargs)
+
+    def counting_loss(state, *args, **kwargs):
+        if in_refine and state is in_refine[-1]:
+            calls["loss_in_refine"] += 1
+        return loss(state, *args, **kwargs)
+
+    def tracking_refine(state, *args, **kwargs):
+        in_refine.append(state)
+        try:
+            return refine(state, *args, **kwargs)
+        finally:
+            in_refine.pop()
+
+    monkeypatch.setattr(solver, "classify_boxes", counting_classify)
+    monkeypatch.setattr(solver, "total_loss", counting_loss)
+    monkeypatch.setattr(solver, "refine_layer", tracking_refine)
+    scene, boxes, v0 = _scene_inputs(seed=21, n_objects=6,
+                                     noise=synth.NoiseModel(box_sigma=0.003))
+    est = solve_scene(v0, scene.camera.fov_rad, boxes)
+    assert len(est.trace) == 4
+    assert calls == {"classify": 1, "loss_in_refine": 0}
 
 
 def test_solve_rejects_empty_and_fully_degenerate_inputs():
