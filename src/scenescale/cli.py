@@ -9,26 +9,28 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import baselines, metrics, solver, synth
 from .documents import (SchemaError, ToolkitConfig, VALID_METHODS,
-                        config_digest, config_from_yaml, config_to_yaml,
-                        emit_document, emit_results, filter_detections,
-                        parse_document, parse_results, CalibrationInput,
-                        DetectionDocument)
+                        canonical_json, config_digest, config_from_yaml,
+                        config_to_yaml, emit_document, emit_results,
+                        filter_detections, parse_document, parse_results,
+                        CalibrationInput, DetectionDocument)
 from .metrics import GroundTruth
 from .overlay import render_overlay
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write through a uniquely named temporary file in the same directory,
+    then rename it over `path`.  The file is created with mode 0666 less
+    the umask, as `open` would create it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -232,7 +234,7 @@ def _cmd_eval(args) -> int:
         "l_vt": _stat_dict(pooled.l_vt),
         "per_scene": per_scene,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = canonical_json(payload)
     if args.out:
         _write_atomic(Path(args.out), text)
         print(f"report -> {args.out}", file=sys.stderr)

@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import yaml
 
@@ -203,8 +205,107 @@ def parse_document(data: bytes | str) -> DetectionDocument:
         raise SchemaError(str(exc)) from None
 
 
-def _canonical_json(payload) -> str:
+def canonical_json(payload) -> str:
+    """`json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`
+    plus a trailing newline, byte for byte, with the same errors.
+
+    With an indent, `json.dumps` cannot use its C encoder; this writer
+    renders the plain dicts, lists, strings, numbers, booleans and None a
+    payload is made of itself, and whole lists of numbers (a trace's
+    heights and residuals, its spans) through the C-level `repr` of the
+    list.  Any other value, and any value `json.dumps` refuses, goes to
+    `json.dumps`, which renders it or raises as it always has.
+    """
+    try:
+        return _json_text(payload, "") + "\n"
+    except (_Deferred, TypeError, ValueError, RecursionError):
+        pass
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class _Deferred(Exception):
+    """A value `canonical_json` leaves to `json.dumps`."""
+
+
+_NUMBERS = frozenset((float, int))
+_FLAT = frozenset((float, int, type(None)))
+_ROWS = frozenset((list, type(None)))
+
+
+def _json_text(o, indent: str) -> str:
+    """One value as `json.dumps(..., sort_keys=True, indent=2)` renders it
+    on a line indented by `indent`.  Only exact types are rendered here;
+    subclasses, non-finite floats and everything else raise."""
+    t = type(o)
+    if t is float:
+        text = float.__repr__(o)
+        if "n" in text:                    # inf, nan
+            raise _Deferred
+        return text
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        if t is list:
+            types = set(map(type, o))
+            if types <= _FLAT:
+                return _flat_list_text(o, indent, inner)
+            if types <= _ROWS:
+                text = _rows_text(o, indent, inner)
+                if text is not None:
+                    return text
+        sep = ",\n" + inner
+        return ("[\n" + inner + sep.join([_json_text(v, inner) for v in o])
+                + "\n" + indent + "]")
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        return ("{\n" + inner + sep.join([
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(o.items())]) + "\n" + indent + "}")
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise _Deferred
+
+
+def _flat_list_text(o: list, indent: str, inner: str) -> str:
+    """A non-empty list of floats, ints and None, from the list's repr."""
+    text = repr(o)[1:-1]
+    if "inf" in text or "nan" in text:
+        raise _Deferred
+    return ("[\n" + inner + text.replace("None", "null").replace(
+        ", ", ",\n" + inner) + "\n" + indent + "]")
+
+
+def _rows_text(o: list, indent: str, inner: str) -> str | None:
+    """A list of None and non-empty lists of floats and ints, from the
+    list's repr; None when the rows hold anything else."""
+    rows = [row for row in o if row is not None]
+    if not all(rows) or not set(map(type, chain.from_iterable(rows))) <= _NUMBERS:
+        return None
+    text = repr(o)[1:-1]
+    if "inf" in text or "nan" in text:
+        raise _Deferred
+    # A separator between rows follows "]" or "null"; one inside a row
+    # follows a digit.  Mark the first kind before indenting the second.
+    row_inner = inner + "  "
+    text = (text.replace("None", "null")
+            .replace("], ", "]\0").replace("l, ", "l\0")
+            .replace(", ", ",\n" + row_inner)
+            .replace("[", "[\n" + row_inner)
+            .replace("]", "\n" + inner + "]")
+            .replace("\0", ",\n" + inner))
+    return "[\n" + inner + text + "\n" + indent + "]"
 
 
 def emit_document(doc: DetectionDocument) -> str:
@@ -239,7 +340,7 @@ def emit_document(doc: DetectionDocument) -> str:
         }
     if doc.meta:
         payload["meta"] = dict(doc.meta)
-    return _canonical_json(payload)
+    return canonical_json(payload)
 
 
 def flip_vertical_convention(doc: DetectionDocument) -> DetectionDocument:
@@ -315,7 +416,7 @@ def emit_results(estimate: SceneEstimate, *, config_hash: str = "",
     }
     if source_indices is not None:
         payload["source_indices"] = list(source_indices)
-    return _canonical_json(payload)
+    return canonical_json(payload)
 
 
 def parse_results(data: bytes | str) -> ResultsDocument:

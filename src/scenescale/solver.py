@@ -14,7 +14,10 @@ absolute scale comes from category size priors.  The pipeline:
   2. Run a fixed number of refinement layers.  Each layer takes one
      damped Gauss-Newton step on the total loss (L1 reprojection of the
      box tops + Gaussian prior penalty on upright heights) with
-     backtracking, so the loss never increases.
+     backtracking, so the loss never increases.  Each object's residual
+     depends only on the camera height and its own height, so the step's
+     normal matrix is arrow-shaped; the Schur complement of its diagonal
+     block solves it in O(k) time and memory for k objects.
 
 Object depths are anchored to the detected bottom coordinate throughout:
 depth is always the ground intersection of the bottom ray under the
@@ -102,7 +105,8 @@ class SceneState:
     used in reprojection are upright * ratio.  `active` marks objects
     that participate in the loss (bottoms on the ground side of the
     horizon and off the degenerate band).  `loss` is the state's total
-    loss when it is already known; `refine_layer` evaluates it when None.
+    loss when it is already known; `refine_layer` and the trace evaluate
+    it when None.
     """
 
     camera: CameraParams
@@ -400,14 +404,71 @@ def _state_with(state: SceneState, x: np.ndarray, mask: np.ndarray) -> SceneStat
                       ratios=state.ratios, active=state.active)
 
 
+def _arrow_system(state: SceneState, arrays: SceneArrays,
+                  config: RefinementConfig, mask: np.ndarray):
+    """Damped Gauss-Newton system of one layer, in arrow form.
+
+    The unknowns are the camera height and the upright height of each
+    active object.  Each object's residual depends on the camera height
+    and on its own height only, so the (k+1)x(k+1) normal matrix is a
+    diagonal block with one dense first row and column:
+    [[m00, off], [off, diag(d)]].  Returns (m00, off, d, g0, g1), g being
+    the gradient of the model, with the Levenberg damping already on m00
+    and on d.
+    """
+    k = int(mask.sum())
+    vb = arrays.v_bottom[mask]
+    ratios = np.asarray(state.ratios)[mask]
+    upright = np.asarray(state.upright_heights)[mask]
+    actual = upright * ratios
+    vt, d_hc, d_h, _ = geometry.project_tops_with_grads(state.camera, vb, actual)
+    r = -(vt - arrays.v_top[mask])         # detected minus reprojected top
+
+    # IRLS quadratic model of the L1 term plus exact/nonnegative prior model.
+    w = 1.0 / np.maximum(np.abs(r), _IRLS_FLOOR)
+    coef = config.reprojection_weight / k
+    a = -d_hc                              # d r / d cam height
+    b = -d_h * ratios                      # d r / d upright height
+    mu, sigma = arrays.mu[mask], arrays.sigma[mask]
+    pg = priors.prior_penalty_grad(upright, mu, sigma, config.prior_mode)
+    pc = priors.prior_curvature(upright, mu, sigma, config.prior_mode)
+
+    m00 = coef * np.sum(w * a * a)
+    g0 = coef * np.sum(w * r * a)
+    diag = coef * w * b * b + config.prior_weight / k * pc
+    off = coef * w * a * b
+    g1 = coef * w * r * b + config.prior_weight / k * pg
+    m00 += config.damping * max(m00, 1e-12)
+    diag += config.damping * np.maximum(diag, 1e-12)
+    return m00, off, diag, g0, g1
+
+
+def _arrow_solve(m00: float, off: np.ndarray, diag: np.ndarray,
+                 g0: float, g1: np.ndarray) -> np.ndarray:
+    """Step delta solving [[m00, off], [off, diag(d)]] delta = -[g0, g1].
+
+    Eliminates the object heights through the Schur complement of the
+    diagonal block, s = m00 - sum(off^2/d), in O(k) time and memory.
+    The result is not finite when the system is singular or s is not
+    finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = m00 - np.sum(off * off / diag)
+        d0 = ((-g0 + np.sum(off * g1 / diag)) / s
+              if math.isfinite(s) else math.nan)
+        d1 = (-g1 - off * d0) / diag
+    return np.concatenate(([d0], d1))
+
+
 def refine_layer(state: SceneState, boxes,
                  prior_map: dict[str, CategoryPrior] | None = None,
                  config: RefinementConfig | None = None) -> SceneState:
     """One damped Gauss-Newton step on the total loss with backtracking.
 
-    The accepted state never has a larger total loss than the input; when
-    no decrease is found within the backtracking budget the input state
-    is returned unchanged.
+    The accepted state never has a larger total loss than the input and
+    carries that loss; when no decrease is found within the backtracking
+    budget, or the step is not finite, the input state is returned
+    unchanged.
     """
     config = config or RefinementConfig()
     arrays = scene_arrays(boxes, prior_map)
@@ -420,48 +481,19 @@ def refine_layer(state: SceneState, boxes,
     if not math.isfinite(loss0):
         return state
 
-    k = int(mask.sum())
-    vb = arrays.v_bottom[mask]
-    ratios = np.asarray(state.ratios)[mask]
-    upright = np.asarray(state.upright_heights)[mask]
-    actual = upright * ratios
-    vt, d_hc, d_h, _ = geometry.project_tops_with_grads(state.camera, vb, actual)
-    r = -(vt - arrays.v_top[mask])         # detected minus reprojected top
-    h_cam = state.camera.cam_height_m
-
-    # IRLS quadratic model of the L1 term plus exact/nonnegative prior model.
-    w = 1.0 / np.maximum(np.abs(r), _IRLS_FLOOR)
-    coef = config.reprojection_weight / k
-    a = -d_hc                              # d r / d cam height
-    b = -d_h * ratios                      # d r / d upright height
-    mu, sigma = arrays.mu[mask], arrays.sigma[mask]
-    pg = priors.prior_penalty_grad(upright, mu, sigma, config.prior_mode)
-    pc = priors.prior_curvature(upright, mu, sigma, config.prior_mode)
-
-    m = np.zeros((k + 1, k + 1))
-    g = np.zeros(k + 1)
-    m[0, 0] = coef * np.sum(w * a * a)
-    g[0] = coef * np.sum(w * r * a)
-    diag = coef * w * b * b + config.prior_weight / k * pc
-    off = coef * w * a * b
-    m[0, 1:] = off
-    m[1:, 0] = off
-    m[np.arange(1, k + 1), np.arange(1, k + 1)] = diag
-    g[1:] = coef * w * r * b + config.prior_weight / k * pg
-
-    m[np.diag_indices_from(m)] += config.damping * np.maximum(np.diag(m), 1e-12)
-    try:
-        delta = np.linalg.solve(m, -g)
-    except np.linalg.LinAlgError:
+    delta = _arrow_solve(*_arrow_system(state, arrays, config, mask))
+    if not np.all(np.isfinite(delta)):
         return state
 
-    x0 = np.concatenate([[h_cam], upright])
+    x0 = np.concatenate(
+        ([state.camera.cam_height_m], np.asarray(state.upright_heights)[mask]))
     step = 1.0
     for _ in range(config.max_backtracks + 1):
         cand = _clamp_vars(x0 + step * delta, config)
         cand_state = _state_with(state, cand, mask)
-        if total_loss(cand_state, arrays, prior_map, config) < loss0:
-            return cand_state
+        cand_loss = total_loss(cand_state, arrays, prior_map, config)
+        if cand_loss < loss0:
+            return replace(cand_state, loss=cand_loss)
         step *= 0.5
     return state
 
@@ -478,13 +510,16 @@ def _layer_trace(layer: int, state: SceneState, arrays: SceneArrays,
     upright = np.asarray(state.upright_heights)[mask]
     pen = float(np.mean(priors.prior_penalty(
         upright, arrays.mu[mask], arrays.sigma[mask], config.prior_mode)))
+    loss = state.loss
+    if loss is None:
+        loss = total_loss(state, arrays, prior_map, config)
     return LayerTrace(
         layer=layer,
         cam_height_m=state.camera.cam_height_m,
         heights_m=tuple(actual.tolist()),
         l_vt=rep.l_vt,
         prior_loss=pen,
-        total_loss=total_loss(state, arrays, prior_map, config),
+        total_loss=loss,
         spans=spans,
         residuals=residuals,
     )
@@ -526,13 +561,14 @@ def solve_scene(v0: float, fov_rad: float, boxes,
                        ratios=ratios,
                        active=active)
     trace = [_layer_trace(0, state, arrays, prior_map, config)]
+    # From here on every state carries its loss: the trace's for this one,
+    # the loss refine_layer accepted it on for the later ones.
+    state = replace(state, loss=trace[0].total_loss)
 
     converged = False
     for j in range(1, config.num_layers + 1):
         if not converged:
-            # The trace has just evaluated this state's loss.
-            state = refine_layer(replace(state, loss=trace[-1].total_loss),
-                                 arrays, prior_map, config)
+            state = refine_layer(state, arrays, prior_map, config)
         entry = _layer_trace(j, state, arrays, prior_map, config)
         trace.append(entry)
         decrease = trace[-2].total_loss - entry.total_loss

@@ -1,6 +1,8 @@
 """End-to-end command line tests, run in-process against cli.main."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -106,6 +108,23 @@ def test_method_flag_switches_estimator(tmp_path, capsys):
     assert cli.main(["solve", str(single), "--method", "pgm-fixed",
                      "--out", str(out)]) == 0
     assert parse_results(out.read_bytes()).estimate.method == "pgm-fixed"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_outputs_are_created_under_the_umask(tmp_path, capsys, umask, mode):
+    data = _synth(tmp_path, "data")
+    out_dir = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert cli.main(["solve", str(data / "scene_0000.json"),
+                         "--out", str(out_dir / "scene.results.json")]) == 0
+    finally:
+        os.umask(previous)
+    written = out_dir / "scene.results.json"
+    assert stat.S_IMODE(written.stat().st_mode) == mode
+    assert [p.name for p in out_dir.iterdir()] == [written.name]
     capsys.readouterr()
 
 

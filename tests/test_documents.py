@@ -10,10 +10,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scenescale.documents import (CalibrationInput, DetectionDocument,
                                   FilterConfig, OverlayConfig, SchemaError,
-                                  ToolkitConfig, VALID_METHODS,
+                                  ToolkitConfig, VALID_METHODS, canonical_json,
                                   config_digest, config_from_dict,
                                   config_from_yaml, config_to_dict,
                                   config_to_yaml, emit_document, emit_results,
@@ -113,6 +114,73 @@ def test_results_round_trip():
     assert res.source_indices == (0, 1)
     assert emit_results(res.estimate, config_hash=res.config_hash,
                         source_indices=res.source_indices) == text
+
+
+# ---------------------------------------------------------------------------
+# The canonical writer.
+
+def _json_dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300,
+                     1e16, 1e22, 1.7976931348623157e308, -1.5e300]))
+_TEXT = st.one_of(st.text(), st.sampled_from(
+    ["", ", ", "None", "null, ", "], [", "l, ", "\u00e9\u4e2d\U0001f600",
+     "\"\\\n\t\x00", "inf", "nan"]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FINITE, _TEXT)
+# Homogeneous lists of numbers, as a results trace holds them, next to
+# arbitrary nesting.
+_NUMBER_LISTS = st.one_of(
+    st.lists(st.one_of(_FINITE, st.integers(), st.none())),
+    st.lists(st.one_of(st.none(), st.lists(st.one_of(_FINITE, st.integers()),
+                                           min_size=1, max_size=3))))
+_JSON = st.recursive(
+    st.one_of(_SCALARS, _NUMBER_LISTS),
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.dictionaries(_TEXT, children, max_size=5)),
+    max_leaves=30)
+
+
+@given(value=_JSON)
+@settings(deadline=None, max_examples=250)
+def test_canonical_json_is_json_dumps_byte_for_byte(value):
+    assert canonical_json(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("place", [
+    lambda x: x,
+    lambda x: [1.0, x, None],
+    lambda x: {"b": [[0.5, 1.0], None, [x, 2.0]], "a": 1},
+    lambda x: {"a": [{"k": "v"}, {"k": x}]},
+    lambda x: [[1.0, 2.0], {"a": x}],
+])
+def test_canonical_json_refuses_non_finite_floats_as_json_does(place, bad):
+    value = place(bad)
+    with pytest.raises(ValueError) as expected:
+        _json_dumps(value)
+    with pytest.raises(ValueError) as got:
+        canonical_json(value)
+    assert str(got.value) == str(expected.value)
+    assert "not JSON compliant" in str(got.value)
+
+
+def test_canonical_json_defers_other_types_to_json():
+    class Number(float):
+        pass
+
+    value = {"t": (1.0, [2, 3]), "f": Number(1.5), 2: "int key"}
+    with pytest.raises(TypeError):
+        _json_dumps(value)
+    with pytest.raises(TypeError):
+        canonical_json(value)
+    del value[2]
+    assert canonical_json(value) == _json_dumps(value)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_json({"a": object()})
 
 
 def test_parse_results_rejects_unknown_key():

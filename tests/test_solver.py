@@ -6,16 +6,18 @@ exact) or through the synthetic generator with known ground truth.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scenescale import solver, synth
+from scenescale import geometry, solver, synth
 from scenescale.geometry import CameraParams, GroundObject, \
-    horizon_from_pitch, project_vertical
+    horizon_from_pitch, project_tops_with_grads, project_vertical
 from scenescale.priors import (DEFAULT_PRIORS, COCO_KEYPOINT_NAMES,
-                               CategoryPrior, KeypointSet, prior_penalty)
+                               CategoryPrior, KeypointSet, prior_curvature,
+                               prior_penalty, prior_penalty_grad)
 from scenescale.solver import (DetectionBox, RefinementConfig, SceneState,
                                box_ratios, classify_boxes, init_camera_height,
                                refine_layer, reprojection_loss, scene_arrays,
@@ -326,6 +328,150 @@ def test_layer_reduces_overestimated_camera_height():
     assert out.camera.cam_height_m < 3.2
 
 
+# ---------------------------------------------------------------------------
+# The arrow-shaped Gauss-Newton step.
+
+def _arrow_case(rng, k: int, mode: str):
+    """k objects seen by a random camera, a state away from the truth
+    (camera height, heights and posture ratios) and random loss weights."""
+    cam_true = _camera(pitch_deg=rng.uniform(-3.0, 10.0),
+                       fov_deg=rng.uniform(40.0, 90.0),
+                       cam_height=rng.uniform(1.2, 5.0))
+    boxes = [_box_for(cam_true, z, h) for z, h in zip(
+        rng.uniform(3.0, 30.0, k), rng.uniform(1.5, 1.9, k))]
+    cam = dataclasses.replace(
+        cam_true, cam_height_m=cam_true.cam_height_m * rng.uniform(0.7, 1.3))
+    state = dataclasses.replace(
+        _state_for(cam, boxes, rng.uniform(1.4, 2.0, k)),
+        ratios=tuple(rng.uniform(0.6, 1.0, k).tolist()))
+    config = RefinementConfig(prior_mode=mode,
+                              reprojection_weight=rng.uniform(0.1, 5.0),
+                              prior_weight=rng.uniform(0.01, 2.0),
+                              damping=rng.uniform(1e-4, 1e-1))
+    return config, state, scene_arrays(boxes)
+
+
+def _dense_step(state, arrays, config):
+    """The damped Gauss-Newton step from the dense (k+1)x(k+1) system,
+    assembled entry by entry and solved by LU."""
+    mask = np.asarray(state.active)
+    k = int(mask.sum())
+    ratios = np.asarray(state.ratios)[mask]
+    upright = np.asarray(state.upright_heights)[mask]
+    vt, d_hc, d_h, _ = project_tops_with_grads(
+        state.camera, arrays.v_bottom[mask], upright * ratios)
+    r = arrays.v_top[mask] - vt
+    w = 1.0 / np.maximum(np.abs(r), 1e-6)
+    coef = config.reprojection_weight / k
+    a, b = -d_hc, -d_h * ratios
+    mu, sigma = arrays.mu[mask], arrays.sigma[mask]
+    m = np.zeros((k + 1, k + 1))
+    g = np.zeros(k + 1)
+    m[0, 0] = coef * np.sum(w * a * a)
+    g[0] = coef * np.sum(w * r * a)
+    for i in range(k):
+        m[0, i + 1] = m[i + 1, 0] = coef * w[i] * a[i] * b[i]
+        m[i + 1, i + 1] = (coef * w[i] * b[i] ** 2 + config.prior_weight / k
+                           * prior_curvature(upright[i], mu[i], sigma[i],
+                                             config.prior_mode))
+        g[i + 1] = (coef * w[i] * r[i] * b[i] + config.prior_weight / k
+                    * prior_penalty_grad(upright[i], mu[i], sigma[i],
+                                         config.prior_mode))
+    m[np.diag_indices_from(m)] += config.damping * np.maximum(np.diag(m), 1e-12)
+    return np.linalg.solve(m, -g)
+
+
+def _arrow_step(state, arrays, config):
+    mask = np.asarray(state.active)
+    return solver._arrow_solve(
+        *solver._arrow_system(state, arrays, config, mask))
+
+
+@pytest.mark.parametrize("mode", ["density", "log_density"])
+@pytest.mark.parametrize("k", [1, 2, 50, 2000])
+def test_arrow_step_matches_the_dense_solve(k, mode):
+    rng = np.random.default_rng([k, len(mode)])
+    for _ in range(3 if k < 2000 else 1):
+        config, state, arrays = _arrow_case(rng, k, mode)
+        assert all(state.active)
+        np.testing.assert_allclose(_arrow_step(state, arrays, config),
+                                   _dense_step(state, arrays, config),
+                                   rtol=1e-9)
+
+
+def _assert_finite_or_unchanged(state, out):
+    assert out is state or (
+        math.isfinite(out.camera.cam_height_m)
+        and np.all(np.isfinite(out.upright_heights))
+        and math.isfinite(out.loss))
+
+
+@pytest.mark.parametrize("mode", ["density", "log_density"])
+@pytest.mark.parametrize("prior_weight", [0.5, 0.0])
+def test_arrow_step_without_reprojection_term_is_finite(mode, prior_weight):
+    # Only the prior is left, or nothing: the camera row, and without a
+    # prior every row, is the damping floor alone.
+    rng = np.random.default_rng(3)
+    config, state, arrays = _arrow_case(rng, 20, mode)
+    config = dataclasses.replace(config, reprojection_weight=0.0,
+                                 prior_weight=prior_weight)
+    assert np.all(np.isfinite(_arrow_step(state, arrays, config)))
+    _assert_finite_or_unchanged(state, refine_layer(state, arrays,
+                                                    config=config))
+
+
+def test_arrow_step_without_camera_sensitivity_is_finite(monkeypatch):
+    # No residual moves with the camera height: the off-diagonal row and
+    # the camera's own curvature vanish.
+    def flat_in_camera(camera, v_bottoms, heights):
+        vt, d_hc, d_h, depth = project_tops_with_grads(camera, v_bottoms,
+                                                       heights)
+        return vt, np.zeros_like(d_hc), d_h, depth
+
+    rng = np.random.default_rng(4)
+    config, state, arrays = _arrow_case(rng, 20, "log_density")
+    monkeypatch.setattr(geometry, "project_tops_with_grads", flat_in_camera)
+    step = _arrow_step(state, arrays, config)
+    assert np.all(np.isfinite(step))
+    assert step[0] == 0.0
+    _assert_finite_or_unchanged(state, refine_layer(state, arrays,
+                                                    config=config))
+
+
+@pytest.mark.parametrize("m00", [1.0, math.inf], ids=["s=0", "s=inf"])
+def test_singular_arrow_system_returns_the_input_state(monkeypatch, m00):
+    # The Schur complement s = m00 - off^2/d is 0 or not finite: the step
+    # is not finite and the layer stops.
+    rng = np.random.default_rng(5)
+    config, state, arrays = _arrow_case(rng, 1, "log_density")
+    monkeypatch.setattr(solver, "_arrow_system", lambda *args: (
+        m00, np.array([1.0]), np.array([1.0]), 1.0, np.array([0.5])))
+    assert refine_layer(state, arrays, config=config) is state
+
+
+def test_refine_layer_memory_is_linear_in_k():
+    # A dense (k+1)^2 system at k=2000 is 32 MB on its own.
+    rng = np.random.default_rng(6)
+    config, state, arrays = _arrow_case(rng, 2000, "log_density")
+    tracemalloc.start()
+    try:
+        out = refine_layer(state, arrays, config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out is not state
+    assert peak < 4 * 2 ** 20
+
+
+def test_accepted_layer_carries_the_loss_it_was_accepted_on():
+    rng = np.random.default_rng(8)
+    config, state, arrays = _arrow_case(rng, 30, "log_density")
+    out = refine_layer(state, arrays, config=config)
+    assert out is not state
+    assert out.loss == total_loss(dataclasses.replace(out, loss=None), arrays,
+                                  config=config)
+
+
 def test_loss_non_increasing_over_layers_on_random_scenes():
     config = RefinementConfig()
     noise = synth.NoiseModel(box_sigma=0.004)
@@ -461,6 +607,34 @@ def test_solve_classifies_once_and_refines_from_the_trace_loss(monkeypatch):
     est = solve_scene(v0, scene.camera.fov_rad, boxes)
     assert len(est.trace) == 4
     assert calls == {"classify": 1, "loss_in_refine": 0}
+
+
+def test_solve_evaluates_the_loss_of_each_state_once(monkeypatch):
+    # The trace evaluates the initial state; every later state is either
+    # a candidate refine_layer evaluated or the unchanged input.
+    calls = {"in_refine": 0, "elsewhere": 0}
+    loss, refine = solver.total_loss, solver.refine_layer
+    in_refine = []
+
+    def counting_loss(*args, **kwargs):
+        calls["in_refine" if in_refine else "elsewhere"] += 1
+        return loss(*args, **kwargs)
+
+    def tracking_refine(*args, **kwargs):
+        in_refine.append(True)
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            in_refine.pop()
+
+    monkeypatch.setattr(solver, "total_loss", counting_loss)
+    monkeypatch.setattr(solver, "refine_layer", tracking_refine)
+    scene, boxes, v0 = _scene_inputs(seed=21, n_objects=6,
+                                     noise=synth.NoiseModel(box_sigma=0.003))
+    est = solve_scene(v0, scene.camera.fov_rad, boxes)
+    assert calls["elsewhere"] == 1
+    assert calls["in_refine"] >= 3
+    assert len({t.total_loss for t in est.trace}) == 4
 
 
 def test_solve_rejects_empty_and_fully_degenerate_inputs():
