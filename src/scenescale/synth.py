@@ -29,6 +29,14 @@ DEFAULT_WIDTHS = {"person": 0.5, "car": 1.8}
 _MIN_HEIGHT = 0.05
 _MAX_ORDER_RESAMPLES = 100
 
+# Placement: attempts per object checked one at a time before blocks
+# start, the first block's size and its growth, and the margin by which
+# a screened candidate must fail (normalized units) to be dropped.
+_SCALAR_ATTEMPTS = 2
+_FIRST_BLOCK = 32
+_BLOCK_GROWTH = 4
+_SCREEN_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class SceneRanges:
@@ -49,6 +57,14 @@ class SceneRanges:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"range {name} is empty: {(lo, hi)}")
+        for name in ("depth_m", "cam_height_m"):
+            if not getattr(self, name)[0] > 0.0:
+                raise ValueError(
+                    f"range {name} must lie above 0: {getattr(self, name)}")
+        for name in ("lateral_frac", "horizon_margin"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.categories:
             raise ValueError("need at least one category")
 
@@ -108,6 +124,88 @@ def _sample_height(rng: np.random.Generator, prior: priors.CategoryPrior) -> flo
     raise ValueError(f"could not draw a positive height for {prior.category}")
 
 
+def _fits(camera: CameraParams, obj: GroundObject, v0: float,
+          ranges: SceneRanges) -> bool:
+    """The placement test: fully inside the frame, bottom below the horizon."""
+    try:
+        u_l, u_r, v_t, v_b = _corner_box(camera, obj)
+    except ValueError:
+        return False
+    return (0.0 <= v_t and v_b <= 1.0 and v_b > v0 + ranges.horizon_margin
+            and 0.0 <= u_l and u_r <= camera.image_w_px)
+
+
+def _screen(camera: CameraParams, v0: float, ranges: SceneRanges,
+            depths: np.ndarray, laterals: np.ndarray, height: float,
+            width: float) -> np.ndarray:
+    """Mask of the candidates `_fits` might accept.
+
+    Closed forms on the normalized camera: `project_spans` for v, and for
+    u each corner's distance from the image midline, |u - W/2| =
+    f*|x|/|z_c| with z_c = z*cos(pitch) + (y - h_cam)*sin(pitch) at y = 0
+    and y = h.  The farthest corner has |x| = |lateral| + width/2 over
+    the smaller |z_c|, so the frame test on u is one comparison.  A
+    candidate is dropped only when it fails by more than `_SCREEN_EPS`;
+    NaN compares false and survives.
+    """
+    st, ct = math.sin(camera.pitch_rad), math.cos(camera.pitch_rad)
+    hc = camera.cam_height_m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_t, v_b = geometry.project_spans(camera, depths, height)
+    z_ct = depths * ct
+    z_c = np.minimum(np.abs(z_ct - hc * st), np.abs(z_ct + (height - hc) * st))
+    half_frame = camera.image_w_px / 2.0 + _SCREEN_EPS
+    fails = ((v_t < -_SCREEN_EPS) | (v_b > 1.0 + _SCREEN_EPS)
+             | (v_b <= v0 + ranges.horizon_margin - _SCREEN_EPS)
+             | (camera.focal_px * (np.abs(laterals) + width / 2.0)
+                > half_frame * z_c))
+    return ~fails
+
+
+def _place_object(rng: np.random.Generator, camera: CameraParams, v0: float,
+                  ranges: SceneRanges, height: float, width: float, cat: str,
+                  depth_attempts: int) -> GroundObject | None:
+    """First of `depth_attempts` (depth, lateral) draws that `_fits`.
+
+    Leaves `rng` exactly where one draw per attempt, stopping at the
+    accepted one, would leave it.  The first `_SCALAR_ATTEMPTS` go
+    through `_fits` one at a time, so an easy placement costs no more
+    than that.  Later attempts come in growing blocks: one `rng.random`
+    call gives the block's depths and laterals bit for bit as the
+    per-attempt `rng.uniform` pairs would, `_screen` drops the clear
+    misses, and `_fits` decides the rest in order.  On acceptance the
+    saved state is restored and the accepted prefix redrawn; restoring
+    keeps the 32-bit half that `rng.choice` leaves buffered, which
+    `bit_generator.advance` would drop.
+    """
+    lo, hi = ranges.depth_m
+    scalar = min(_SCALAR_ATTEMPTS, depth_attempts)
+    for _ in range(scalar):
+        depth = rng.uniform(lo, hi)
+        lateral = rng.uniform(-1.0, 1.0) * ranges.lateral_frac * depth
+        obj = GroundObject(depth, height, lateral, width, cat)
+        if _fits(camera, obj, v0, ranges):
+            return obj
+    done, block = scalar, _FIRST_BLOCK
+    while done < depth_attempts:
+        k = min(block, depth_attempts - done)
+        state = rng.bit_generator.state
+        u = rng.random(2 * k)
+        depths = lo + (hi - lo) * u[0::2]
+        laterals = (-1.0 + 2.0 * u[1::2]) * ranges.lateral_frac * depths
+        for j in np.flatnonzero(_screen(camera, v0, ranges, depths, laterals,
+                                        height, width)):
+            obj = GroundObject(float(depths[j]), height, float(laterals[j]),
+                               width, cat)
+            if _fits(camera, obj, v0, ranges):
+                rng.bit_generator.state = state
+                rng.random(2 * (int(j) + 1))
+                return obj
+        done += k
+        block *= _BLOCK_GROWTH
+    return None
+
+
 def sample_scene(ranges: SceneRanges | None = None, n_objects: int = 5,
                  seed: int = 0,
                  prior_map: dict[str, priors.CategoryPrior] | None = None,
@@ -120,6 +218,13 @@ def sample_scene(ranges: SceneRanges | None = None, n_objects: int = 5,
     object projects fully inside the frame with its bottom below the
     horizon.  Cameras admitting no such placement are redrawn up to
     `camera_attempts` times before an infeasible-ranges error.
+
+    After two single attempts an object's placements are drawn in blocks
+    and screened with closed-form projections; the scalar `_corner_box`
+    check confirms the survivors in order, so the accepted object and
+    its numbers are those of a one-attempt-at-a-time loop.  The random
+    stream is consumed exactly as that loop consumes it, so a seed gives
+    the same scene, and the same bytes downstream, as it always has.
     """
     ranges = ranges or SceneRanges()
     prior_map = prior_map or priors.DEFAULT_PRIORS
@@ -145,20 +250,9 @@ def sample_scene(ranges: SceneRanges | None = None, n_objects: int = 5,
         for _ in range(n_objects):
             cat = str(rng.choice(list(ranges.categories)))
             height = _sample_height(rng, prior_map[cat])
-            width = DEFAULT_WIDTHS.get(cat, 0.5)
-            placed = None
-            for _ in range(depth_attempts):
-                depth = rng.uniform(*ranges.depth_m)
-                lateral = rng.uniform(-1.0, 1.0) * ranges.lateral_frac * depth
-                obj = GroundObject(depth, height, lateral, width, cat)
-                try:
-                    u_l, u_r, v_t, v_b = _corner_box(cam_n, obj)
-                except ValueError:
-                    continue
-                if (0.0 <= v_t and v_b <= 1.0 and v_b > v0 + ranges.horizon_margin
-                        and 0.0 <= u_l and u_r <= aspect):
-                    placed = obj
-                    break
+            placed = _place_object(rng, cam_n, v0, ranges, height,
+                                   DEFAULT_WIDTHS.get(cat, 0.5), cat,
+                                   depth_attempts)
             if placed is None:
                 break
             objects.append(placed)

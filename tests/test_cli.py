@@ -212,6 +212,18 @@ def test_missing_input_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth_min", ["-5", "0"])
+def test_synth_rejects_a_depth_range_not_above_zero(tmp_path, capsys,
+                                                   depth_min):
+    out = tmp_path / "out"
+    rc = cli.main(["synth", "--out", str(out), "--scenes", "1",
+                   "--depth-min", depth_min])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "depth_m" in err
+    assert not out.exists()
+
+
 def test_malformed_document_reported_per_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
