@@ -13,7 +13,8 @@ camera-height prior) over the remaining scale variable in closed form.
 Its reported reprojection loss is zero by construction, which is why it
 is not a meaningful fit metric for this method.
 
-Both read the scene's `SceneArrays`, so every box needs a height prior.
+Both take a box list or a `DetectionColumns` and read the scene's
+`SceneArrays`, so every box needs a height prior.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import priors
 from .priors import CategoryPrior
-from .solver import (LayerTrace, SceneArrays, SceneEstimate, scene_arrays,
-                     weighted_median)
+from .solver import (LayerTrace, SceneArrays, SceneEstimate,
+                     detection_columns, scene_arrays, weighted_median)
 
 _SPAN_EPS = 1e-9
 _HORIZON_EPS = 1e-6
@@ -107,17 +108,18 @@ def pgm_fixed_height(v0: float, boxes,
     reported object heights stay at their canonical values.
     """
     canonical_heights = canonical_heights or CANONICAL_HEIGHTS
-    boxes = list(boxes)
-    if not boxes:
+    columns = detection_columns(boxes)
+    if not len(columns):
         raise ValueError("no detections to estimate from")
-    for box in boxes:
-        if box.category not in canonical_heights:
-            raise ValueError(
-                f"no canonical height for category {box.category!r}; "
-                f"known: {sorted(canonical_heights)}")
-    heights = np.array([canonical_heights[b.category] for b in boxes],
-                       dtype=float)
-    arrays = scene_arrays(boxes, prior_map)
+    try:
+        heights = np.array(
+            list(map(canonical_heights.__getitem__, columns.category)),
+            dtype=float)
+    except KeyError as exc:
+        raise ValueError(
+            f"no canonical height for category {exc.args[0]!r}; "
+            f"known: {sorted(canonical_heights)}") from None
+    arrays = scene_arrays(columns, prior_map)
     qs, keep, excluded = _ratio_votes(v0, arrays)
     if not keep.any():
         raise ValueError("all detections are degenerate (zero span or on horizon)")
@@ -143,10 +145,10 @@ def pgm_full(v0: float, boxes,
     The reported reprojection loss is identically zero by construction.
     """
     cam_height_prior = cam_height_prior or CamHeightPrior()
-    boxes = list(boxes)
-    if not boxes:
+    columns = detection_columns(boxes)
+    if not len(columns):
         raise ValueError("no detections to estimate from")
-    arrays = scene_arrays(boxes, prior_map)
+    arrays = scene_arrays(columns, prior_map)
     qs, keep, excluded = _ratio_votes(v0, arrays)
     if not keep.any():
         raise ValueError("all detections are degenerate (zero span or on horizon)")

@@ -61,19 +61,19 @@ def _resolve_method(config: ToolkitConfig, override: str | None) -> ToolkitConfi
 def _run_method(doc: DetectionDocument, config: ToolkitConfig):
     """Filter the document and dispatch to the configured estimator."""
     kept = filter_detections(doc, config.filters)
-    if not kept.kept:
+    if not kept.kept_indices:
         raise ValueError("no detections survive the ingestion filters")
     v0 = doc.calibration.horizon_v0()
     priors = config.prior_map()
     if config.method == "cascade":
         estimate = solver.solve_scene(
-            v0, doc.calibration.fov_rad, kept.kept, priors, config.refine,
+            v0, doc.calibration.fov_rad, kept.columns, priors, config.refine,
             principal_v=doc.calibration.principal_v)
     elif config.method == "pgm":
-        estimate = baselines.pgm_full(v0, kept.kept, priors,
+        estimate = baselines.pgm_full(v0, kept.columns, priors,
                                       config.cam_height_prior)
     elif config.method == "pgm-fixed":
-        estimate = baselines.pgm_fixed_height(v0, kept.kept,
+        estimate = baselines.pgm_fixed_height(v0, kept.columns,
                                               config.canonical_map(), priors)
     else:
         raise SchemaError(f"unknown method {config.method!r}; "
@@ -91,20 +91,21 @@ def _result_path(input_path: Path, out: str | None) -> Path:
     return out_path / name
 
 
-def _solve_one(input_str: str, out_str: str | None,
-               config: ToolkitConfig) -> tuple[bool, str]:
-    """(ok, message) so batch workers never raise across the pool boundary."""
+def _solve_one(input_str: str, out_str: str | None, config: ToolkitConfig,
+               config_hash: str) -> tuple[bool, str]:
+    """(ok, message) so batch workers never raise across the pool boundary.
+    `config_hash` is `config_digest(config)`."""
     input_path = Path(input_str)
     try:
         doc = parse_document(input_path.read_bytes())
         estimate, kept = _run_method(doc, config)
-        text = emit_results(estimate, config_hash=config_digest(config),
+        text = emit_results(estimate, config_hash=config_hash,
                             source_indices=kept.kept_indices)
         target = _result_path(input_path, out_str)
         _write_atomic(target, text)
     except (OSError, ValueError) as exc:
         return False, f"{input_path}: {exc}"
-    skipped = len(doc.detections) - len(kept.kept)
+    skipped = len(doc.columns) - len(kept.kept_indices)
     note = f", {skipped} filtered out" if skipped else ""
     return True, (f"{input_path} -> {target}: cam {estimate.cam_height_m:.3f} m, "
                   f"{len(estimate.heights_m)} objects{note}")
@@ -130,14 +131,17 @@ def _cmd_solve(args) -> int:
     if not args.inputs:
         raise SchemaError("no input documents given")
     inputs = [p for arg in args.inputs for p in _discover_inputs(Path(arg))]
+    config_hash = config_digest(config)
     failures = 0
     if args.jobs > 1 and len(inputs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(
                 _solve_one, [str(p) for p in inputs],
-                [args.out] * len(inputs), [config] * len(inputs)))
+                [args.out] * len(inputs), [config] * len(inputs),
+                [config_hash] * len(inputs)))
     else:
-        results = [_solve_one(str(p), args.out, config) for p in inputs]
+        results = [_solve_one(str(p), args.out, config, config_hash)
+                   for p in inputs]
     for ok, message in results:
         print(message, file=sys.stderr)
         failures += 0 if ok else 1

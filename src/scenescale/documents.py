@@ -13,16 +13,20 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
+import numpy as np
 import yaml
 
 from .baselines import CamHeightPrior, CANONICAL_HEIGHTS
 from .metrics import GroundTruth
 from .priors import (CategoryPrior, KeypointSet, DEFAULT_PRIORS,
                      HEAD_KEYPOINT_NAMES)
-from .solver import DetectionBox, LayerTrace, SceneEstimate, RefinementConfig
+from .solver import (DetectionBox, DetectionColumns, LayerTrace,
+                     SceneEstimate, RefinementConfig, detection_columns)
 
 SCHEMA_VERSION = 1
 
@@ -60,22 +64,68 @@ class CalibrationInput:
         return self.principal_v + focal * math.tan(self.pitch_rad)
 
 
-@dataclass(frozen=True)
 class DetectionDocument:
-    image_w_px: float
-    image_h_px: float
-    calibration: CalibrationInput
-    detections: tuple[DetectionBox, ...]
-    ground_truth: GroundTruth | None = None
-    meta: tuple[tuple[str, object], ...] = ()
+    """A detection document: image size, calibration, detections, and
+    optional ground truth and metadata.  Immutable; compares by value.
 
-    def __post_init__(self) -> None:
-        if self.image_w_px <= 0 or self.image_h_px <= 0:
+    The detections come in two forms, each built from the other on first
+    access: `columns`, a `DetectionColumns`, which `parse_document`
+    produces and the filter and the estimators read, and `detections`, a
+    tuple of `DetectionBox`.  The constructor takes either form as
+    `detections`.
+    """
+
+    def __init__(self, image_w_px: float, image_h_px: float,
+                 calibration: CalibrationInput,
+                 detections: tuple[DetectionBox, ...] | DetectionColumns,
+                 ground_truth: GroundTruth | None = None,
+                 meta: tuple[tuple[str, object], ...] = ()) -> None:
+        if isinstance(detections, DetectionColumns):
+            form = "columns"
+        else:
+            form, detections = "detections", tuple(detections)
+        if image_w_px <= 0 or image_h_px <= 0:
             raise SchemaError("image dimensions must be positive")
-        if (self.ground_truth is not None
-                and len(self.ground_truth.object_heights_m) != len(self.detections)):
+        if (ground_truth is not None
+                and len(ground_truth.object_heights_m) != len(detections)):
             raise SchemaError(
                 "ground_truth.object_heights_m must match the detection count")
+        # cached_property stores into __dict__ too, past __setattr__.
+        self.__dict__.update({
+            "image_w_px": image_w_px, "image_h_px": image_h_px,
+            "calibration": calibration, form: detections,
+            "ground_truth": ground_truth, "meta": meta})
+
+    @cached_property
+    def columns(self) -> DetectionColumns:
+        return detection_columns(self.detections)
+
+    @cached_property
+    def detections(self) -> tuple[DetectionBox, ...]:
+        return self.columns.boxes()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: "
+                             "DetectionDocument is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.image_w_px, self.image_h_px, self.calibration,
+                self.detections, self.ground_truth, self.meta)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"DetectionDocument(image_w_px={self.image_w_px!r}, "
+                f"image_h_px={self.image_h_px!r}, "
+                f"calibration={self.calibration!r}, "
+                f"detections={self.detections!r}, "
+                f"ground_truth={self.ground_truth!r}, meta={self.meta!r})")
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -140,6 +190,118 @@ def parse_document(data: bytes | str) -> DetectionDocument:
     dets_raw = _require(raw, "detections", "document")
     if not isinstance(dets_raw, list):
         raise SchemaError("detections must be a list")
+    detections = _detection_columns(dets_raw)
+    if detections is None:
+        detections = _detection_boxes(dets_raw)
+
+    ground_truth = None
+    if "ground_truth" in raw:
+        gt = raw["ground_truth"]
+        _check_keys(gt, {"cam_height_m", "object_heights_m"}, "ground_truth")
+        heights = _require(gt, "object_heights_m", "ground_truth")
+        if not isinstance(heights, list):
+            raise SchemaError("ground_truth.object_heights_m must be a list")
+        try:
+            cam_height = _number(_require(gt, "cam_height_m", "ground_truth"),
+                                 "ground_truth.cam_height_m")
+            floats = _finite_floats(heights)
+            ground_truth = GroundTruth(
+                cam_height_m=cam_height,
+                object_heights_m=tuple(
+                    _number(h, "ground_truth.object_heights_m") for h in heights)
+                if floats is None else tuple(floats.tolist()),
+            )
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
+
+    meta = raw.get("meta", {})
+    if not isinstance(meta, dict):
+        raise SchemaError("meta must be an object")
+
+    try:
+        return DetectionDocument(
+            image_w_px=width, image_h_px=height, calibration=calibration,
+            detections=detections, ground_truth=ground_truth,
+            meta=tuple(sorted(meta.items())))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
+_DETECTION_KEYS = frozenset(("category", "box", "weight", "keypoints"))
+_REQUIRED_DETECTION_KEYS = frozenset(("category", "box"))
+_box_values = itemgetter("u_left", "u_right", "v_top", "v_bottom")
+
+
+def _finite_floats(values) -> np.ndarray | None:
+    """`values` as a float64 array when every one is a finite int or
+    float (a bool is neither), None otherwise; `float` of each value."""
+    values = list(values)
+    if not set(map(type, values)) <= _NUMBERS:
+        return None
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _detection_columns(dets_raw: list) -> DetectionColumns | None:
+    """The detections of a document as columns, checked all at once; None
+    when any detection breaks the schema, and `_detection_boxes` then
+    names the first fault.
+
+    The checks are those of `_detection_boxes`, so a list accepted here
+    parses there to the same values, as `DetectionBox` objects.
+    """
+    if not set(map(type, dets_raw)) <= {dict}:
+        return None
+    key_sets = set(map(frozenset, dets_raw))
+    if not all(_REQUIRED_DETECTION_KEYS <= keys <= _DETECTION_KEYS
+               for keys in key_sets):
+        return None
+    categories = tuple(map(itemgetter("category"), dets_raw))
+    if not set(map(type, categories)) <= {str} or "" in categories:
+        return None
+    boxes = list(map(itemgetter("box"), dets_raw))
+    # Four keys, all of them required ones: exactly the box keys.
+    if not set(map(type, boxes)) <= {dict} or not set(map(len, boxes)) <= {4}:
+        return None
+    try:
+        coords = _finite_floats(chain.from_iterable(map(_box_values, boxes)))
+    except KeyError:
+        return None
+    weights = _finite_floats(det.get("weight", 1.0) for det in dets_raw)
+    if coords is None or weights is None:
+        return None
+    u_left, u_right, v_top, v_bottom = coords.reshape(-1, 4).T.copy()
+    if not (((u_left < u_right) & (v_top < v_bottom)).all()
+            and (weights > 0).all()):
+        return None
+    keypoints: list[KeypointSet | None] = [None] * len(dets_raw)
+    if any("keypoints" in keys for keys in key_sets):
+        where = [i for i, det in enumerate(dets_raw) if "keypoints" in det]
+        skeletons = [dets_raw[i]["keypoints"] for i in where]
+        if (not set(map(type, skeletons)) <= {list}
+                or not set(map(len, skeletons)) <= {17}):
+            return None
+        points = list(chain.from_iterable(skeletons))
+        if (not set(map(type, points)) <= {list}
+                or not set(map(len, points)) <= {3}):
+            return None
+        values = _finite_floats(chain.from_iterable(points))
+        if values is None:
+            return None
+        flat = iter(values.tolist())
+        triples = tuple(zip(flat, flat, flat))
+        for j, i in enumerate(where):
+            keypoints[i] = KeypointSet(triples[17 * j:17 * j + 17])
+    return DetectionColumns(u_left, u_right, v_top, v_bottom, weights,
+                            categories, tuple(keypoints))
+
+
+def _detection_boxes(dets_raw: list) -> tuple[DetectionBox, ...]:
+    """The detections of a document, checked one at a time; SchemaError
+    naming the first detection and rule broken."""
     detections = []
     for i, det in enumerate(dets_raw):
         where = f"detections[{i}]"
@@ -174,35 +336,7 @@ def parse_document(data: bytes | str) -> DetectionDocument:
             ))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
-
-    ground_truth = None
-    if "ground_truth" in raw:
-        gt = raw["ground_truth"]
-        _check_keys(gt, {"cam_height_m", "object_heights_m"}, "ground_truth")
-        heights = _require(gt, "object_heights_m", "ground_truth")
-        if not isinstance(heights, list):
-            raise SchemaError("ground_truth.object_heights_m must be a list")
-        try:
-            ground_truth = GroundTruth(
-                cam_height_m=_number(_require(gt, "cam_height_m", "ground_truth"),
-                                     "ground_truth.cam_height_m"),
-                object_heights_m=tuple(
-                    _number(h, "ground_truth.object_heights_m") for h in heights),
-            )
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-
-    meta = raw.get("meta", {})
-    if not isinstance(meta, dict):
-        raise SchemaError("meta must be an object")
-
-    try:
-        return DetectionDocument(
-            image_w_px=width, image_h_px=height, calibration=calibration,
-            detections=tuple(detections), ground_truth=ground_truth,
-            meta=tuple(sorted(meta.items())))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return tuple(detections)
 
 
 def canonical_json(payload) -> str:
@@ -491,11 +625,40 @@ class Rejection:
     reason: str
 
 
-@dataclass(frozen=True)
 class FilterResult:
-    kept: tuple[DetectionBox, ...]
-    kept_indices: tuple[int, ...]
-    rejected: tuple[Rejection, ...]
+    """Detections split into solvable and rejected-with-reason, each in
+    input order.
+
+    `kept_indices` and `columns` (the kept detections as a
+    `DetectionColumns`) are what the estimators read; `kept` and
+    `rejected` hold the document's `DetectionBox` objects, built on first
+    access.
+    """
+
+    def __init__(self, doc: DetectionDocument, kept_indices: tuple[int, ...],
+                 rejected_reasons: tuple[tuple[int, str], ...]) -> None:
+        self._doc = doc
+        self.kept_indices = kept_indices
+        self._rejected_reasons = rejected_reasons
+
+    @cached_property
+    def columns(self) -> DetectionColumns:
+        return self._doc.columns.take(self.kept_indices)
+
+    @cached_property
+    def kept(self) -> tuple[DetectionBox, ...]:
+        boxes = self._doc.detections
+        return tuple(boxes[i] for i in self.kept_indices)
+
+    @cached_property
+    def rejected(self) -> tuple[Rejection, ...]:
+        boxes = self._doc.detections
+        return tuple(Rejection(i, boxes[i], reason)
+                     for i, reason in self._rejected_reasons)
+
+
+# Rejection reasons by gate, in the order the gates are applied.
+_REASONS = ("amodal", "aspect", "box-height", "above-horizon")
 
 
 def filter_detections(doc: DetectionDocument,
@@ -505,39 +668,39 @@ def filter_detections(doc: DetectionDocument,
     Reasons: "amodal" (keypointed person missing head or ankle),
     "aspect" (h/w outside the category range), "box-height" (normalized
     height outside range), "above-horizon" (bottom at or above v0).
+    Each rejected detection gets the first reason of that list it meets.
     Order is preserved and kept + rejected partition the input.
     """
     filters = filters or FilterConfig()
-    aspect_map = dict(filters.aspect_range)
+    columns = doc.columns
     v0 = doc.calibration.horizon_v0()
-    kept, kept_idx, rejected = [], [], []
-    for i, box in enumerate(doc.detections):
-        reason = None
-        if (filters.require_keypoint_visibility and box.category == "person"
-                and box.keypoints is not None):
-            has_head = any(box.keypoints.visible(n)
-                           for n in HEAD_KEYPOINT_NAMES)
-            has_ankle = (box.keypoints.visible("left_ankle")
-                         or box.keypoints.visible("right_ankle"))
-            if not (has_head and has_ankle):
-                reason = "amodal"
-        if reason is None and box.category in aspect_map:
-            lo, hi = aspect_map[box.category]
-            aspect = (box.v_bottom - box.v_top) / (box.u_right - box.u_left)
-            if not lo <= aspect <= hi:
-                reason = "aspect"
-        if reason is None:
-            lo, hi = filters.box_height_range
-            if not lo <= box.v_bottom - box.v_top <= hi:
-                reason = "box-height"
-        if reason is None and box.v_bottom <= v0:
-            reason = "above-horizon"
-        if reason is None:
-            kept.append(box)
-            kept_idx.append(i)
-        else:
-            rejected.append(Rejection(i, box, reason))
-    return FilterResult(tuple(kept), tuple(kept_idx), tuple(rejected))
+    # gate[i] is the 1-based _REASONS index of the first gate detection i
+    # fails, 0 when it passes them all; later gates are written first so
+    # that earlier ones overwrite them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        box_h = columns.v_bottom - columns.v_top
+        lo, hi = filters.box_height_range
+        gate = np.where((lo <= box_h) & (box_h <= hi),
+                        (columns.v_bottom <= v0) * 4, 3)
+        aspect_map = dict(filters.aspect_range)
+        aspect = box_h / (columns.u_right - columns.u_left)
+        for category in aspect_map.keys() & set(columns.category):
+            lo, hi = aspect_map[category]
+            of_category = np.fromiter(map(category.__eq__, columns.category),
+                                      dtype=bool, count=len(columns))
+            gate[of_category & ~((lo <= aspect) & (aspect <= hi))] = 2
+    if filters.require_keypoint_visibility:
+        for i, kps in enumerate(columns.keypoints):
+            if (kps is not None and columns.category[i] == "person"
+                    and not (any(kps.visible(n) for n in HEAD_KEYPOINT_NAMES)
+                             and (kps.visible("left_ankle")
+                                  or kps.visible("right_ankle")))):
+                gate[i] = 1
+    rejected = np.flatnonzero(gate)
+    return FilterResult(
+        doc, tuple(np.flatnonzero(gate == 0).tolist()),
+        tuple((i, _REASONS[g - 1])
+              for i, g in zip(rejected.tolist(), gate[rejected].tolist())))
 
 
 # ---------------------------------------------------------------------------

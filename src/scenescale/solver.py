@@ -4,8 +4,9 @@ Inputs are 2D detections plus a calibrated horizon and field of view;
 absolute scale comes from category size priors.  The pipeline:
 
   0. Build the scene's array form once (`SceneArrays`: detected tops and
-     bottoms, the height prior of each box and its weight); every later
-     stage reads it.
+     bottoms, the height prior of each box and its weight) from the
+     detections' columns (`DetectionColumns`, the form a parsed document
+     holds); every later stage reads it.
   1. Initialize every object height at its category prior mean and the
      camera height as the weighted median of per-object votes obtained by
      inverting the linear horizon-ratio model.  Which objects can be
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +67,65 @@ class DetectionBox:
                 f"v_top must be < v_bottom, got {self.v_top}, {self.v_bottom}")
         if self.weight <= 0:
             raise ValueError(f"weight must be positive, got {self.weight}")
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionColumns:
+    """Detections as columns, one entry per box in input order: the box
+    coordinates and weights as read-only float64 arrays, the categories
+    and the keypoints (None for a box without) as tuples.
+
+    This is the form a parsed document holds and the filter and the
+    estimators read.  The values are those of valid `DetectionBox`
+    objects: `parse_document` checks them, `detection_columns` takes them
+    from boxes, and `boxes` turns them back into boxes.
+    """
+
+    u_left: np.ndarray
+    u_right: np.ndarray
+    v_top: np.ndarray
+    v_bottom: np.ndarray
+    weight: np.ndarray
+    category: tuple[str, ...]
+    keypoints: tuple[KeypointSet | None, ...]
+
+    def __post_init__(self) -> None:
+        for column in (self.u_left, self.u_right, self.v_top, self.v_bottom,
+                       self.weight):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.category)
+
+    def boxes(self) -> tuple[DetectionBox, ...]:
+        return tuple(map(DetectionBox, self.u_left.tolist(),
+                         self.u_right.tolist(), self.v_top.tolist(),
+                         self.v_bottom.tolist(), self.category,
+                         self.keypoints, self.weight.tolist()))
+
+    def take(self, indices) -> "DetectionColumns":
+        """The entries at `indices`, in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        pick = idx.tolist()
+        return DetectionColumns(
+            self.u_left[idx], self.u_right[idx], self.v_top[idx],
+            self.v_bottom[idx], self.weight[idx],
+            tuple(map(self.category.__getitem__, pick)),
+            tuple(map(self.keypoints.__getitem__, pick)))
+
+
+def detection_columns(boxes) -> DetectionColumns:
+    """Column form of a box sequence; a DetectionColumns passes through."""
+    if isinstance(boxes, DetectionColumns):
+        return boxes
+    boxes = tuple(boxes)
+    numbers = np.array(list(map(_box_numbers, boxes)), dtype=float)
+    return DetectionColumns(*numbers.reshape(-1, 5).T.copy(),
+                            tuple(map(attrgetter("category"), boxes)),
+                            tuple(map(attrgetter("keypoints"), boxes)))
+
+
+_box_numbers = attrgetter("u_left", "u_right", "v_top", "v_bottom", "weight")
 
 
 @dataclass(frozen=True)
@@ -187,55 +248,54 @@ def weighted_median(values, weights) -> float:
     return float(v[idx])
 
 
-def _prior_for(box: DetectionBox, prior_map: dict[str, CategoryPrior]) -> CategoryPrior:
-    try:
-        return prior_map[box.category]
-    except KeyError:
-        raise ValueError(
-            f"no height prior for category {box.category!r}; "
-            f"known: {sorted(prior_map)}") from None
-
-
 def _v_columns(boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(v_top, v_bottom) arrays of a box list or of a SceneArrays."""
-    if isinstance(boxes, SceneArrays):
-        return boxes.v_top, boxes.v_bottom
-    return (np.array([b.v_top for b in boxes], dtype=float),
-            np.array([b.v_bottom for b in boxes], dtype=float))
+    """(v_top, v_bottom) arrays of a box list, a DetectionColumns or a
+    SceneArrays."""
+    if not isinstance(boxes, SceneArrays):
+        boxes = detection_columns(boxes)
+    return boxes.v_top, boxes.v_bottom
 
 
 def scene_arrays(boxes, prior_map: dict[str, CategoryPrior] | None = None
                  ) -> SceneArrays:
-    """Array form of a box list; a SceneArrays passes through unchanged.
+    """Array form of a box list or a DetectionColumns; a SceneArrays
+    passes through unchanged.
 
     Raises ValueError naming the first category without a height prior.
     """
     if isinstance(boxes, SceneArrays):
         return boxes
+    columns = detection_columns(boxes)
     prior_map = prior_map or priors.DEFAULT_PRIORS
-    box_priors = [_prior_for(b, prior_map) for b in boxes]
-    columns = (*_v_columns(boxes),
-               np.array([p.mean_m for p in box_priors], dtype=float),
-               np.array([p.sigma_m for p in box_priors], dtype=float),
-               np.array([b.weight for b in boxes], dtype=float))
-    for column in columns:
+    try:
+        box_priors = list(map(prior_map.__getitem__, columns.category))
+    except KeyError as exc:
+        raise ValueError(
+            f"no height prior for category {exc.args[0]!r}; "
+            f"known: {sorted(prior_map)}") from None
+    mu = np.array([p.mean_m for p in box_priors], dtype=float)
+    sigma = np.array([p.sigma_m for p in box_priors], dtype=float)
+    for column in (mu, sigma):
         column.flags.writeable = False
-    return SceneArrays(*columns)
+    return SceneArrays(columns.v_top, columns.v_bottom, mu, sigma,
+                       columns.weight)
 
 
 def box_ratios(boxes, config: RefinementConfig | None = None) -> tuple[float, ...]:
-    """Posture ratio per box: computed from keypoints when present and
-    enabled, 1.0 otherwise (including skeletons too sparse to score)."""
+    """Posture ratio per box of a box list or a DetectionColumns: computed
+    from keypoints when present and enabled, 1.0 otherwise (including
+    skeletons too sparse to score)."""
     config = config or RefinementConfig()
-    out = []
-    for box in boxes:
-        ratio = 1.0
-        if config.use_upright_ratio and box.keypoints is not None:
-            try:
-                ratio = priors.upright_ratio(box.keypoints).ratio
-            except priors.MissingKeypointsError:
-                ratio = 1.0
-        out.append(ratio)
+    keypoints = (boxes.keypoints if isinstance(boxes, DetectionColumns)
+                 else [box.keypoints for box in boxes])
+    out = [1.0] * len(keypoints)
+    if config.use_upright_ratio:
+        for i, kps in enumerate(keypoints):
+            if kps is not None:
+                try:
+                    out[i] = priors.upright_ratio(kps).ratio
+                except priors.MissingKeypointsError:
+                    pass
     return tuple(out)
 
 
@@ -536,12 +596,12 @@ def solve_scene(v0: float, fov_rad: float, boxes,
     """
     prior_map = prior_map or priors.DEFAULT_PRIORS
     config = config or RefinementConfig()
-    boxes = list(boxes)
-    if not boxes:
+    columns = detection_columns(boxes)
+    if not len(columns):
         raise ValueError("no detections to solve from")
 
-    ratios = box_ratios(boxes, config)
-    arrays = scene_arrays(boxes, prior_map)
+    ratios = box_ratios(columns, config)
+    arrays = scene_arrays(columns, prior_map)
     upright0 = np.clip(arrays.mu, *config.object_height_bounds)
     actual0 = upright0 * np.asarray(ratios)
 

@@ -319,7 +319,10 @@ def render_detections(scene: SceneSpec, noise: NoiseModel | None = None
             else:
                 u_l, u_r = sorted((u_l, u_r))
                 v_t, v_b = sorted((v_t, v_b))
-        boxes.append(DetectionBox(u_l, u_r, v_t, v_b, category=obj.category))
+        # Exact floats: numpy scalars would send the document through
+        # canonical_json's slow json.dumps fallback.
+        boxes.append(DetectionBox(float(u_l), float(u_r), float(v_t),
+                                  float(v_b), category=obj.category))
     return tuple(boxes)
 
 

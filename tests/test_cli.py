@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from scenescale import cli
-from scenescale.documents import parse_results
+from scenescale import cli, solver
+from scenescale.documents import VALID_METHODS, parse_document, parse_results
+from scenescale.priors import COCO_KEYPOINT_NAMES
 
 _FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -248,3 +249,76 @@ def test_eval_without_ground_truth_fails(tmp_path, capsys):
                    str(stripped_dir / "scene_0000.results.json")])
     assert rc == 1
     assert "ground_truth" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The column path end to end.
+
+def _skeleton_document(tmp_path) -> Path:
+    """The fixture scene plus a standing keypointed person and a box whose
+    bottom sits above the horizon, so a solve scores a skeleton and
+    filters one detection out."""
+    payload = json.loads((_FIXTURES / "scene_0000.json").read_text())
+    box = dict(payload["detections"][0]["box"])
+    u = (box["u_left"] + box["u_right"]) / 2
+    top, span = box["v_top"], box["v_bottom"] - box["v_top"]
+    rows = {"nose": 0.08, "left_eye": 0.06, "right_eye": 0.06,
+            "left_shoulder": 0.2, "right_shoulder": 0.2, "left_hip": 0.5,
+            "right_hip": 0.5, "left_knee": 0.75, "right_knee": 0.75,
+            "left_ankle": 0.98, "right_ankle": 0.98}
+    skeleton = [[u, top + rows[n] * span, 2] if n in rows else [0.0, 0.0, 0]
+                for n in COCO_KEYPOINT_NAMES]
+    v0 = payload["calibration"]["v0"]
+    payload["detections"] += [
+        {"category": "person", "box": box, "keypoints": skeleton},
+        {"category": "car", "box": {"u_left": 0.1, "u_right": 0.3,
+                                    "v_top": v0 - 0.2, "v_bottom": v0 - 0.1}},
+    ]
+    payload["ground_truth"]["object_heights_m"] += [1.7, 1.5]
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("method", VALID_METHODS)
+def test_solve_builds_no_detection_box(tmp_path, capsys, monkeypatch, method):
+    doc = _skeleton_document(tmp_path)
+    built = []
+    post_init = solver.DetectionBox.__post_init__
+
+    def counted(box):
+        built.append(box)
+        post_init(box)
+
+    monkeypatch.setattr(solver.DetectionBox, "__post_init__", counted)
+    assert cli.main(["solve", str(doc), "--method", method]) == 0
+    assert "1 filtered out" in capsys.readouterr().err
+    assert built == []
+    # The counter sees boxes wherever they are built.
+    assert len(parse_document(doc.read_bytes()).detections) == len(built) == 6
+
+
+def test_cli_outputs_never_take_the_json_dumps_fallback(tmp_path, capsys,
+                                                        monkeypatch):
+    # canonical_json falls back to json.dumps(..., indent=2) for values it
+    # does not render itself, numpy scalars among them, at several times
+    # the cost.
+    indented = []
+    dumps = json.dumps
+
+    def spy(obj, *args, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    data = _synth(tmp_path, "data", extra=["--box-noise", "0.002"])
+    for method in VALID_METHODS:
+        out = tmp_path / method
+        assert cli.main(["solve", str(data), "--method", method,
+                         "--out", str(out)]) == 0
+        assert cli.main(["eval", "--results", str(out), "--truth", str(data),
+                         "--out", str(tmp_path / f"{method}.report.json")]) == 0
+    assert cli.main(["solve", str(_skeleton_document(tmp_path))]) == 0
+    capsys.readouterr()
+    assert indented == []

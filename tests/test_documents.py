@@ -8,10 +8,12 @@ diff cleanly under version control.
 import copy
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scenescale import documents
 from scenescale.documents import (CalibrationInput, DetectionDocument,
                                   FilterConfig, OverlayConfig, SchemaError,
                                   ToolkitConfig, VALID_METHODS, canonical_json,
@@ -21,8 +23,9 @@ from scenescale.documents import (CalibrationInput, DetectionDocument,
                                   filter_detections, flip_vertical_convention,
                                   parse_document, parse_results)
 from scenescale.metrics import GroundTruth
-from scenescale.priors import COCO_KEYPOINT_NAMES, KeypointSet
-from scenescale.solver import DetectionBox, solve_scene
+from scenescale.priors import (COCO_KEYPOINT_NAMES, HEAD_KEYPOINT_NAMES,
+                               KeypointSet)
+from scenescale.solver import DetectionBox, detection_columns, solve_scene
 
 
 def _raw_doc() -> dict:
@@ -308,6 +311,357 @@ def test_rejects_non_finite_and_boolean_numbers():
     raw["meta"] = [1, 2]
     with pytest.raises(SchemaError, match="meta"):
         _parse(raw)
+
+
+# ---------------------------------------------------------------------------
+# The column parse against the per-detection parse.
+
+# Finite numbers as JSON carries them: floats, small ints and ints that a
+# float cannot hold exactly.
+_NUMBER = st.one_of(
+    st.floats(-2.0, 2.0), st.integers(-2, 2),
+    st.sampled_from([-0.0, 2 ** 53 + 1, -(2 ** 53) - 3, 2 ** 64 + 1]))
+_SPAN = st.one_of(st.floats(1e-3, 2.0), st.integers(1, 2),
+                  st.just(2 ** 53 + 1))
+_BAD_NUMBERS = [True, False, math.nan, math.inf, -math.inf, "0.5", None,
+                10 ** 400, [0.5]]
+_NOT_A_DETECTION = [[1.0], "person", 3, None, True]
+
+
+@st.composite
+def _raw_documents(draw):
+    """A raw document with 0-5 detections, valid or broken in up to three
+    places."""
+    n = draw(st.integers(0, 5))
+    dets = []
+    for _ in range(n):
+        u_left, v_top = draw(_NUMBER), draw(_NUMBER)
+        u_right, v_bottom = u_left + draw(_SPAN), v_top + draw(_SPAN)
+        det = {"category": draw(st.sampled_from(["person", "car", "bike"])),
+               "box": {"u_left": u_left, "u_right": u_right,
+                       "v_top": v_top, "v_bottom": v_bottom}}
+        if draw(st.booleans()):
+            det["weight"] = draw(st.one_of(st.floats(1e-3, 5.0),
+                                           st.integers(1, 3)))
+        if draw(st.booleans()):
+            det["keypoints"] = [[draw(_NUMBER), draw(_NUMBER),
+                                 draw(st.sampled_from([0, 1, 2, 2.0]))]
+                                for _ in COCO_KEYPOINT_NAMES]
+        dets.append(det)
+    raw = {"schema_version": 1,
+           "image": {"width_px": 640, "height_px": 480.0},
+           "calibration": {"fov_rad": 1.0, "v0": 0.48},
+           "detections": dets}
+    if draw(st.booleans()):
+        raw["ground_truth"] = {
+            "cam_height_m": draw(st.floats(0.5, 5.0)),
+            "object_heights_m": [draw(st.one_of(st.floats(0.1, 3.0),
+                                                st.integers(1, 2)))
+                                 for _ in dets]}
+    if draw(st.booleans()):
+        raw["meta"] = {"source": "fuzz"}
+    for _ in range(draw(st.integers(0, 3))):
+        _break(draw, raw)
+    return raw
+
+
+def _break(draw, raw) -> None:
+    """Break one thing in `raw`, in place; earlier breaks may have removed
+    what a later one would break, which then breaks nothing."""
+    def dicts(*values):
+        return [v for v in values if isinstance(v, dict)]
+
+    dets = raw.get("detections")
+    dets = dets if isinstance(dets, list) else []
+    det = draw(st.sampled_from(dets)) if dets else None
+    det = det if isinstance(det, dict) else {}
+    box = det.get("box") if isinstance(det.get("box"), dict) else {}
+    gt = raw.get("ground_truth") if isinstance(raw.get("ground_truth"),
+                                               dict) else {}
+    heights = gt.get("object_heights_m")
+    heights = heights if isinstance(heights, list) else []
+    kind = draw(st.sampled_from(
+        ["value", "missing", "unknown", "not-a-detection", "keypoints",
+         "weight", "swap", "category", "ground-truth", "box-type"]))
+    if kind == "value":
+        places = [(box, key) for key in box] + [(det, "weight")] * bool(det)
+        places += [(level, key) for level in dicts(raw.get("image"), gt)
+                   for key in level if key != "object_heights_m"]
+        places += [(heights, i) for i in range(len(heights))]
+        skeleton = det.get("keypoints")
+        if isinstance(skeleton, list) and skeleton:
+            triple = draw(st.sampled_from(skeleton))
+            if isinstance(triple, list) and triple:
+                places.append((triple, draw(st.integers(0, len(triple) - 1))))
+        if places:
+            where, key = draw(st.sampled_from(places))
+            where[key] = draw(st.sampled_from(_BAD_NUMBERS))
+    elif kind in ("missing", "unknown"):
+        level = draw(st.sampled_from(dicts(
+            raw, raw.get("image"), raw.get("calibration"), det, box, gt)))
+        if kind == "unknown":
+            level[draw(st.sampled_from(["extra", "Box", "weights"]))] = 1
+        elif level:
+            del level[draw(st.sampled_from(sorted(level)))]
+    elif kind == "not-a-detection" and dets:
+        dets[draw(st.integers(0, len(dets) - 1))] = draw(
+            st.sampled_from(_NOT_A_DETECTION))
+    elif kind == "keypoints" and det:
+        triple = [0.5, 0.5, 2]
+        det["keypoints"] = draw(st.sampled_from([
+            [triple] * 16, [triple] * 18, [[0.5, 0.5]] + [triple] * 16,
+            [[0.5, 0.5, 2, 1]] + [triple] * 16, [triple] * 16 + [None],
+            {"nose": triple}, None, "keypoints", []]))
+    elif kind == "weight" and det:
+        det["weight"] = draw(st.sampled_from([0, 0.0, -0.0, -1, -1e-300]))
+    elif kind == "swap" and len(box) == 4:
+        a, b = draw(st.sampled_from([("u_left", "u_right"),
+                                     ("v_top", "v_bottom")]))
+        box[a], box[b] = box[b], draw(st.sampled_from([box[b], box[a]]))
+    elif kind == "category" and det:
+        det["category"] = draw(st.sampled_from(["", 7, None, ["person"]]))
+    elif kind == "ground-truth" and gt:
+        if heights and draw(st.booleans()):
+            heights.pop()
+        else:
+            heights.append(1.7)
+    elif kind == "box-type" and det:
+        det["box"] = draw(st.sampled_from([
+            [0.1, 0.2, 0.3, 0.4], ["u_left", "u_right", "v_top", "v_bottom"],
+            "box", None]))
+
+
+def _parse_outcome(text: str):
+    """(document, its canonical text), or (error type, message)."""
+    try:
+        doc = parse_document(text)
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        return type(exc), str(exc)
+    return doc, emit_document(doc)
+
+
+def _assert_parses_agree(raw) -> None:
+    """The column parse and the per-detection parse give equal documents,
+    or the same error; each detection function agrees when called alone."""
+    text = json.dumps(raw)  # NaN and Infinity as JSON literals
+    fast = _parse_outcome(text)
+    with mock.patch.object(documents, "_detection_columns",
+                           lambda dets: None), \
+            mock.patch.object(documents, "_finite_floats",
+                              lambda values: None):
+        slow = _parse_outcome(text)
+    assert fast == slow
+    dets = json.loads(text).get("detections")
+    if not isinstance(dets, list):
+        return
+    columns = documents._detection_columns(dets)
+    try:
+        boxes = documents._detection_boxes(dets)
+    except Exception:  # noqa: BLE001 - the column parse must refuse it too
+        assert columns is None
+    else:
+        assert columns is not None
+        assert columns.boxes() == boxes
+        assert ([repr(b) for b in columns.boxes()]
+                == [repr(b) for b in boxes])  # -0.0 stays -0.0
+
+
+@given(raw=_raw_documents())
+@settings(deadline=None, max_examples=300)
+def test_column_parse_matches_the_per_detection_parse(raw):
+    _assert_parses_agree(raw)
+
+
+def _skeleton_raw_doc() -> dict:
+    raw = _raw_doc()
+    raw["detections"][0]["keypoints"] = _kps(
+        {"nose": (0.45, 0.57), "left_ankle": (0.46, 0.81)})
+    return raw
+
+
+def _set(path, value):
+    def apply(raw):
+        *parents, last = path
+        for key in parents:
+            raw = raw[key]
+        raw[last] = value
+    return apply
+
+
+def _delete(path):
+    def apply(raw):
+        *parents, last = path
+        for key in parents:
+            raw = raw[key]
+        del raw[last]
+    return apply
+
+
+_DET, _BOX, _KP = ("detections", 1), ("detections", 1, "box"), \
+    ("detections", 0, "keypoints")
+_BREAKS = {
+    "valid": lambda raw: None,
+    "ints-above-2**53": _set(_DET + ("box",), {
+        "u_left": 2 ** 53 + 1, "u_right": 2 ** 60 + 1, "v_top": 1,
+        "v_bottom": 2 ** 64 + 1}),
+    "int-weight": _set(_DET + ("weight",), 2),
+    "bool-coordinate": _set(_BOX + ("v_top",), True),
+    "bool-weight": _set(_DET + ("weight",), False),
+    "bool-keypoint": _set(_KP + (3, 2), True),
+    "bool-height": _set(("ground_truth", "object_heights_m", 1), True),
+    "nan-coordinate": _set(_BOX + ("u_left",), math.nan),
+    "infinite-weight": _set(_DET + ("weight",), math.inf),
+    "nan-keypoint": _set(_KP + (0, 0), math.nan),
+    "infinite-height": _set(("ground_truth", "object_heights_m", 0),
+                            -math.inf),
+    "huge-int-coordinate": _set(_BOX + ("v_bottom",), 10 ** 400),
+    "string-coordinate": _set(_BOX + ("u_right",), "0.9"),
+    "missing-document-key": _delete(("image",)),
+    "unknown-document-key": _set(("extra",), 1),
+    "missing-image-key": _delete(("image", "width_px")),
+    "unknown-calibration-key": _set(("calibration", "roll"), 0.0),
+    "missing-category": _delete(_DET + ("category",)),
+    "missing-box": _delete(_DET + ("box",)),
+    "unknown-detection-key": _set(_DET + ("score",), 0.9),
+    "missing-box-key": _delete(_BOX + ("v_top",)),
+    "unknown-box-key": _set(_BOX + ("width",), 0.1),
+    "missing-ground-truth-key": _delete(("ground_truth", "cam_height_m")),
+    "unknown-ground-truth-key": _set(("ground_truth", "extra"), 1),
+    "list-detection": _set(_DET, [0.1, 0.2]),
+    "string-detection": _set(_DET, "car"),
+    "null-detection": _set(_DET, None),
+    "list-box": _set(_DET + ("box",), [0.7, 1.05, 0.6, 0.72]),
+    "16-keypoints": lambda raw: raw["detections"][0]["keypoints"].pop(),
+    "pair-keypoint": _set(_KP + (2,), [0.5, 0.5]),
+    "null-keypoint": _set(_KP + (2,), None),
+    "null-keypoints": _set(_KP, None),
+    "zero-weight": _set(_DET + ("weight",), 0),
+    "negative-weight": _set(_DET + ("weight",), -1.0),
+    "swapped-u": _set(_BOX + ("u_left",), 1.05),
+    "swapped-v": _set(_BOX + ("v_bottom",), 0.5),
+    "empty-category": _set(_DET + ("category",), ""),
+    "number-category": _set(_DET + ("category",), 7),
+    "short-ground-truth": lambda raw: raw["ground_truth"][
+        "object_heights_m"].pop(),
+    "long-ground-truth": lambda raw: raw["ground_truth"][
+        "object_heights_m"].append(1.7),
+}
+
+
+@pytest.mark.parametrize("name", list(_BREAKS))
+def test_column_parse_matches_on_each_schema_rule(name):
+    raw = _skeleton_raw_doc()
+    _BREAKS[name](raw)
+    _assert_parses_agree(raw)
+
+
+def test_document_forms_agree_and_are_immutable():
+    parsed = _parse(_skeleton_raw_doc())
+    from_boxes = DetectionDocument(
+        parsed.image_w_px, parsed.image_h_px, parsed.calibration,
+        parsed.detections, parsed.ground_truth, parsed.meta)
+    from_columns = DetectionDocument(
+        parsed.image_w_px, parsed.image_h_px, parsed.calibration,
+        detection_columns(parsed.detections), parsed.ground_truth,
+        parsed.meta)
+    assert parsed == from_boxes == from_columns
+    assert hash(parsed) == hash(from_boxes)
+    assert emit_document(from_columns) == emit_document(parsed)
+    assert parsed.detections is parsed.detections
+    assert from_boxes.columns.category == ("person", "car")
+    with pytest.raises(AttributeError):
+        parsed.image_w_px = 1.0
+    with pytest.raises(SchemaError, match="match the detection count"):
+        DetectionDocument(1.0, 1.0, parsed.calibration, parsed.columns,
+                          GroundTruth(1.6, (1.7,)))
+
+
+def _filter_reference(doc, filters):
+    """Per-box filter: (kept indices, [(index, reason)])."""
+    aspect_map = dict(filters.aspect_range)
+    v0 = doc.calibration.horizon_v0()
+    kept, rejected = [], []
+    for i, box in enumerate(doc.detections):
+        reason = None
+        if (filters.require_keypoint_visibility and box.category == "person"
+                and box.keypoints is not None):
+            has_head = any(box.keypoints.visible(n)
+                           for n in HEAD_KEYPOINT_NAMES)
+            has_ankle = (box.keypoints.visible("left_ankle")
+                         or box.keypoints.visible("right_ankle"))
+            if not (has_head and has_ankle):
+                reason = "amodal"
+        if reason is None and box.category in aspect_map:
+            lo, hi = aspect_map[box.category]
+            aspect = (box.v_bottom - box.v_top) / (box.u_right - box.u_left)
+            if not lo <= aspect <= hi:
+                reason = "aspect"
+        if reason is None:
+            lo, hi = filters.box_height_range
+            if not lo <= box.v_bottom - box.v_top <= hi:
+                reason = "box-height"
+        if reason is None and box.v_bottom <= v0:
+            reason = "above-horizon"
+        if reason is None:
+            kept.append(i)
+        else:
+            rejected.append((i, reason))
+    return tuple(kept), rejected
+
+
+@st.composite
+def _filter_cases(draw):
+    """(document, filters) whose horizon, aspect and box-height bounds
+    often fall exactly on some box's bottom, aspect or height."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 8))):
+        u_left = draw(st.floats(0.0, 1.0))
+        v_top = draw(st.floats(0.0, 1.0))
+        keypoints = None
+        if draw(st.booleans()):
+            keypoints = _kps({name: (0.5, 0.5) for name in draw(
+                st.sets(st.sampled_from(
+                    HEAD_KEYPOINT_NAMES + ("left_ankle", "right_ankle",
+                                           "left_hip"))))})
+            keypoints = KeypointSet(tuple(map(tuple, keypoints)))
+        boxes.append(DetectionBox(
+            u_left=u_left, u_right=u_left + draw(st.floats(1e-3, 1.0)),
+            v_top=v_top, v_bottom=v_top + draw(st.floats(1e-3, 1.0)),
+            category=draw(st.sampled_from(["person", "car", "bike"])),
+            keypoints=keypoints))
+    heights = [b.v_bottom - b.v_top for b in boxes]
+    aspects = [h / (b.u_right - b.u_left) for h, b in zip(heights, boxes)]
+
+    def bound(on_a_box, lo, hi):
+        return draw(st.one_of(st.sampled_from(on_a_box), st.floats(lo, hi)))
+
+    aspect_range = tuple(sorted(
+        (category, (bound(aspects, 0.0, 3.0), bound(aspects, 0.5, 10.0)))
+        for category in draw(st.sets(st.sampled_from(["person", "car"])))))
+    filters = FilterConfig(
+        aspect_range=aspect_range,
+        box_height_range=(bound(heights, 0.0, 0.5), bound(heights, 0.3, 1.0)),
+        require_keypoint_visibility=draw(st.booleans()))
+    v0 = bound([b.v_bottom for b in boxes], 0.0, 2.0)
+    doc = DetectionDocument(640.0, 480.0, CalibrationInput(fov_rad=1.0, v0=v0),
+                            tuple(boxes))
+    return doc, filters
+
+
+@given(case=_filter_cases())
+@settings(deadline=None, max_examples=300)
+def test_column_filter_matches_the_per_box_filter(case):
+    doc, filters = case
+    kept_indices, rejected = _filter_reference(doc, filters)
+    for source in (doc, parse_document(emit_document(doc))):
+        result = filter_detections(source, filters)
+        assert result.kept_indices == kept_indices
+        assert [(r.index, r.reason) for r in result.rejected] == rejected
+        assert result.kept == tuple(source.detections[i]
+                                    for i in kept_indices)
+        assert all(r.box is source.detections[r.index]
+                   for r in result.rejected)
+        assert result.columns.boxes() == result.kept
 
 
 # ---------------------------------------------------------------------------
