@@ -14,7 +14,11 @@ Its reported reprojection loss is zero by construction, which is why it
 is not a meaningful fit metric for this method.
 
 Both take a box list or a `DetectionColumns` and read the scene's
-`SceneArrays`, so every box needs a height prior.
+`SceneArrays`, so every box needs a height prior.  Both use the boxes
+`geometry.usable_boxes` keeps, the rule the cascade shares, and report
+each other box in `excluded` with its reason; a scene with no usable box
+raises ValueError.  Box weights enter only the median of
+`pgm_fixed_height`.
 """
 
 from __future__ import annotations
@@ -23,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import priors
+from . import geometry, priors
 from .priors import CategoryPrior
 from .solver import (LayerTrace, SceneArrays, SceneEstimate,
-                     detection_columns, scene_arrays, weighted_median)
+                     detection_columns, scene_arrays, trace_rows,
+                     weighted_median)
 
-_SPAN_EPS = 1e-9
-_HORIZON_EPS = 1e-6
 _INFO_EPS = 1e-12  # below this the posterior carries no object information
 
 CANONICAL_HEIGHTS = {"person": 1.70, "car": 1.59}
@@ -48,16 +51,12 @@ class CamHeightPrior:
 
 
 def _ratio_votes(v0: float, arrays: SceneArrays):
-    """Per-box (v_top - v_bottom) / (v0 - v_bottom) of the boxes in the
-    returned mask, with degenerates excluded with reasons."""
-    span = arrays.v_top - arrays.v_bottom
-    off = v0 - arrays.v_bottom
-    zero_span = np.abs(span) < _SPAN_EPS
-    keep = ~zero_span & (np.abs(off) > _HORIZON_EPS)
-    excluded = tuple(
-        (i, "zero-span" if zero_span[i] else "bottom-on-horizon")
-        for i in np.flatnonzero(~keep).tolist())
-    return span[keep] / off[keep], keep, excluded
+    """(ratios, keep, excluded): the (v_top - v_bottom) / (v0 - v_bottom)
+    of each box `geometry.usable_boxes` keeps; ValueError if none."""
+    keep, excluded = geometry.usable_boxes(v0, arrays.v_top, arrays.v_bottom)
+    geometry.require_usable(excluded, len(arrays))
+    return ((arrays.v_top[keep] - arrays.v_bottom[keep])
+            / (v0 - arrays.v_bottom[keep]), keep, excluded)
 
 
 def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
@@ -69,10 +68,7 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
     l_vt = float(np.mean(np.abs(res[keep])))
     pen = priors.prior_penalty(heights[keep], arrays.mu[keep],
                                arrays.sigma[keep], "log_density")
-    kept = keep.tolist()
-    spans = tuple((t, b) if k else None for t, b, k in zip(
-        tops.tolist(), arrays.v_bottom.tolist(), kept))
-    residuals = tuple(r if k else None for r, k in zip(res.tolist(), kept))
+    spans, residuals = trace_rows(tops, arrays.v_bottom, res, keep.tolist())
     n = len(arrays)
     heights_full = tuple(heights.tolist())
     trace = LayerTrace(
@@ -121,8 +117,6 @@ def pgm_fixed_height(v0: float, boxes,
             f"known: {sorted(canonical_heights)}") from None
     arrays = scene_arrays(columns, prior_map)
     qs, keep, excluded = _ratio_votes(v0, arrays)
-    if not keep.any():
-        raise ValueError("all detections are degenerate (zero span or on horizon)")
     h_cam = weighted_median(heights[keep] / qs, arrays.weight[keep])
     return _finish("pgm-fixed", v0, arrays, keep, excluded, heights, h_cam,
                    ill_posed=False)
@@ -150,8 +144,6 @@ def pgm_full(v0: float, boxes,
         raise ValueError("no detections to estimate from")
     arrays = scene_arrays(columns, prior_map)
     qs, keep, excluded = _ratio_votes(v0, arrays)
-    if not keep.any():
-        raise ValueError("all detections are degenerate (zero span or on horizon)")
     mu, var = arrays.mu[keep], arrays.sigma[keep] ** 2
     mu_c, var_c = cam_height_prior.mean_m, cam_height_prior.sigma_m ** 2
     info = float(np.sum(qs * qs / var))

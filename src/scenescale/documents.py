@@ -135,6 +135,8 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{where}: must be an object")
     unknown = set(mapping) - allowed
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
@@ -143,9 +145,13 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise SchemaError(f"{where}: value out of range") from None
     if not math.isfinite(value):
         raise SchemaError(f"{where}: value must be finite, got {value!r}")
-    return float(value)
+    return value
 
 
 def parse_document(data: bytes | str) -> DetectionDocument:
@@ -334,6 +340,8 @@ def _detection_boxes(dets_raw: list) -> tuple[DetectionBox, ...]:
                 keypoints=keypoints,
                 weight=_number(det.get("weight", 1.0), f"{where}.weight"),
             ))
+        except SchemaError:
+            raise
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
     return tuple(detections)

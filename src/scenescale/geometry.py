@@ -23,6 +23,7 @@ cross-check of the closed forms.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,6 +234,38 @@ def project_tops_with_grads(camera: CameraParams, v_bottoms, heights):
     d_dhc = common * (d_num_dhc * den - num * d_den_dhc)
     d_dh = common * (-ct * den - num * st)
     return v_top, d_dhc, d_dh, hc * c
+
+
+_USABLE_SPAN_EPS = 1e-9  # shorter boxes carry no height
+_USABLE_BAND_EPS = 1e-6  # bottoms this close to the horizon carry no depth
+
+
+def usable_boxes(v0: float, v_tops, v_bottoms, depths=None):
+    """(mask, excluded) of the boxes an estimator can use, the rule all
+    methods share; `excluded` gives each other box's index and the first
+    reason it meets: "zero-span" (span under 1e-9), "bottom-on-horizon"
+    (within 1e-6 of v0), "bottom-above-horizon" and, given the bottoms'
+    ground depths, "bottom-behind-camera" (depth not finite and positive).
+    """
+    spans = np.subtract(v_bottoms, v_tops)
+    below = np.subtract(v_bottoms, v0)
+    mask = (below > _USABLE_BAND_EPS) & (np.abs(spans) >= _USABLE_SPAN_EPS)
+    if depths is not None:
+        mask &= (depths > 0) & (depths < np.inf)
+    return mask, tuple(
+        (i, "zero-span" if abs(spans[i]) < _USABLE_SPAN_EPS
+         else "bottom-on-horizon" if abs(below[i]) <= _USABLE_BAND_EPS
+         else "bottom-above-horizon" if below[i] < 0
+         else "bottom-behind-camera") for i in np.flatnonzero(~mask).tolist())
+
+
+def require_usable(excluded, n: int) -> None:
+    """Raise the ValueError of a scene none of whose `n` boxes is usable,
+    given the `excluded` pairs of `usable_boxes`."""
+    if len(excluded) == n:
+        reasons = Counter(reason for _, reason in excluded)
+        raise ValueError("no usable detections: " + ", ".join(
+            f"{count} {reason}" for reason, count in sorted(reasons.items())))
 
 
 # ---------------------------------------------------------------------------

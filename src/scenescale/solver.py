@@ -7,11 +7,14 @@ absolute scale comes from category size priors.  The pipeline:
      bottoms, the height prior of each box and its weight) from the
      detections' columns (`DetectionColumns`, the form a parsed document
      holds); every later stage reads it.
-  1. Initialize every object height at its category prior mean and the
-     camera height as the weighted median of per-object votes obtained by
-     inverting the linear horizon-ratio model.  Which objects can be
-     reprojected depends only on the camera's pitch and focal length, so
-     it is decided once here and carried in the solver state.
+  1. Decide once which objects are used (`classify_boxes`): the boxes
+     `geometry.usable_boxes` keeps at the camera's horizon whose bottoms
+     meet the ground in front of the camera.  This depends only on the
+     camera's pitch and focal length, so it is carried in the solver
+     state.  Initialize every object height at its category prior mean
+     and the camera height as the weighted median of the used objects'
+     votes, obtained by inverting the linear horizon-ratio model.  A
+     start whose total loss is infinite is refused with a ValueError.
   2. Run a fixed number of refinement layers.  Each layer takes one
      damped Gauss-Newton step on the total loss (L1 reprojection of the
      box tops + Gaussian prior penalty on upright heights) with
@@ -40,9 +43,6 @@ from . import geometry, priors
 from .geometry import CameraParams
 from .priors import CategoryPrior, KeypointSet
 
-_VOTE_SPAN_EPS = 1e-9     # |v_top - v_bottom| below this cannot vote
-_VOTE_HORIZON_EPS = 1e-6  # |v0 - v_bottom| below this cannot vote
-_HORIZON_EPS = 1e-9       # reprojection exclusion band around the horizon
 _IRLS_FLOOR = 1e-6        # residual magnitude floor for the L1 weights
 
 
@@ -164,10 +164,9 @@ class SceneState:
 
     upright_heights are the optimization variables; the actual heights
     used in reprojection are upright * ratio.  `active` marks objects
-    that participate in the loss (bottoms on the ground side of the
-    horizon and off the degenerate band).  `loss` is the state's total
-    loss when it is already known; `refine_layer` and the trace evaluate
-    it when None.
+    that participate in the loss (those `classify_boxes` keeps).  `loss`
+    is the state's total loss when it is already known; `refine_layer`
+    and the trace evaluate it when None.
     """
 
     camera: CameraParams
@@ -231,6 +230,10 @@ class SceneArrays:
 
     def __len__(self) -> int:
         return len(self.v_top)
+
+    def take(self, mask) -> "SceneArrays":
+        """The entries where `mask` is true."""
+        return SceneArrays(*(column[mask] for column in vars(self).values()))
 
 
 def weighted_median(values, weights) -> float:
@@ -307,66 +310,48 @@ def init_camera_height(v0: float, boxes,
 
     Each box votes h_cam = h * (v0 - v_bottom) / (v_top - v_bottom), the
     linear-model inversion with h the expected object height (category
-    prior mean unless explicit heights are given).  Votes are clamped to
-    the configured camera-height bounds.
+    prior mean unless explicit heights are given).  Only the boxes of
+    `geometry.usable_boxes` vote.  Votes are clamped to the configured
+    camera-height bounds.
     """
     config = config or RefinementConfig()
     if not len(boxes):
         raise ValueError("no detections to initialize from")
     arrays = scene_arrays(boxes, prior_map)
     heights = arrays.mu if heights_m is None else np.asarray(heights_m, float)
-    span = arrays.v_top - arrays.v_bottom
-    off = v0 - arrays.v_bottom
-    votes = (np.abs(span) >= _VOTE_SPAN_EPS) & (np.abs(off) > _VOTE_HORIZON_EPS)
-    if not votes.any():
-        raise ValueError(
-            "all detections are degenerate for initialization "
-            "(zero span or bottom on the horizon)")
+    votes, excluded = geometry.usable_boxes(v0, arrays.v_top, arrays.v_bottom)
+    geometry.require_usable(excluded, len(arrays))
     return weighted_median(
-        np.clip(heights[votes] * off[votes] / span[votes],
+        np.clip(heights[votes] * (v0 - arrays.v_bottom[votes])
+                / (arrays.v_top[votes] - arrays.v_bottom[votes]),
                 *config.cam_height_bounds),
         arrays.weight[votes])
 
 
 def classify_boxes(camera: CameraParams, boxes) -> tuple[tuple[bool, ...],
                                                          tuple[tuple[int, str], ...]]:
-    """Static reprojection eligibility of each box under this camera.
+    """Static reprojection eligibility of each box under this camera: the
+    rule of `geometry.usable_boxes` at the camera's horizon, given the
+    ground depth of each bottom.
 
-    Depends only on pitch/focal and the detected bottom, never on the
+    Depends only on pitch/focal and the detected box, never on the
     camera height, so it stays fixed across the whole solve.
     """
-    _, v_bottom = _v_columns(boxes)
+    v_top, v_bottom = _v_columns(boxes)
     with np.errstate(divide="ignore", invalid="ignore"):
         depth = geometry.depths_from_bottoms(camera, v_bottom)
-    active, excluded = _eligibility(camera, v_bottom, depth)
+    active, excluded = geometry.usable_boxes(
+        geometry.horizon_from_pitch(camera).v0, v_top, v_bottom, depth)
     return tuple(active.tolist()), excluded
-
-
-def _eligibility(camera: CameraParams, v_bottom, depth):
-    """(mask, excluded) of the boxes that can be reprojected, given the
-    ground depth of each bottom under this camera (any camera height).
-
-    A box is excluded when its bottom sits in the band around the
-    horizon, or when its depth is not finite and positive, which happens
-    iff the bottom ray points at or above the horizon.
-    """
-    v0 = geometry.horizon_from_pitch(camera).v0
-    on_horizon = np.abs(v_bottom - v0) <= _HORIZON_EPS
-    with np.errstate(invalid="ignore"):
-        active = ~on_horizon & np.isfinite(depth) & (depth > 0)
-    excluded = tuple(
-        (i, "bottom-on-horizon" if on_horizon[i] else "bottom-above-horizon")
-        for i in np.flatnonzero(~active).tolist())
-    return active, excluded
 
 
 def reprojection_loss(camera: CameraParams, heights_m, boxes) -> ReprojectionResult:
     """Signed v_top residuals of bottom-anchored objects and their L1 mean.
 
-    heights_m are actual heights, one per box.  Excluded (horizon-side)
-    objects get NaN residuals and do not enter the mean; which objects
-    are excluded is read off the depths the projection returns, by the
-    rule of `classify_boxes`.
+    heights_m are actual heights, one per box.  Excluded objects get NaN
+    residuals and do not enter the mean; which objects are excluded is
+    read off the depths the projection returns, by the rule of
+    `classify_boxes`.
     """
     v_top, v_bottom = _v_columns(boxes)
     if not len(v_top):
@@ -377,7 +362,8 @@ def reprojection_loss(camera: CameraParams, heights_m, boxes) -> ReprojectionRes
     with np.errstate(divide="ignore", invalid="ignore"):
         vt, _, _, depth = geometry.project_tops_with_grads(
             camera, v_bottom, heights_m)
-        active, excluded = _eligibility(camera, v_bottom, depth)
+        active, excluded = geometry.usable_boxes(
+            geometry.horizon_from_pitch(camera).v0, v_top, v_bottom, depth)
         residuals = np.where(active, v_top - vt, np.nan)
     if active.any():
         l_vt = float(np.mean(np.abs(residuals[active])))
@@ -558,15 +544,20 @@ def refine_layer(state: SceneState, boxes,
     return state
 
 
+def trace_rows(v_tops, v_bottoms, residuals, used) -> tuple[tuple, tuple]:
+    """LayerTrace `spans` and `residuals`: a box's values if used, else None."""
+    return (tuple((t, b) if u else None for t, b, u in zip(
+                v_tops.tolist(), v_bottoms.tolist(), used)),
+            tuple(r if u else None for r, u in zip(residuals.tolist(), used)))
+
+
 def _layer_trace(layer: int, state: SceneState, arrays: SceneArrays,
                  prior_map, config) -> LayerTrace:
     mask = np.asarray(state.active)
     actual = state.actual_heights()
     rep = reprojection_loss(state.camera, actual, arrays)
-    spans = tuple((t, b) if m else None for t, b, m in zip(
-        rep.v_tops.tolist(), arrays.v_bottom.tolist(), state.active))
-    residuals = tuple(r if m else None
-                      for r, m in zip(rep.residuals.tolist(), state.active))
+    spans, residuals = trace_rows(rep.v_tops, arrays.v_bottom, rep.residuals,
+                                  state.active)
     upright = np.asarray(state.upright_heights)[mask]
     pen = float(np.mean(priors.prior_penalty(
         upright, arrays.mu[mask], arrays.sigma[mask], config.prior_mode)))
@@ -605,22 +596,28 @@ def solve_scene(v0: float, fov_rad: float, boxes,
     upright0 = np.clip(arrays.mu, *config.object_height_bounds)
     actual0 = upright0 * np.asarray(ratios)
 
-    h_cam0 = init_camera_height(v0, arrays, prior_map, config,
-                                heights_m=actual0)
-
     focal = geometry.focal_from_fov(fov_rad, 1.0)
     pitch = geometry.pitch_from_horizon(v0, focal, 1.0, principal_v)
-    camera = CameraParams.from_fov(pitch, fov_rad, h_cam0, 1.0, 1.0,
+    camera = CameraParams.from_fov(pitch, fov_rad, 1.0, 1.0, 1.0,
                                    principal_v_px=principal_v)
     active, excluded = classify_boxes(camera, arrays)
-    if not any(active):
-        raise ValueError("every detection is horizon-degenerate; cannot solve")
+    geometry.require_usable(excluded, len(arrays))
+    # The boxes the layers use, and only those, vote for the camera height.
+    mask = np.asarray(active)
+    camera = replace(camera, cam_height_m=init_camera_height(
+        v0, arrays.take(mask), prior_map, config, heights_m=actual0[mask]))
 
     state = SceneState(camera=camera,
                        upright_heights=tuple(upright0.tolist()),
                        ratios=ratios,
                        active=active)
     trace = [_layer_trace(0, state, arrays, prior_map, config)]
+    if not math.isfinite(trace[0].total_loss):
+        # No refine step can leave a state of infinite loss.
+        raise ValueError(
+            "cannot start the refinement: at the initial camera height of "
+            f"{camera.cam_height_m:.6g} m some object top under its initial "
+            "height falls at or behind the camera plane")
     # From here on every state carries its loss: the trace's for this one,
     # the loss refine_layer accepted it on for the later ones.
     state = replace(state, loss=trace[0].total_loss)

@@ -133,7 +133,7 @@ def test_pgm_fixed_rejects_empty_and_all_degenerate():
         pgm_fixed_height(0.5, [])
     sliver = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.7,
                           v_bottom=0.7 + 1e-12, category="person")
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="no usable detections: 1 zero-span"):
         pgm_fixed_height(0.5, [sliver])
 
 

@@ -235,6 +235,69 @@ def test_malformed_document_reported_per_file(tmp_path, capsys):
     assert "1 of 1 documents failed" in err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("detections", 0, "box"), None),
+    (("image",), None),
+    (("ground_truth",), None),
+    (("detections", 0, "box", "v_top"), 10 ** 400),
+], ids=["null-box", "null-image", "null-ground-truth", "huge-int-coordinate"])
+def test_malformed_values_exit_one_naming_the_fault(tmp_path, capsys, path,
+                                                    value):
+    payload = json.loads((_FIXTURES / "scene_0000.json").read_text())
+    *parents, last = path
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = cli.main(["solve", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"bad.json: {path[0]}" in err
+    assert "internal error" not in err
+
+
+# A detection document whose cascade starts from an infinite total loss:
+# at the voted camera height the prior-mean heights put a top behind the
+# camera plane.
+_INFINITE_START = {
+    "schema_version": 1, "image": {"width_px": 640, "height_px": 480},
+    "calibration": {"fov_rad": 2.8503094815440826,
+                    "pitch_rad": -0.3703876717673018, "principal_v": 0.5},
+    "detections": [
+        {"category": "car",
+         "box": {"u_left": 0.6038566635902963, "u_right": 1.2943946805785584,
+                 "v_top": 0.10818828726609553,
+                 "v_bottom": 0.5528609508374057},
+         "weight": 1.0},
+        {"category": "car",
+         "box": {"u_left": 0.08819603179358793,
+                 "u_right": 0.44169558945851783,
+                 "v_top": 1.0716167859549675, "v_bottom": 1.5902661283173698},
+         "weight": 0.385740091654174}]}
+
+
+def test_cascade_with_an_infinite_starting_loss_exits_one(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(_INFINITE_START))
+    capsys.readouterr()
+    assert cli.main(["solve", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot start the refinement" in err
+    assert "not JSON compliant" not in err
+    assert not (tmp_path / "doc.results.json").exists()
+
+
+def test_cascade_with_an_infinite_starting_loss_raises():
+    doc = parse_document(json.dumps(_INFINITE_START))
+    with pytest.raises(ValueError, match="cannot start the refinement"):
+        solver.solve_scene(doc.calibration.horizon_v0(),
+                           doc.calibration.fov_rad, doc.columns,
+                           principal_v=doc.calibration.principal_v)
+
+
 def test_eval_without_ground_truth_fails(tmp_path, capsys):
     data = _synth(tmp_path, "data")
     single = data / "scene_0000.json"

@@ -515,6 +515,10 @@ _BREAKS = {
     "infinite-height": _set(("ground_truth", "object_heights_m", 0),
                             -math.inf),
     "huge-int-coordinate": _set(_BOX + ("v_bottom",), 10 ** 400),
+    "huge-int-width": _set(("image", "width_px"), 10 ** 400),
+    "null-box": _set(_DET + ("box",), None),
+    "null-image": _set(("image",), None),
+    "null-ground-truth": _set(("ground_truth",), None),
     "string-coordinate": _set(_BOX + ("u_right",), "0.9"),
     "missing-document-key": _delete(("image",)),
     "unknown-document-key": _set(("extra",), 1),
@@ -553,6 +557,21 @@ def test_column_parse_matches_on_each_schema_rule(name):
     raw = _skeleton_raw_doc()
     _BREAKS[name](raw)
     _assert_parses_agree(raw)
+
+
+@pytest.mark.parametrize("name, where", [
+    ("huge-int-coordinate", "detections[1]: value out of range"),
+    ("huge-int-width", "image.width_px: value out of range"),
+    ("null-box", "detections[1].box: must be an object"),
+    ("null-image", "image: must be an object"),
+    ("null-ground-truth", "ground_truth: must be an object"),
+])
+def test_malformed_values_raise_a_schema_error_naming_the_place(name, where):
+    raw = _skeleton_raw_doc()
+    _BREAKS[name](raw)
+    with pytest.raises(SchemaError) as info:
+        _parse(raw)
+    assert str(info.value).startswith(where)
 
 
 def test_document_forms_agree_and_are_immutable():

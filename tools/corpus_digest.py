@@ -1,0 +1,115 @@
+"""Digest of everything the CLI writes for a fixed set of seeded corpora.
+
+Runs, in process through `scenescale.cli.main`, with the package under
+this checkout's `src/`:
+
+  * `synth` three times: plain; with box, horizon and height-outlier
+    noise over people and cars; and with wide fields of view and steep
+    pitches;
+  * the committed fixture `tests/fixtures/scene_0000.json` as a fourth
+    corpus;
+  * `solve` of each corpus with each method, then `eval` and one
+    `overlay` of each solve.
+
+Prints one `sha256 path exit-code` line per output file and per
+command's stderr, in a fixed order, then `total sha256`.  Two checkouts
+that print the same total wrote the same bytes and exit codes.
+
+Usage: python tools/corpus_digest.py OUT   (OUT must not exist yet)
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from scenescale import cli  # noqa: E402
+
+SYNTH = {
+    "plain": [],
+    "noisy": ["--box-noise", "0.002", "--horizon-noise", "0.002",
+              "--outlier-rate", "0.1", "--categories", "person,car"],
+    "wide": ["--fov-max-deg", "120", "--pitch-max-deg", "40"],
+}
+METHODS = ("cascade", "pgm", "pgm-fixed")
+
+
+def _run(log: list, name: str, argv: list[str]) -> int:
+    """Run one CLI command; record its stderr as the output `name`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    log.append((name, err.getvalue().encode(), code))
+    return code
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 1
+    out = Path(args[0]).resolve()
+    try:
+        out.mkdir(parents=True)
+    except FileExistsError:
+        print(f"{out} already exists", file=sys.stderr)
+        return 1
+    # Relative paths keep the messages on stderr free of OUT.
+    os.chdir(out)
+    log: list[tuple[str, bytes, int]] = []
+    produced: dict[Path, int] = {}
+
+    def run(name, argv):
+        before = set(Path(".").rglob("*"))
+        code = _run(log, name, argv)
+        for path in set(Path(".").rglob("*")) - before:
+            if path.is_file():
+                produced[path] = code
+
+    corpora = []
+    for seed, (name, extra) in enumerate(SYNTH.items(), start=11):
+        run(f"{name}/synth.stderr",
+            ["synth", "--out", f"{name}/docs", "--scenes", "30",
+             "--objects", "6", "--seed", str(seed), *extra])
+        corpora.append(name)
+    Path("fixture/docs").mkdir(parents=True)
+    shutil.copyfile(REPO / "tests" / "fixtures" / "scene_0000.json",
+                    "fixture/docs/scene_0000.json")
+    corpora.append("fixture")
+
+    for name in corpora:
+        docs = f"{name}/docs"
+        for method in METHODS:
+            res = f"{name}/{method}"
+            run(f"{res}/solve.stderr",
+                ["solve", docs, "--method", method, "--out", res])
+            run(f"{res}/eval.stderr",
+                ["eval", "--results", res, "--truth", docs,
+                 "--out", f"{res}/eval.json", "--curve", f"{res}/curve.csv"])
+            run(f"{res}/overlay.stderr",
+                ["overlay", f"{docs}/scene_0000.json",
+                 f"{res}/scene_0000.results.json",
+                 "--out", f"{res}/scene_0000.svg"])
+
+    rows = [(name, data, code) for name, data, code in log]
+    rows += [(path.as_posix(), path.read_bytes(), code)
+             for path, code in produced.items()]
+    total = hashlib.sha256()
+    for name, data, code in sorted(rows):
+        line = f"{hashlib.sha256(data).hexdigest()} {name} {code}"
+        print(line)
+        total.update(line.encode() + b"\n")
+    print(f"total {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
