@@ -46,8 +46,9 @@ class CamHeightPrior:
     sigma_m: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.mean_m <= 0 or self.sigma_m <= 0:
-            raise ValueError("camera height prior must have positive mean/sigma")
+        if not (0 < self.mean_m < np.inf and 0 < self.sigma_m < np.inf):
+            raise ValueError(
+                "camera height prior must have positive, finite mean/sigma")
 
 
 def _ratio_votes(v0: float, arrays: SceneArrays):

@@ -49,15 +49,6 @@ def _load_config(path: str | None) -> ToolkitConfig:
     return config_from_yaml(Path(path).read_text(encoding="utf-8"))
 
 
-def _resolve_method(config: ToolkitConfig, override: str | None) -> ToolkitConfig:
-    if override is None:
-        return config
-    if override not in VALID_METHODS:
-        raise SchemaError(f"unknown method {override!r}; "
-                          f"valid methods: {', '.join(VALID_METHODS)}")
-    return dataclasses.replace(config, method=override)
-
-
 def _run_method(doc: DetectionDocument, config: ToolkitConfig):
     """Filter the document and dispatch to the configured estimator."""
     kept = filter_detections(doc, config.filters)
@@ -72,12 +63,9 @@ def _run_method(doc: DetectionDocument, config: ToolkitConfig):
     elif config.method == "pgm":
         estimate = baselines.pgm_full(v0, kept.columns, priors,
                                       config.cam_height_prior)
-    elif config.method == "pgm-fixed":
+    else:
         estimate = baselines.pgm_fixed_height(v0, kept.columns,
                                               config.canonical_map(), priors)
-    else:
-        raise SchemaError(f"unknown method {config.method!r}; "
-                          f"valid methods: {', '.join(VALID_METHODS)}")
     return estimate, kept
 
 
@@ -124,7 +112,9 @@ def _discover_inputs(path: Path) -> list[Path]:
 
 
 def _cmd_solve(args) -> int:
-    config = _resolve_method(_load_config(args.config), args.method)
+    config = _load_config(args.config)
+    if args.method is not None:
+        config = dataclasses.replace(config, method=args.method)
     if args.print_config:
         sys.stdout.write(config_to_yaml(config))
         return 0

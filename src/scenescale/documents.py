@@ -9,9 +9,13 @@ always serializes to identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
+import operator
+import typing
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -25,8 +29,8 @@ from .baselines import CamHeightPrior, CANONICAL_HEIGHTS
 from .metrics import GroundTruth
 from .priors import (CategoryPrior, KeypointSet, DEFAULT_PRIORS,
                      HEAD_KEYPOINT_NAMES)
-from .solver import (DetectionBox, DetectionColumns, LayerTrace,
-                     SceneEstimate, RefinementConfig, detection_columns)
+from .solver import (DetectionBox, DetectionColumns, SceneEstimate,
+                     RefinementConfig, detection_columns)
 
 SCHEMA_VERSION = 1
 
@@ -139,7 +143,7 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
         raise SchemaError(f"{where}: must be an object")
     unknown = set(mapping) - allowed
     if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown, key=str)}")
 
 
 def _number(value, where: str) -> float:
@@ -517,6 +521,143 @@ def flip_vertical_convention(doc: DetectionDocument) -> DetectionDocument:
 
 
 # ---------------------------------------------------------------------------
+# Dataclasses as plain values.
+#
+# `_to_plain` and `_from_plain` map a value to the mappings, lists and
+# scalars of YAML and JSON, and back, by its type:
+#   a dataclass                 a mapping of its fields; a field left out
+#                               keeps its default, or is missing if it has none
+#   tuple[tuple[str, X], ...]   a mapping keyed by name, in key order; a
+#                               dataclass X takes its `category` from the key
+#   tuple[X, ...], tuple[X, Y]  a list, of any length or of that length
+#   X | None                    null or an X
+#   bool, int, str              exactly that type
+#   float                       an int, a float or a numeric string (YAML
+#                               1.1 reads `1e-3` as a string), but not NaN
+
+_KEY_FIELD = "category"
+_NOT_NONE = functools.partial(operator.is_not, None)
+_EXPECTED = {bool: "true or false", int: "an integer", str: "a string",
+             float: "a number"}
+
+
+@functools.cache
+def _form(hint) -> tuple[str, object]:
+    """(kind, argument) of a type, in the terms of the table above:
+    mapping ((name, type, required) of each field), keyed (X), list (X),
+    row (the item types), optional (X) or scalar (the type)."""
+    if dataclasses.is_dataclass(hint):
+        hints, missing = typing.get_type_hints(hint), dataclasses.MISSING
+        return "mapping", tuple(
+            (f.name, hints[f.name],
+             f.default is missing and f.default_factory is missing)
+            for f in dataclasses.fields(hint))
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if args[-1] is not Ellipsis:
+            return "row", args
+        entry = typing.get_args(args[0])
+        if typing.get_origin(args[0]) is tuple and entry[0] is str:
+            return "keyed", entry[1]
+        return "list", args[0]
+    if type(None) in args:
+        return "optional", next(a for a in args if a is not type(None))
+    return "scalar", hint
+
+
+def _to_plain(value, hint, keyed: bool = False):
+    kind, arg = _form(hint)
+    if kind == "mapping":
+        return {name: _to_plain(getattr(value, name), t)
+                for name, t, _ in arg if not (keyed and name == _KEY_FIELD)}
+    if kind == "keyed":
+        return {key: _to_plain(item, arg, True) for key, item in value}
+    if kind in ("row", "list"):
+        items = arg if kind == "row" else [arg] * len(value)
+        return [_to_plain(v, t) for v, t in zip(value, items)]
+    if kind == "optional" and value is not None:
+        return _to_plain(value, arg)
+    return value
+
+
+def _from_plain(raw, hint, path: str, key: str | None = None):
+    """`raw` read as a value of type `hint`; SchemaError naming the path of
+    the first fault, from `path` down.  `key` is the name a keyed mapping
+    holds the value under."""
+    kind, arg = _form(hint)
+    if kind == "scalar":
+        value = raw
+        if arg is float and type(raw) in (float, int, str):
+            try:
+                value = float(raw)
+            except (ValueError, OverflowError):  # not numeric, or too large
+                pass
+        if type(value) is arg and value == value:  # not NaN
+            return value
+        raise SchemaError(f"{path}: expected {_EXPECTED[arg]}, got {raw!r}")
+    if kind == "optional":
+        return None if raw is None else _from_plain(raw, arg, path)
+    if kind in ("row", "list"):
+        if (type(raw) is not list and type(raw) is not tuple
+                or kind == "row" and len(raw) != len(arg)):
+            size = f" of {len(arg)}" if kind == "row" else ""
+            raise SchemaError(f"{path}: expected a list{size}, got {raw!r}")
+        whole = _whole_list(raw, arg) if kind == "list" else None
+        items = arg if kind == "row" else [arg] * len(raw)
+        return whole if whole is not None else tuple(
+            _from_plain(v, t, f"{path}[{i}]")
+            for i, (v, t) in enumerate(zip(raw, items)))
+    if type(raw) is not dict:
+        raise SchemaError(f"{path}: expected a mapping, got {raw!r}")
+    if kind == "keyed":
+        names = sorted(_from_plain(name, str, path) for name in raw)
+        return tuple((name, _from_plain(raw[name], arg, f"{path}.{name}",
+                                        name)) for name in names)
+    fields = [f for f in arg if key is None or f[0] != _KEY_FIELD]
+    _check_keys(raw, {name for name, _, _ in fields}, path)
+    kwargs = {} if key is None else {_KEY_FIELD: key}
+    for name, t, required in fields:
+        if name in raw:
+            kwargs[name] = _from_plain(raw[name], t, f"{path}.{name}")
+        elif required:
+            raise SchemaError(f"{path}: missing required key '{name}'")
+    try:
+        return hint(**kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def _whole_list(raw: list, item) -> tuple | None:
+    """`raw` read as a `tuple[item, ...]` by checks on the whole list, for
+    an item that is an int, a float or a row of floats, each perhaps None;
+    None when `_from_plain` must read it entry by entry, as it must a
+    fault, an int or a string in place of a float, or an infinity.  A
+    finite sum shows that every float is finite."""
+    kind, arg = _form(item)
+    present = raw
+    if kind == "optional":
+        present = list(filter(_NOT_NONE, raw))
+        kind, arg = _form(arg)
+    if kind == "row":
+        if (set(arg) != {float} or not set(map(type, present)) <= {list}
+                or not set(map(len, present)) <= {len(arg)}):
+            return None
+        values, flat = map(tuple, present), list(chain.from_iterable(present))
+        arg = float
+    elif arg is int or arg is float:
+        values = flat = present
+    else:
+        return None
+    if not set(map(type, flat)) <= {arg} or (
+            arg is float and not math.isfinite(sum(flat))):
+        return None
+    if len(present) == len(raw):
+        return tuple(values)
+    values = iter(values)
+    return tuple(None if v is None else next(values) for v in raw)
+
+
+# ---------------------------------------------------------------------------
 # Result documents.
 
 @dataclass(frozen=True)
@@ -576,40 +717,14 @@ def parse_results(data: bytes | str) -> ResultsDocument:
     if _require(raw, "schema_version", "results") != SCHEMA_VERSION:
         raise SchemaError("unsupported results schema_version")
     est_raw = _require(raw, "estimate", "results")
-    _check_keys(est_raw, {"cam_height_m", "heights_m", "upright_heights_m",
-                          "upright_ratios", "excluded", "converged",
-                          "ill_posed", "trace"}, "estimate")
-    try:
-        trace = tuple(LayerTrace(
-            layer=t["layer"],
-            cam_height_m=t["cam_height_m"],
-            heights_m=tuple(t["heights_m"]),
-            l_vt=t["l_vt"],
-            prior_loss=t["prior_loss"],
-            total_loss=t["total_loss"],
-            spans=tuple(None if s is None else (s[0], s[1])
-                        for s in t["spans"]),
-            residuals=tuple(t["residuals"]),
-        ) for t in est_raw["trace"])
-        estimate = SceneEstimate(
-            method=_require(raw, "method", "results"),
-            cam_height_m=est_raw["cam_height_m"],
-            heights_m=tuple(est_raw["heights_m"]),
-            upright_heights_m=tuple(est_raw["upright_heights_m"]),
-            upright_ratios=tuple(est_raw["upright_ratios"]),
-            excluded=tuple((i, reason) for i, reason in est_raw["excluded"]),
-            converged=bool(est_raw["converged"]),
-            ill_posed=bool(est_raw["ill_posed"]),
-            trace=trace,
-        )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise SchemaError(f"malformed estimate: {exc!r}") from None
-    indices = raw.get("source_indices")
-    return ResultsDocument(
-        estimate=estimate,
-        config_hash=raw.get("config_hash", ""),
-        source_indices=None if indices is None else tuple(indices),
-    )
+    # The method of the estimate is written at the root.
+    _check_keys(est_raw, {name for name, _, _ in _form(SceneEstimate)[1]}
+                - {"method"}, "estimate")
+    plain = {key: raw[key] for key in ("config_hash", "source_indices")
+             if key in raw}
+    plain["estimate"] = {**est_raw, "method": _from_plain(
+        _require(raw, "method", "results"), str, "results.method")}
+    return _from_plain(plain, ResultsDocument, "results")
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +834,17 @@ class OverlayConfig:
     reference_height_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.reference_height_m <= 0:
-            raise ValueError("reference height must be positive")
+        if not 0 < self.reference_height_m < math.inf:
+            raise ValueError("reference height must be positive and finite")
+
+
+VALID_METHODS = ("cascade", "pgm", "pgm-fixed")
 
 
 @dataclass(frozen=True)
 class ToolkitConfig:
-    """Everything configurable about the pipeline, in one place."""
+    """Everything configurable about the pipeline, in one place.  The
+    types of its fields and of its sections' fields define the YAML form."""
 
     method: str = "cascade"
     priors: tuple[tuple[str, CategoryPrior], ...] = tuple(
@@ -737,6 +856,15 @@ class ToolkitConfig:
     filters: FilterConfig = FilterConfig()
     overlay: OverlayConfig = OverlayConfig()
 
+    def __post_init__(self) -> None:
+        if self.method not in VALID_METHODS:
+            raise SchemaError(f"unknown method {self.method!r}; "
+                              f"valid methods: {', '.join(VALID_METHODS)}")
+        for category, height in self.canonical_heights:
+            if not 0 < height < math.inf:
+                raise ValueError(f"canonical height of {category!r} must be "
+                                 f"positive and finite, got {height}")
+
     def prior_map(self) -> dict[str, CategoryPrior]:
         return dict(self.priors)
 
@@ -744,154 +872,15 @@ class ToolkitConfig:
         return dict(self.canonical_heights)
 
 
-VALID_METHODS = ("cascade", "pgm", "pgm-fixed")
-
-
 def config_to_dict(config: ToolkitConfig) -> dict:
-    return {
-        "method": config.method,
-        "priors": {cat: {"mean_m": p.mean_m, "sigma_m": p.sigma_m}
-                   for cat, p in config.priors},
-        "canonical_heights": {cat: h for cat, h in config.canonical_heights},
-        "cam_height_prior": {"mean_m": config.cam_height_prior.mean_m,
-                             "sigma_m": config.cam_height_prior.sigma_m},
-        "refine": {
-            "num_layers": config.refine.num_layers,
-            "reprojection_weight": config.refine.reprojection_weight,
-            "prior_weight": config.refine.prior_weight,
-            "damping": config.refine.damping,
-            "max_backtracks": config.refine.max_backtracks,
-            "loss_tolerance": config.refine.loss_tolerance,
-            "prior_mode": config.refine.prior_mode,
-            "cam_height_bounds": list(config.refine.cam_height_bounds),
-            "object_height_bounds": list(config.refine.object_height_bounds),
-            "use_upright_ratio": config.refine.use_upright_ratio,
-        },
-        "filters": {
-            "aspect_range": {cat: list(rng)
-                             for cat, rng in config.filters.aspect_range},
-            "box_height_range": list(config.filters.box_height_range),
-            "require_keypoint_visibility":
-                config.filters.require_keypoint_visibility,
-        },
-        "overlay": {"reference_height_m": config.overlay.reference_height_m},
-    }
-
-
-def _pair(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SchemaError(f"{where}: expected [low, high]")
-    return float(value[0]), float(value[1])
+    """The config as plain mappings, lists and scalars."""
+    return _to_plain(config, ToolkitConfig)
 
 
 def config_from_dict(raw: dict) -> ToolkitConfig:
-    """Build a config from a plain mapping; unknown keys anywhere are errors."""
-    if not isinstance(raw, dict):
-        raise SchemaError("config root must be a mapping")
-    _check_keys(raw, {"method", "priors", "canonical_heights",
-                      "cam_height_prior", "refine", "filters", "overlay"},
-                "config")
-    default = ToolkitConfig()
-    method = raw.get("method", default.method)
-    if method not in VALID_METHODS:
-        raise SchemaError(
-            f"unknown method {method!r}; valid methods: {', '.join(VALID_METHODS)}")
-
-    priors_t = default.priors
-    if "priors" in raw:
-        if not isinstance(raw["priors"], dict):
-            raise SchemaError("config.priors must be a mapping")
-        entries = []
-        for cat, spec in sorted(raw["priors"].items()):
-            _check_keys(spec, {"mean_m", "sigma_m"}, f"priors.{cat}")
-            try:
-                entries.append((cat, CategoryPrior(
-                    cat, float(_require(spec, "mean_m", f"priors.{cat}")),
-                    float(_require(spec, "sigma_m", f"priors.{cat}")))))
-            except ValueError as exc:
-                raise SchemaError(f"priors.{cat}: {exc}") from None
-        priors_t = tuple(entries)
-
-    canonical_t = default.canonical_heights
-    if "canonical_heights" in raw:
-        if not isinstance(raw["canonical_heights"], dict):
-            raise SchemaError("config.canonical_heights must be a mapping")
-        canonical_t = tuple(sorted(
-            (cat, float(h)) for cat, h in raw["canonical_heights"].items()))
-
-    chp = default.cam_height_prior
-    if "cam_height_prior" in raw:
-        spec = raw["cam_height_prior"]
-        _check_keys(spec, {"mean_m", "sigma_m"}, "cam_height_prior")
-        try:
-            chp = CamHeightPrior(float(spec.get("mean_m", chp.mean_m)),
-                                 float(spec.get("sigma_m", chp.sigma_m)))
-        except ValueError as exc:
-            raise SchemaError(f"cam_height_prior: {exc}") from None
-
-    refine = default.refine
-    if "refine" in raw:
-        spec = dict(raw["refine"])
-        _check_keys(spec, {"num_layers", "reprojection_weight", "prior_weight",
-                           "damping", "max_backtracks", "loss_tolerance",
-                           "prior_mode", "cam_height_bounds",
-                           "object_height_bounds", "use_upright_ratio"},
-                    "refine")
-        kwargs = {}
-        for key in ("num_layers", "max_backtracks"):
-            if key in spec:
-                kwargs[key] = int(spec[key])
-        for key in ("reprojection_weight", "prior_weight", "damping",
-                    "loss_tolerance"):
-            if key in spec:
-                kwargs[key] = float(spec[key])
-        if "prior_mode" in spec:
-            kwargs["prior_mode"] = str(spec["prior_mode"])
-        for key in ("cam_height_bounds", "object_height_bounds"):
-            if key in spec:
-                kwargs[key] = _pair(spec[key], f"refine.{key}")
-        if "use_upright_ratio" in spec:
-            kwargs["use_upright_ratio"] = bool(spec["use_upright_ratio"])
-        try:
-            refine = RefinementConfig(**kwargs)
-        except ValueError as exc:
-            raise SchemaError(f"refine: {exc}") from None
-
-    filters = default.filters
-    if "filters" in raw:
-        spec = raw["filters"]
-        _check_keys(spec, {"aspect_range", "box_height_range",
-                           "require_keypoint_visibility"}, "filters")
-        aspect = filters.aspect_range
-        if "aspect_range" in spec:
-            if not isinstance(spec["aspect_range"], dict):
-                raise SchemaError("filters.aspect_range must be a mapping")
-            aspect = tuple(sorted(
-                (cat, _pair(rng, f"filters.aspect_range.{cat}"))
-                for cat, rng in spec["aspect_range"].items()))
-        filters = FilterConfig(
-            aspect_range=aspect,
-            box_height_range=_pair(spec["box_height_range"],
-                                   "filters.box_height_range")
-            if "box_height_range" in spec else filters.box_height_range,
-            require_keypoint_visibility=bool(
-                spec.get("require_keypoint_visibility",
-                         filters.require_keypoint_visibility)),
-        )
-
-    overlay = default.overlay
-    if "overlay" in raw:
-        spec = raw["overlay"]
-        _check_keys(spec, {"reference_height_m"}, "overlay")
-        try:
-            overlay = OverlayConfig(float(
-                spec.get("reference_height_m", overlay.reference_height_m)))
-        except ValueError as exc:
-            raise SchemaError(f"overlay: {exc}") from None
-
-    return ToolkitConfig(method=method, priors=priors_t,
-                         canonical_heights=canonical_t, cam_height_prior=chp,
-                         refine=refine, filters=filters, overlay=overlay)
+    """Build a config from a plain mapping, keeping the default of each key
+    left out; SchemaError naming the path of the first fault."""
+    return _from_plain(raw, ToolkitConfig, "config")
 
 
 def config_to_yaml(config: ToolkitConfig) -> str:

@@ -57,6 +57,9 @@ def render_overlay(doc: DetectionDocument, estimate: SceneEstimate,
         raise ValueError(
             f"{len(source_indices)} source indices for "
             f"{len(estimate.heights_m)} estimated heights")
+    if not all(0 <= i < len(doc.detections) for i in source_indices):
+        raise ValueError("source indices out of range for "
+                         f"{len(doc.detections)} detections")
 
     cal = doc.calibration
     v0 = cal.horizon_v0()
@@ -77,7 +80,7 @@ def render_overlay(doc: DetectionDocument, estimate: SceneEstimate,
     ]
 
     excluded = {i for i, _ in estimate.excluded}
-    spans = estimate.trace[-1].spans if estimate.trace else ()
+    spans = estimate.trace[-1].spans
     for slot, det_idx in enumerate(source_indices):
         det = doc.detections[det_idx]
         x = det.u_left * height

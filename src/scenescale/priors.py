@@ -41,10 +41,9 @@ class CategoryPrior:
     sigma_m: float
 
     def __post_init__(self) -> None:
-        if self.mean_m <= 0:
-            raise ValueError(f"prior mean must be positive, got {self.mean_m}")
-        if self.sigma_m <= 0:
-            raise ValueError(f"prior sigma must be positive, got {self.sigma_m}")
+        if not (0 < self.mean_m < math.inf and 0 < self.sigma_m < math.inf):
+            raise ValueError("prior mean and sigma must be positive and finite, "
+                             f"got {self.mean_m} and {self.sigma_m}")
 
 
 DEFAULT_PRIORS = {

@@ -144,10 +144,12 @@ class RefinementConfig:
     use_upright_ratio: bool = True     # posture-correct heights via keypoints
 
     def __post_init__(self) -> None:
-        if self.num_layers < 0:
-            raise ValueError("num_layers must be >= 0")
-        if self.reprojection_weight < 0 or self.prior_weight < 0:
-            raise ValueError("loss weights must be >= 0")
+        if self.num_layers < 0 or self.max_backtracks < 0:
+            raise ValueError("num_layers and max_backtracks must be >= 0")
+        for name in ("reprojection_weight", "prior_weight", "damping",
+                     "loss_tolerance"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.prior_mode not in ("density", "log_density"):
             raise ValueError(f"unknown prior mode {self.prior_mode!r}")
         lo, hi = self.cam_height_bounds
@@ -206,6 +208,10 @@ class SceneEstimate:
     converged: bool
     ill_posed: bool
     trace: tuple[LayerTrace, ...]
+
+    def __post_init__(self) -> None:
+        if not self.trace:
+            raise ValueError("trace must hold at least one layer")
 
 
 class ReprojectionResult(NamedTuple):

@@ -9,7 +9,9 @@ import pytest
 import yaml
 
 from scenescale import cli, solver
-from scenescale.documents import VALID_METHODS, parse_document, parse_results
+from scenescale.documents import (ToolkitConfig, VALID_METHODS,
+                                  config_digest, config_from_yaml,
+                                  parse_document, parse_results)
 from scenescale.priors import COCO_KEYPOINT_NAMES
 
 _FIXTURES = Path(__file__).parent / "fixtures"
@@ -189,6 +191,184 @@ def test_config_file_round_trip(tmp_path, capsys):
     parsed = yaml.safe_load(capsys.readouterr().out)
     assert parsed["method"] == "pgm-fixed"
     assert parsed["refine"]["num_layers"] == 2
+
+
+# A config that sets every section, and the printout and digest it had
+# before the typed config reader replaced the hand-written one.
+_EVERY_SECTION = """\
+method: pgm-fixed
+priors:
+  person: {mean_m: 1.75, sigma_m: 0.1}
+  bike: {mean_m: 1.1, sigma_m: 0.2}
+canonical_heights: {person: 1.72, bike: 1}
+cam_height_prior: {mean_m: 2, sigma_m: 0.75}
+refine:
+  num_layers: 2
+  reprojection_weight: 0.5
+  prior_weight: 0.2
+  damping: 1e-3
+  max_backtracks: 7
+  loss_tolerance: 1.0e-8
+  prior_mode: density
+  cam_height_bounds: [0.2, 40]
+  object_height_bounds: [0.3, 5.5]
+  use_upright_ratio: false
+filters:
+  aspect_range: {}
+  box_height_range: [0.02, 0.9]
+  require_keypoint_visibility: false
+overlay: {reference_height_m: 1.5}
+"""
+_EVERY_SECTION_PRINTED = """\
+cam_height_prior:
+  mean_m: 2.0
+  sigma_m: 0.75
+canonical_heights:
+  bike: 1.0
+  person: 1.72
+filters:
+  aspect_range: {}
+  box_height_range:
+  - 0.02
+  - 0.9
+  require_keypoint_visibility: false
+method: pgm-fixed
+overlay:
+  reference_height_m: 1.5
+priors:
+  bike:
+    mean_m: 1.1
+    sigma_m: 0.2
+  person:
+    mean_m: 1.75
+    sigma_m: 0.1
+refine:
+  cam_height_bounds:
+  - 0.2
+  - 40.0
+  damping: 0.001
+  loss_tolerance: 1.0e-08
+  max_backtracks: 7
+  num_layers: 2
+  object_height_bounds:
+  - 0.3
+  - 5.5
+  prior_mode: density
+  prior_weight: 0.2
+  reprojection_weight: 0.5
+  use_upright_ratio: false
+"""
+
+
+def test_print_config_of_every_section_is_pinned(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(_EVERY_SECTION)
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", str(cfg_path),
+                     "--print-config"]) == 0
+    assert capsys.readouterr().out == _EVERY_SECTION_PRINTED
+    assert config_digest(config_from_yaml(_EVERY_SECTION)) == (
+        "09c673ab82e4d356001ad8d642637dbaaf381c7428f733697af0d47701fe2c64")
+    assert config_digest(ToolkitConfig()) == (
+        "b20829af5a0c9292af5cb935bb58df2f0849f2185ccfbf5cafd3a5a017bf2072")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("refine: 5", "config.refine: expected a mapping"),
+    ("refine: [1]", "config.refine: expected a mapping"),
+    ("canonical_heights: {person: [1]}",
+     "config.canonical_heights.person: expected a number"),
+    ("cam_height_prior: {mean_m: [1]}",
+     "config.cam_height_prior.mean_m: expected a number"),
+    ("overlay: {reference_height_m: null}",
+     "config.overlay.reference_height_m: expected a number"),
+    ("filters: {box_height_range: [[1], [2]]}",
+     "config.filters.box_height_range[0]: expected a number"),
+    ("priors: {person: {mean_m: [1], sigma_m: 1}}",
+     "config.priors.person.mean_m: expected a number"),
+    ("refine: {num_layers: 2.7}",
+     "config.refine.num_layers: expected an integer, got 2.7"),
+    ("refine: {use_upright_ratio: 'no'}",
+     "config.refine.use_upright_ratio: expected true or false"),
+    ("priors: {person: {mean_m: .nan, sigma_m: 0.09}}",
+     "config.priors.person.mean_m: expected a number, got nan"),
+    ("canonical_heights: {person: -1.7, car: 1.59}",
+     "config: canonical height of 'person' must be positive"),
+    ("refine: {damping: .nan}",
+     "config.refine.damping: expected a number, got nan"),
+    ("refine: {damping: -0.5}", "config.refine: damping must be finite"),
+    ("refine: {max_backtracks: -1}",
+     "config.refine: num_layers and max_backtracks must be >= 0"),
+    ("cam_height_prior: {sigma_m: .inf}",
+     "config.cam_height_prior: camera height prior must have positive"),
+    ("refine: {1: 2, foo: 3}", "config.refine: unknown keys [1, 'foo']"),
+])
+def test_malformed_config_exits_one_naming_the_path(tmp_path, capsys, text,
+                                                    where):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(text + "\n")
+    capsys.readouterr()
+    rc = cli.main(["solve", "--config", str(cfg_path), "--print-config"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert f"error: {where}" in captured.err
+
+
+def _set_item(*path_and_value):
+    *path, key, value = path_and_value
+
+    def change(raw):
+        node = raw
+        for step in path:
+            node = node[step]
+        node[key] = value
+    return change
+
+
+@pytest.mark.parametrize("command", ["eval", "overlay"])
+@pytest.mark.parametrize("change, where", [
+    (_set_item("estimate", "cam_height_m", "a"),
+     "results.estimate.cam_height_m: expected a number"),
+    (_set_item("estimate", "cam_height_m", None),
+     "results.estimate.cam_height_m: expected a number"),
+    (_set_item("estimate", "heights_m", "abc"),
+     "results.estimate.heights_m: expected a list"),
+    (_set_item("estimate", "trace", -1, "residuals", "abc"),
+     "results.estimate.trace[3].residuals: expected a list"),
+    (_set_item("source_indices", ["a", "b", "c", "d"]),
+     "results.source_indices[0]: expected an integer"),
+    (_set_item("source_indices", 5),
+     "results.source_indices: expected a list"),
+    (_set_item("estimate", "trace", []),
+     "results.estimate: trace must hold at least one layer"),
+], ids=["cam-str", "cam-null", "heights-str", "residuals-str",
+        "indices-str", "indices-int", "trace-empty"])
+def test_malformed_results_exit_one_naming_the_path(tmp_path, capsys,
+                                                    command, change, where):
+    raw = json.loads((_FIXTURES / "scene_0000.results.json").read_text())
+    change(raw)
+    bad = tmp_path / "scene_0000.results.json"
+    bad.write_text(json.dumps(raw))
+    doc = str(_FIXTURES / "scene_0000.json")
+    argv = {"eval": ["eval", "--results", str(bad), "--truth",
+                     str(_FIXTURES)],
+            "overlay": ["overlay", doc, str(bad), "--out",
+                        str(tmp_path / "out.svg")]}[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert f"error: {where}" in capsys.readouterr().err
+
+
+def test_overlay_with_a_source_index_out_of_range_exits_one(tmp_path, capsys):
+    raw = json.loads((_FIXTURES / "scene_0000.results.json").read_text())
+    raw["source_indices"][0] = 99
+    bad = tmp_path / "scene_0000.results.json"
+    bad.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["overlay", str(_FIXTURES / "scene_0000.json"), str(bad),
+                     "--out", str(tmp_path / "out.svg")]) == 1
+    assert "error: source indices out of range" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

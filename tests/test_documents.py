@@ -22,10 +22,12 @@ from scenescale.documents import (CalibrationInput, DetectionDocument,
                                   config_to_yaml, emit_document, emit_results,
                                   filter_detections, flip_vertical_convention,
                                   parse_document, parse_results)
+from scenescale.baselines import CamHeightPrior
 from scenescale.metrics import GroundTruth
 from scenescale.priors import (COCO_KEYPOINT_NAMES, HEAD_KEYPOINT_NAMES,
-                               KeypointSet)
-from scenescale.solver import DetectionBox, detection_columns, solve_scene
+                               CategoryPrior, KeypointSet)
+from scenescale.solver import (DetectionBox, RefinementConfig,
+                               detection_columns, solve_scene)
 
 
 def _raw_doc() -> dict:
@@ -841,3 +843,185 @@ def test_config_empty_yaml_gives_defaults():
 def test_overlay_config_validation():
     with pytest.raises(ValueError):
         OverlayConfig(reference_height_m=0.0)
+
+
+_NAMES = st.text(alphabet="abz019_- .:'\"#", min_size=1, max_size=6)
+_POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
+_NONNEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
+_UPPER = st.one_of(_POSITIVE, st.just(math.inf))
+_BOUNDS = st.tuples(_POSITIVE, _UPPER).filter(lambda b: b[0] < b[1])
+_RANGE = st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False))
+
+
+def _keyed(values, build=lambda name, value: value):
+    return st.dictionaries(_NAMES, values, max_size=3).map(
+        lambda d: tuple((k, build(k, d[k])) for k in sorted(d)))
+
+
+_CONFIGS = st.builds(
+    ToolkitConfig,
+    method=st.sampled_from(VALID_METHODS),
+    priors=_keyed(st.tuples(_POSITIVE, _POSITIVE),
+                  lambda name, ms: CategoryPrior(name, *ms)),
+    canonical_heights=_keyed(_POSITIVE),
+    cam_height_prior=st.builds(CamHeightPrior, _POSITIVE, _POSITIVE),
+    refine=st.builds(
+        RefinementConfig, num_layers=st.integers(0, 10),
+        reprojection_weight=_NONNEGATIVE, prior_weight=_NONNEGATIVE,
+        damping=_NONNEGATIVE, max_backtracks=st.integers(0, 50),
+        loss_tolerance=_NONNEGATIVE,
+        prior_mode=st.sampled_from(["density", "log_density"]),
+        cam_height_bounds=_BOUNDS, object_height_bounds=_BOUNDS,
+        use_upright_ratio=st.booleans()),
+    filters=st.builds(FilterConfig, aspect_range=_keyed(_RANGE),
+                      box_height_range=_RANGE,
+                      require_keypoint_visibility=st.booleans()),
+    overlay=st.builds(OverlayConfig, _POSITIVE))
+
+
+@given(config=_CONFIGS)
+@settings(deadline=None, max_examples=150)
+def test_config_yaml_round_trip_of_any_config(config):
+    text = config_to_yaml(config)
+    assert config_from_yaml(text) == config
+    assert config_to_yaml(config_from_yaml(text)) == text
+
+
+def test_config_reads_numeric_strings_and_infinite_bounds():
+    # YAML 1.1 reads 1e-3, without a dot, as a string.
+    config = config_from_yaml(
+        "refine: {damping: 1e-3, cam_height_bounds: [1, .inf]}\n"
+        "filters: {aspect_range: {person: [1.2, .inf]}}\n")
+    assert config.refine.damping == 0.001
+    assert config.refine.cam_height_bounds == (1.0, math.inf)
+    assert type(config.refine.cam_height_bounds[0]) is float
+    assert config.filters.aspect_range == (("person", (1.2, math.inf)),)
+
+
+@pytest.mark.parametrize("raw, where", [
+    ({"refine": {"damping": math.nan}},
+     "config.refine.damping: expected a number"),
+    ({"refine": {"damping": "fast"}},
+     "config.refine.damping: expected a number"),
+    ({"refine": {"damping": True}},
+     "config.refine.damping: expected a number"),
+    ({"refine": {"damping": 10 ** 400}},
+     "config.refine.damping: expected a number"),
+    ({"refine": {"num_layers": 2.0}},
+     "config.refine.num_layers: expected an integer"),
+    ({"refine": {"use_upright_ratio": 1}},
+     "config.refine.use_upright_ratio: expected true or false"),
+    ({"refine": {"prior_mode": None}},
+     "config.refine.prior_mode: expected a string"),
+    ({"refine": {"cam_height_bounds": [1.0]}},
+     "config.refine.cam_height_bounds: expected a list of 2"),
+    ({"priors": {"person": {"mean_m": 1.7}}},
+     "config.priors.person: missing required key 'sigma_m'"),
+    ({"priors": {"person": {"category": "car", "mean_m": 1.7,
+                            "sigma_m": 0.1}}},
+     "config.priors.person: unknown keys ['category']"),
+    ({"priors": {5: {"mean_m": 1.7, "sigma_m": 0.1}}},
+     "config.priors: expected a string"),
+    ({"filters": []}, "config.filters: expected a mapping"),
+    ({"method": "ransac"}, "config: unknown method 'ransac'"),
+])
+def test_config_errors_name_the_path(raw, where):
+    with pytest.raises(SchemaError) as info:
+        config_from_dict(raw)
+    assert str(info.value).startswith(where)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CategoryPrior("person", math.nan, 0.1),
+    lambda: CategoryPrior("person", 1.7, math.inf),
+    lambda: CamHeightPrior(mean_m=math.inf),
+    lambda: CamHeightPrior(sigma_m=math.nan),
+    lambda: RefinementConfig(damping=math.nan),
+    lambda: RefinementConfig(prior_weight=math.inf),
+    lambda: RefinementConfig(loss_tolerance=-1e-3),
+    lambda: RefinementConfig(max_backtracks=-1),
+    lambda: OverlayConfig(reference_height_m=math.inf),
+    lambda: ToolkitConfig(canonical_heights=(("person", -1.7),)),
+    lambda: ToolkitConfig(canonical_heights=(("car", math.nan),)),
+    lambda: ToolkitConfig(method="ransac"),
+])
+def test_config_sections_reject_values_out_of_their_domain(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+# Whole-list reads of a results file against reading entry by entry.
+_ENTRIES = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.text(max_size=2), st.floats(),
+                     st.lists(st.floats(), max_size=3))
+
+
+@pytest.mark.parametrize("item", [
+    float, int, float | None, tuple[float, float] | None, tuple[float, float]])
+@given(raw=st.one_of(
+    st.lists(_ENTRIES, max_size=6),
+    st.lists(st.one_of(st.none(), st.floats()), max_size=6),
+    st.lists(st.one_of(st.none(), st.lists(st.floats(), min_size=2,
+                                           max_size=2)), max_size=6)))
+@settings(deadline=None, max_examples=200)
+def test_whole_list_reads_as_entry_by_entry(item, raw):
+    whole = documents._whole_list(raw, item)
+    try:
+        one_by_one = tuple(documents._from_plain(v, item, "x") for v in raw)
+    except SchemaError:
+        assert whole is None
+        return
+    assert whole is None or whole == one_by_one
+    if whole is not None:
+        assert list(map(type, whole)) == list(map(type, one_by_one))
+
+
+def _results_raw() -> dict:
+    doc = _parse(_raw_doc())
+    est = solve_scene(doc.calibration.horizon_v0(), doc.calibration.fov_rad,
+                      doc.detections)
+    return json.loads(emit_results(est, source_indices=[0, 1]))
+
+
+def test_parse_results_reads_gaps_and_integers():
+    raw = _results_raw()
+    layer = raw["estimate"]["trace"][-1]
+    layer["residuals"][0] = None
+    layer["spans"][1] = None
+    raw["estimate"]["heights_m"][0] = 2
+    res = parse_results(json.dumps(raw))
+    trace = res.estimate.trace[-1]
+    assert trace.residuals[0] is None and trace.residuals[1] is not None
+    assert trace.spans[1] is None
+    assert trace.spans[0] == tuple(layer["spans"][0])
+    assert res.estimate.heights_m[0] == 2.0
+    assert type(res.estimate.heights_m[0]) is float
+
+
+@pytest.mark.parametrize("change, where", [
+    (lambda r: r["estimate"].update(cam_height_m="a"),
+     "results.estimate.cam_height_m: expected a number"),
+    (lambda r: r["estimate"].update(converged=1),
+     "results.estimate.converged: expected true or false"),
+    (lambda r: r["estimate"]["trace"][0].update(layer=0.0),
+     "results.estimate.trace[0].layer: expected an integer"),
+    (lambda r: r["estimate"]["trace"][0]["spans"].__setitem__(1, [0.5]),
+     "results.estimate.trace[0].spans[1]: expected a list of 2"),
+    (lambda r: r["estimate"]["heights_m"].__setitem__(1, math.nan),
+     "results.estimate.heights_m[1]: expected a number"),
+    (lambda r: r["estimate"].update(excluded=[[0, 5]]),
+     "results.estimate.excluded[0][1]: expected a string"),
+    (lambda r: r["estimate"].update(method="cascade"),
+     "estimate: unknown keys ['method']"),
+    (lambda r: r.update(source_indices=[0, True]),
+     "results.source_indices[1]: expected an integer"),
+    (lambda r: r.update(config_hash=None),
+     "results.config_hash: expected a string"),
+    (lambda r: r.update(method=5), "results.method: expected a string"),
+])
+def test_parse_results_errors_name_the_path(change, where):
+    raw = _results_raw()
+    change(raw)
+    with pytest.raises(SchemaError) as info:
+        parse_results(json.dumps(raw))
+    assert str(info.value).startswith(where)

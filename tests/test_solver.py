@@ -399,6 +399,26 @@ def test_arrow_step_matches_the_dense_solve(k, mode):
                                    rtol=1e-9)
 
 
+@pytest.mark.parametrize("mode", ["density", "log_density"])
+@pytest.mark.parametrize("k", [1, 2, 50, 2000])
+def test_arrow_gradient_is_the_loss_gradient(k, mode):
+    # Off the IRLS floor each weight is 1/|r|, so the model's gradient
+    # (g0, g1) is the gradient of the L1 loss itself.
+    rng = np.random.default_rng([k, len(mode), 8])
+    for _ in range(3 if k < 2000 else 1):
+        config, state, arrays = _arrow_case(rng, k, mode)
+        mask = np.asarray(state.active)
+        vt = project_tops_with_grads(
+            state.camera, arrays.v_bottom,
+            np.asarray(state.upright_heights) * np.asarray(state.ratios))[0]
+        assert np.all(np.abs(arrays.v_top - vt) >= 1e-6)
+        _, _, _, g0, g1 = solver._arrow_system(state, arrays, config, mask)
+        np.testing.assert_allclose(
+            np.concatenate(([g0], g1)),
+            total_loss_gradient(state, arrays, config=config),
+            rtol=1e-12, atol=1e-15)
+
+
 def _assert_finite_or_unchanged(state, out):
     assert out is state or (
         math.isfinite(out.camera.cam_height_m)

@@ -9,7 +9,9 @@ this checkout's `src/`:
   * the committed fixture `tests/fixtures/scene_0000.json` as a fourth
     corpus;
   * `solve` of each corpus with each method, then `eval` and one
-    `overlay` of each solve.
+    `overlay` of each solve;
+  * the same for the noisy corpus under a `--config` that sets every
+    section (`CONFIG`), so the digest covers the results' `config_hash`.
 
 Prints one `sha256 path exit-code` line per output file and per
 command's stderr, in a fixed order, then `total sha256`.  Two checkouts
@@ -40,6 +42,16 @@ SYNTH = {
     "wide": ["--fov-max-deg", "120", "--pitch-max-deg", "40"],
 }
 METHODS = ("cascade", "pgm", "pgm-fixed")
+CONFIG = """\
+priors:
+  person: {mean_m: 1.75, sigma_m: 0.1}
+  car: {mean_m: 1.5, sigma_m: 0.25}
+canonical_heights: {person: 1.72, car: 1.5}
+cam_height_prior: {mean_m: 2, sigma_m: 0.75}
+refine: {num_layers: 2, prior_weight: 0.2, damping: 1e-2, prior_mode: density}
+filters: {aspect_range: {}, box_height_range: [0.02, 0.95]}
+overlay: {reference_height_m: 1.5}
+"""
 
 
 def _run(log: list, name: str, argv: list[str]) -> int:
@@ -85,19 +97,22 @@ def main(argv=None) -> int:
                     "fixture/docs/scene_0000.json")
     corpora.append("fixture")
 
-    for name in corpora:
+    Path("config.yaml").write_text(CONFIG)
+    solves = [(name, method, f"{name}/{method}", [])
+              for name in corpora for method in METHODS]
+    solves += [("noisy", method, f"noisy/config-{method}",
+                ["--config", "config.yaml"]) for method in METHODS]
+    for name, method, res, config in solves:
         docs = f"{name}/docs"
-        for method in METHODS:
-            res = f"{name}/{method}"
-            run(f"{res}/solve.stderr",
-                ["solve", docs, "--method", method, "--out", res])
-            run(f"{res}/eval.stderr",
-                ["eval", "--results", res, "--truth", docs,
-                 "--out", f"{res}/eval.json", "--curve", f"{res}/curve.csv"])
-            run(f"{res}/overlay.stderr",
-                ["overlay", f"{docs}/scene_0000.json",
-                 f"{res}/scene_0000.results.json",
-                 "--out", f"{res}/scene_0000.svg"])
+        run(f"{res}/solve.stderr",
+            ["solve", docs, "--method", method, "--out", res, *config])
+        run(f"{res}/eval.stderr",
+            ["eval", "--results", res, "--truth", docs,
+             "--out", f"{res}/eval.json", "--curve", f"{res}/curve.csv"])
+        run(f"{res}/overlay.stderr",
+            ["overlay", f"{docs}/scene_0000.json",
+             f"{res}/scene_0000.results.json",
+             "--out", f"{res}/scene_0000.svg", *config])
 
     rows = [(name, data, code) for name, data, code in log]
     rows += [(path.as_posix(), path.read_bytes(), code)
