@@ -17,8 +17,8 @@ Both take a box list or a `DetectionColumns` and read the scene's
 `SceneArrays`, so every box needs a height prior.  Both use the boxes
 `geometry.usable_boxes` keeps, the rule the cascade shares, and report
 each other box in `excluded` with its reason; a scene with no usable box
-raises ValueError.  Box weights enter only the median of
-`pgm_fixed_height`.
+raises ValueError.  A box's weight counts its vote in the median of
+`pgm_fixed_height` and its height prior in `pgm_full`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import numpy as np
 from . import geometry, priors
 from .priors import CategoryPrior
 from .solver import (LayerTrace, SceneArrays, SceneEstimate,
-                     detection_columns, scene_arrays, trace_rows,
-                     weighted_median)
+                     detection_columns, scene_arrays, trace_rows)
 
 _INFO_EPS = 1e-12  # below this the posterior carries no object information
 
@@ -49,6 +48,21 @@ class CamHeightPrior:
         if not (0 < self.mean_m < np.inf and 0 < self.sigma_m < np.inf):
             raise ValueError(
                 "camera height prior must have positive, finite mean/sigma")
+
+
+def weighted_median(values, weights) -> float:
+    """Weighted median; lower of the two middles at even total weight."""
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if v.size == 0:
+        raise ValueError("weighted_median of empty data")
+    if np.any(w <= 0):
+        raise ValueError("weights must be positive")
+    order = np.argsort(v, kind="stable")
+    v, w = v[order], w[order]
+    cum = np.cumsum(w)
+    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
+    return float(v[idx])
 
 
 def _ratio_votes(v0: float, arrays: SceneArrays):
@@ -130,14 +144,12 @@ def pgm_full(v0: float, boxes,
 
     Zero reprojection ties each height to the camera height, h_i = q_i *
     h_cam with q_i the box span over the horizon offset.  The log
-    posterior is then quadratic in h_cam, with the closed-form maximum
-
-        h_cam = (sum q_i mu_i / s_i^2 + mu_c / s_c^2)
-                / (sum q_i^2 / s_i^2 + 1 / s_c^2).
-
-    Degenerate boxes keep their prior mean height.  The estimate is
-    flagged ill-posed when the boxes carry no information on the scale.
-    The reported reprojection loss is identically zero by construction.
+    posterior, each box's height prior counted `weight` times, is then
+    quadratic in h_cam; `priors.scale_map`, which the cascade starts from
+    too, gives its maximum in closed form.  Excluded boxes keep their
+    prior mean height.  The estimate is flagged ill-posed when the boxes
+    carry no information on the scale.  The reported reprojection loss is
+    identically zero by construction.
     """
     cam_height_prior = cam_height_prior or CamHeightPrior()
     columns = detection_columns(boxes)
@@ -145,11 +157,8 @@ def pgm_full(v0: float, boxes,
         raise ValueError("no detections to estimate from")
     arrays = scene_arrays(columns, prior_map)
     qs, keep, excluded = _ratio_votes(v0, arrays)
-    mu, var = arrays.mu[keep], arrays.sigma[keep] ** 2
-    mu_c, var_c = cam_height_prior.mean_m, cam_height_prior.sigma_m ** 2
-    info = float(np.sum(qs * qs / var))
-    h_cam = float((np.sum(qs * mu / var) + mu_c / var_c)
-                  / (info + 1.0 / var_c))
+    h_cam, info = priors.scale_map(qs, arrays.mu[keep], arrays.sigma[keep],
+                                   arrays.weight[keep], cam_height_prior)
     heights = arrays.mu.copy()
     heights[keep] = qs * h_cam
     return _finish("pgm", v0, arrays, keep, excluded, heights, h_cam,

@@ -740,6 +740,13 @@ class FilterConfig:
     box_height_range: tuple[float, float] = (0.05, 0.95)
     require_keypoint_visibility: bool = True  # head+ankle for keypointed persons
 
+    def __post_init__(self) -> None:
+        for name, (low, high) in (("box_height_range", self.box_height_range),
+                                  *(("aspect_range." + category, pair)
+                                    for category, pair in self.aspect_range)):
+            if not low <= high:
+                raise ValueError(f"{name}: low {low} is above high {high}")
+
 
 @dataclass(frozen=True)
 class Rejection:

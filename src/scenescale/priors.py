@@ -221,3 +221,21 @@ def prior_curvature(heights_m, mu, sigma, mode: str):
     if mode == "log_density":
         return np.ones_like(h) / sigma ** 2
     raise _unknown_mode(mode)
+
+
+def scale_map(q, mu, sigma, weight, prior=None) -> tuple[float, float]:
+    """(h, info): the MAP scale of heights q_i * h under the priors
+    N(mu_i, sigma_i^2), each counted weight_i times, and under the Gaussian
+    `prior` over h (`mean_m`, `sigma_m`) if given.  In closed form,
+    h = (sum w q mu / sigma^2 + mu_c / sigma_c^2)
+        / (sum w q^2 / sigma^2 + 1 / sigma_c^2), the camera terms only
+    with a prior; info = sum w q^2 / sigma^2.  Unit weights change no bit.
+    """
+    var = sigma ** 2
+    wq = weight * q
+    info = float(np.sum(wq * q / var))
+    num = np.sum(wq * mu / var)
+    if prior is None:
+        return float(num / info), info
+    var_c = prior.sigma_m ** 2
+    return float((num + prior.mean_m / var_c) / (info + 1.0 / var_c)), info

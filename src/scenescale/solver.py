@@ -11,10 +11,10 @@ absolute scale comes from category size priors.  The pipeline:
      `geometry.usable_boxes` keeps at the camera's horizon whose bottoms
      meet the ground in front of the camera.  This depends only on the
      camera's pitch and focal length, so it is carried in the solver
-     state.  Initialize every object height at its category prior mean
-     and the camera height as the weighted median of the used objects'
-     votes, obtained by inverting the linear horizon-ratio model.  A
-     start whose total loss is infinite is refused with a ValueError.
+     state.  Start from the closed form (`init_camera_height`): with each
+     used object's top on its detected top, the height priors fix the
+     camera height (`priors.scale_map`), and each object starts at the
+     height that camera height implies for it.
   2. Run a fixed number of refinement layers.  Each layer takes one
      damped Gauss-Newton step on the total loss (L1 reprojection of the
      box tops + Gaussian prior penalty on upright heights) with
@@ -237,25 +237,6 @@ class SceneArrays:
     def __len__(self) -> int:
         return len(self.v_top)
 
-    def take(self, mask) -> "SceneArrays":
-        """The entries where `mask` is true."""
-        return SceneArrays(*(column[mask] for column in vars(self).values()))
-
-
-def weighted_median(values, weights) -> float:
-    """Weighted median; lower of the two middles at even total weight."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.size == 0:
-        raise ValueError("weighted_median of empty data")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    cum = np.cumsum(w)
-    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(v[idx])
-
 
 def _v_columns(boxes) -> tuple[np.ndarray, np.ndarray]:
     """(v_top, v_bottom) arrays of a box list, a DetectionColumns or a
@@ -308,30 +289,34 @@ def box_ratios(boxes, config: RefinementConfig | None = None) -> tuple[float, ..
     return tuple(out)
 
 
-def init_camera_height(v0: float, boxes,
-                       prior_map: dict[str, CategoryPrior] | None = None,
-                       config: RefinementConfig | None = None,
-                       heights_m=None) -> float:
-    """Initial camera height: weighted median of per-object votes.
+def init_camera_height(camera: CameraParams, arrays: SceneArrays, ratios,
+                       active, config: RefinementConfig
+                       ) -> tuple[float, np.ndarray]:
+    """Layer 0 of the cascade: (camera height, upright heights) to start at.
 
-    Each box votes h_cam = h * (v0 - v_bottom) / (v_top - v_bottom), the
-    linear-model inversion with h the expected object height (category
-    prior mean unless explicit heights are given).  Only the boxes of
-    `geometry.usable_boxes` vote.  Votes are clamped to the configured
-    camera-height bounds.
+    With its top on the detected top, an `active` box has the upright
+    height q_i * h_cam, q_i its `geometry.heights_from_spans` at `camera`'s
+    pitch and a camera height of 1, over its posture ratio.  h_cam is the
+    `priors.scale_map` of the active boxes with q_i > 0, clipped to its
+    bounds; they start at q_i * h_cam, the others at their prior mean,
+    clipped to the object-height bounds.
     """
-    config = config or RefinementConfig()
-    if not len(boxes):
-        raise ValueError("no detections to initialize from")
-    arrays = scene_arrays(boxes, prior_map)
-    heights = arrays.mu if heights_m is None else np.asarray(heights_m, float)
-    votes, excluded = geometry.usable_boxes(v0, arrays.v_top, arrays.v_bottom)
-    geometry.require_usable(excluded, len(arrays))
-    return weighted_median(
-        np.clip(heights[votes] * (v0 - arrays.v_bottom[votes])
-                / (arrays.v_top[votes] - arrays.v_bottom[votes]),
-                *config.cam_height_bounds),
-        arrays.weight[votes])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = geometry.heights_from_spans(
+            replace(camera, cam_height_m=1.0), arrays.v_top, arrays.v_bottom
+        ) / np.asarray(ratios)
+    used = np.flatnonzero(np.asarray(active) & (q > 0) & (q < np.inf))
+    if not used.size:
+        raise ValueError(
+            "no usable detection fixes the scale: the ray through the top of "
+            f"each of the {int(np.sum(active))} usable boxes points straight "
+            "up or backward")
+    h_cam, _ = priors.scale_map(q[used], arrays.mu[used], arrays.sigma[used],
+                                arrays.weight[used])
+    h_cam = float(np.clip(h_cam, *config.cam_height_bounds))
+    upright = arrays.mu.copy()
+    upright[used] = q[used] * h_cam
+    return h_cam, np.clip(upright, *config.object_height_bounds)
 
 
 def classify_boxes(camera: CameraParams, boxes) -> tuple[tuple[bool, ...],
@@ -599,31 +584,17 @@ def solve_scene(v0: float, fov_rad: float, boxes,
 
     ratios = box_ratios(columns, config)
     arrays = scene_arrays(columns, prior_map)
-    upright0 = np.clip(arrays.mu, *config.object_height_bounds)
-    actual0 = upright0 * np.asarray(ratios)
-
     focal = geometry.focal_from_fov(fov_rad, 1.0)
     pitch = geometry.pitch_from_horizon(v0, focal, 1.0, principal_v)
     camera = CameraParams.from_fov(pitch, fov_rad, 1.0, 1.0, 1.0,
                                    principal_v_px=principal_v)
     active, excluded = classify_boxes(camera, arrays)
     geometry.require_usable(excluded, len(arrays))
-    # The boxes the layers use, and only those, vote for the camera height.
-    mask = np.asarray(active)
-    camera = replace(camera, cam_height_m=init_camera_height(
-        v0, arrays.take(mask), prior_map, config, heights_m=actual0[mask]))
-
-    state = SceneState(camera=camera,
-                       upright_heights=tuple(upright0.tolist()),
-                       ratios=ratios,
-                       active=active)
+    cam_height, upright0 = init_camera_height(camera, arrays, ratios, active,
+                                              config)
+    state = SceneState(replace(camera, cam_height_m=cam_height),
+                       tuple(upright0.tolist()), ratios, active)
     trace = [_layer_trace(0, state, arrays, prior_map, config)]
-    if not math.isfinite(trace[0].total_loss):
-        # No refine step can leave a state of infinite loss.
-        raise ValueError(
-            "cannot start the refinement: at the initial camera height of "
-            f"{camera.cam_height_m:.6g} m some object top under its initial "
-            "height falls at or behind the camera plane")
     # From here on every state carries its loss: the trace's for this one,
     # the loss refine_layer accepted it on for the later ones.
     state = replace(state, loss=trace[0].total_loss)
@@ -640,13 +611,8 @@ def solve_scene(v0: float, fov_rad: float, boxes,
 
     final = trace[-1]
     return SceneEstimate(
-        method="cascade",
-        cam_height_m=final.cam_height_m,
+        method="cascade", cam_height_m=final.cam_height_m,
         heights_m=final.heights_m,
         upright_heights_m=tuple(float(h) for h in state.upright_heights),
-        upright_ratios=ratios,
-        excluded=excluded,
-        converged=converged,
-        ill_posed=False,
-        trace=tuple(trace),
-    )
+        upright_ratios=ratios, excluded=excluded, converged=converged,
+        ill_posed=False, trace=tuple(trace))

@@ -6,6 +6,7 @@ Scenes here are therefore built at pitch zero (exact recovery expected)
 or checked against closed forms derived independently below.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from scenescale.baselines import (CANONICAL_HEIGHTS, CamHeightPrior,
 from scenescale.geometry import (CameraParams, GroundObject,
                                  horizon_from_pitch, project_vertical)
 from scenescale.priors import DEFAULT_PRIORS, CategoryPrior
-from scenescale.solver import DetectionBox, init_camera_height
+from scenescale.solver import DetectionBox, RefinementConfig, solve_scene
 
 
 def _camera(cam_height=1.6, fov_deg=60.0) -> CameraParams:
@@ -82,21 +83,6 @@ def test_pgm_fixed_heights_stay_canonical():
     assert est.heights_m == (1.70, 1.59)
     assert est.upright_heights_m == est.heights_m
     assert est.upright_ratios == (1.0, 1.0)
-
-
-def test_pgm_fixed_matches_solver_initialization():
-    # The cascade initialization uses prior means, which equal the
-    # canonical heights, so the two estimates coincide when no vote hits
-    # the camera-height bounds.
-    camera = _camera(cam_height=1.8)
-    v0 = horizon_from_pitch(camera).v0
-    boxes = [_box_for(camera, d, h, c) for d, h, c in
-             [(4.0, 1.55, "person"), (7.0, 1.8, "person"),
-              (11.0, 1.62, "car"), (16.0, 1.71, "person")]]
-    est = pgm_fixed_height(v0, boxes)
-    # Same votes, associativity aside: h*off/span vs h/(span/off).
-    assert est.cam_height_m == pytest.approx(init_camera_height(v0, boxes),
-                                             rel=1e-15)
 
 
 def test_pgm_fixed_vote_is_weighted_median():
@@ -260,3 +246,33 @@ def test_pgm_full_custom_camera_prior_shifts_estimate():
     lo = pgm_full(v0, [box], cam_height_prior=CamHeightPrior(1.0, 0.1))
     hi = pgm_full(v0, [box], cam_height_prior=CamHeightPrior(5.0, 0.1))
     assert lo.cam_height_m < hi.cam_height_m
+
+
+def test_pgm_full_counts_a_weight_two_box_as_two_boxes():
+    camera = _camera(cam_height=2.1)
+    v0 = horizon_from_pitch(camera).v0
+    a = _box_for(camera, 5.0, 1.55, "person")
+    b = _box_for(camera, 9.0, 1.62, "car")
+    heavy = dataclasses.replace(a, weight=2.0)
+    weighted = pgm_full(v0, [heavy, b])
+    twice = pgm_full(v0, [a, a, b])
+    assert weighted.cam_height_m == pytest.approx(twice.cam_height_m,
+                                                  rel=1e-14)
+    assert weighted.cam_height_m != pytest.approx(
+        pgm_full(v0, [a, b]).cam_height_m, rel=1e-6)
+
+
+def test_pgm_full_and_the_cascade_start_share_the_closed_form():
+    # At pitch zero the linear model is exact, so with pgm's camera prior
+    # made flat the two estimators solve the same problem.
+    camera = _camera(cam_height=2.4)
+    v0 = horizon_from_pitch(camera).v0
+    boxes = [_box_for(camera, d, h, c, w) for d, h, c, w in
+             [(5.0, 1.78, "person", 1.0), (8.0, 1.52, "car", 0.5),
+              (12.0, 1.66, "person", 3.0)]]
+    flat = CamHeightPrior(sigma_m=1e12)
+    start = solve_scene(v0, camera.fov_rad, boxes,
+                        config=RefinementConfig(num_layers=0))
+    est = pgm_full(v0, boxes, cam_height_prior=flat)
+    assert start.cam_height_m == pytest.approx(est.cam_height_m, rel=1e-9)
+    np.testing.assert_allclose(start.heights_m, est.heights_m, rtol=1e-9)

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in-process against cli.main."""
 
 import json
+import math
 import os
 import stat
 from pathlib import Path
@@ -302,6 +303,8 @@ def test_print_config_of_every_section_is_pinned(tmp_path, capsys):
     ("cam_height_prior: {sigma_m: .inf}",
      "config.cam_height_prior: camera height prior must have positive"),
     ("refine: {1: 2, foo: 3}", "config.refine: unknown keys [1, 'foo']"),
+    ("filters: {box_height_range: [0.9, 0.1]}",
+     "config.filters: box_height_range: low 0.9 is above high 0.1"),
 ])
 def test_malformed_config_exits_one_naming_the_path(tmp_path, capsys, text,
                                                     where):
@@ -439,10 +442,11 @@ def test_malformed_values_exit_one_naming_the_fault(tmp_path, capsys, path,
     assert "internal error" not in err
 
 
-# A detection document whose cascade starts from an infinite total loss:
-# at the voted camera height the prior-mean heights put a top behind the
-# camera plane.
-_INFINITE_START = {
+# A steep, very wide view (fov 163 deg, pitch -21 deg).  The linear
+# model's camera height with every object at its prior mean puts a top
+# behind the camera plane here; the closed-form start puts the usable
+# box's top on its detected top.
+_STEEP_WIDE = {
     "schema_version": 1, "image": {"width_px": 640, "height_px": 480},
     "calibration": {"fov_rad": 2.8503094815440826,
                     "pitch_rad": -0.3703876717673018, "principal_v": 0.5},
@@ -459,23 +463,30 @@ _INFINITE_START = {
          "weight": 0.385740091654174}]}
 
 
-def test_cascade_with_an_infinite_starting_loss_exits_one(tmp_path, capsys):
+def test_cascade_solves_a_document_the_old_start_refused(tmp_path, capsys):
     doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(_INFINITE_START))
-    capsys.readouterr()
-    assert cli.main(["solve", str(doc)]) == 1
-    err = capsys.readouterr().err
-    assert "cannot start the refinement" in err
-    assert "not JSON compliant" not in err
-    assert not (tmp_path / "doc.results.json").exists()
+    doc.write_text(json.dumps(_STEEP_WIDE))
+    out = tmp_path / "doc.results.json"
+    blobs = []
+    for _ in range(2):
+        assert cli.main(["solve", str(doc)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+    est = json.loads(blobs[0])["estimate"]
+    assert est["cam_height_m"] == pytest.approx(0.777033, abs=1e-6)
+    assert est["excluded"] == [[1, "bottom-behind-camera"]]
 
 
-def test_cascade_with_an_infinite_starting_loss_raises():
-    doc = parse_document(json.dumps(_INFINITE_START))
-    with pytest.raises(ValueError, match="cannot start the refinement"):
-        solver.solve_scene(doc.calibration.horizon_v0(),
-                           doc.calibration.fov_rad, doc.columns,
-                           principal_v=doc.calibration.principal_v)
+def test_cascade_start_of_a_document_the_old_start_refused_is_exact():
+    doc = parse_document(json.dumps(_STEEP_WIDE))
+    est = solver.solve_scene(doc.calibration.horizon_v0(),
+                             doc.calibration.fov_rad, doc.columns,
+                             principal_v=doc.calibration.principal_v)
+    start = est.trace[0]
+    assert all(map(math.isfinite, [start.total_loss, est.cam_height_m,
+                                   *est.heights_m]))
+    assert start.l_vt <= 1e-12
+    assert est.heights_m[0] == pytest.approx(1.59, rel=1e-12)
 
 
 def test_eval_without_ground_truth_fails(tmp_path, capsys):

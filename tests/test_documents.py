@@ -656,12 +656,15 @@ def _filter_cases(draw):
     def bound(on_a_box, lo, hi):
         return draw(st.one_of(st.sampled_from(on_a_box), st.floats(lo, hi)))
 
+    # FilterConfig takes a range only with low <= high.
     aspect_range = tuple(sorted(
-        (category, (bound(aspects, 0.0, 3.0), bound(aspects, 0.5, 10.0)))
+        (category, tuple(sorted((bound(aspects, 0.0, 3.0),
+                                 bound(aspects, 0.5, 10.0)))))
         for category in draw(st.sets(st.sampled_from(["person", "car"])))))
     filters = FilterConfig(
         aspect_range=aspect_range,
-        box_height_range=(bound(heights, 0.0, 0.5), bound(heights, 0.3, 1.0)),
+        box_height_range=tuple(sorted((bound(heights, 0.0, 0.5),
+                                       bound(heights, 0.3, 1.0)))),
         require_keypoint_visibility=draw(st.booleans()))
     v0 = bound([b.v_bottom for b in boxes], 0.0, 2.0)
     doc = DetectionDocument(640.0, 480.0, CalibrationInput(fov_rad=1.0, v0=v0),
@@ -850,7 +853,8 @@ _POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
 _NONNEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
 _UPPER = st.one_of(_POSITIVE, st.just(math.inf))
 _BOUNDS = st.tuples(_POSITIVE, _UPPER).filter(lambda b: b[0] < b[1])
-_RANGE = st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False))
+_RANGE = st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)
+                   ).map(lambda r: tuple(sorted(r)))  # low <= high
 
 
 def _keyed(values, build=lambda name, value: value):
@@ -948,6 +952,22 @@ def test_config_errors_name_the_path(raw, where):
 def test_config_sections_reject_values_out_of_their_domain(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("filters, message", [
+    ({"box_height_range": [0.9, 0.1]},
+     "config.filters: box_height_range: low 0.9 is above high 0.1"),
+    ({"aspect_range": {"person": [1.2, 6.0], "car": [3.0, 0.5]}},
+     "config.filters: aspect_range.car: low 3.0 is above high 0.5"),
+])
+def test_inverted_filter_ranges_are_rejected_naming_the_range(filters,
+                                                              message):
+    with pytest.raises(SchemaError) as info:
+        config_from_dict({"filters": filters})
+    assert str(info.value) == message
+    # Empty ranges are a choice, not a mistake.
+    config_from_dict({"filters": {"box_height_range": [0.3, 0.3],
+                                  "aspect_range": {"car": [2.0, 2.0]}}})
 
 
 # Whole-list reads of a results file against reading entry by entry.

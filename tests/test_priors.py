@@ -10,7 +10,7 @@ from scenescale.priors import (COCO_KEYPOINT_NAMES, CategoryPrior,
                                DEFAULT_PRIORS, KeypointSet,
                                MissingKeypointsError, _gaussian_pdf,
                                prior_curvature, prior_penalty,
-                               prior_penalty_grad, upright_ratio)
+                               prior_penalty_grad, scale_map, upright_ratio)
 
 PERSON = DEFAULT_PRIORS["person"]
 CAR = DEFAULT_PRIORS["car"]
@@ -224,3 +224,37 @@ def test_single_visible_shoulder_suffices():
 def test_keypoint_set_requires_seventeen_points():
     with pytest.raises(ValueError):
         KeypointSet(((0.0, 0.0, 0.0),) * 5)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form scale.
+
+_SCALE_BOXES = dict(q=np.array([0.9, 1.3, 0.45, 2.2]),
+                    mu=np.array([1.70, 1.59, 1.70, 1.59]),
+                    sigma=np.array([0.09, 0.21, 0.09, 0.21]),
+                    weight=np.array([1.0, 0.5, 2.0, 1.5]))
+
+
+@pytest.mark.parametrize("prior", [None, CategoryPrior("camera", 1.6, 0.5),
+                                   CategoryPrior("camera", 4.0, 0.05)])
+def test_scale_map_matches_a_grid_search(prior):
+    q, mu, sigma, w = _SCALE_BOXES.values()
+    grid = np.arange(0.2, 8.0, 1e-4)
+    log_post = -0.5 * np.sum(w * (np.outer(grid, q) - mu) ** 2 / sigma ** 2,
+                             axis=1)
+    if prior is not None:
+        log_post -= 0.5 * (grid - prior.mean_m) ** 2 / prior.sigma_m ** 2
+    h, info = scale_map(q, mu, sigma, w, prior)
+    assert abs(h - grid[np.argmax(log_post)]) < 1e-4
+    assert info == pytest.approx(np.sum(w * q * q / sigma ** 2), rel=1e-15)
+
+
+def test_scale_map_unit_weights_keep_every_bit():
+    # pgm's bytes rest on this: the weight multiplies first, and by 1 exactly.
+    q, mu, sigma, _ = _SCALE_BOXES.values()
+    prior = CategoryPrior("camera", 1.6, 0.5)
+    var = sigma ** 2
+    info = float(np.sum(q * q / var))
+    expect = float((np.sum(q * mu / var) + prior.mean_m / prior.sigma_m ** 2)
+                   / (info + 1.0 / prior.sigma_m ** 2))
+    assert scale_map(q, mu, sigma, np.ones(4), prior) == (expect, info)

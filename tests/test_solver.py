@@ -1,7 +1,8 @@
 """Scene solver tests: initialization, losses, refinement, full solves.
 
-Scenes below are built either by hand at pitch zero (where votes are
-exact) or through the synthetic generator with known ground truth.
+Scenes below are built either by hand (at pitch zero the linear
+horizon-ratio model is exact) or through the synthetic generator with
+known ground truth.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scenescale import geometry, solver, synth
+from scenescale.baselines import weighted_median
 from scenescale.geometry import CameraParams, GroundObject, \
     horizon_from_pitch, project_tops_with_grads, project_vertical
 from scenescale.priors import (DEFAULT_PRIORS, COCO_KEYPOINT_NAMES,
@@ -21,8 +23,7 @@ from scenescale.priors import (DEFAULT_PRIORS, COCO_KEYPOINT_NAMES,
 from scenescale.solver import (DetectionBox, RefinementConfig, SceneState,
                                box_ratios, classify_boxes, init_camera_height,
                                refine_layer, reprojection_loss, scene_arrays,
-                               solve_scene, total_loss, total_loss_gradient,
-                               weighted_median)
+                               solve_scene, total_loss, total_loss_gradient)
 
 
 def _box_for(camera: CameraParams, depth: float, height: float,
@@ -51,7 +52,7 @@ def _scene_inputs(seed: int, n_objects: int = 5, noise=None,
 
 
 # ---------------------------------------------------------------------------
-# Weighted median.
+# Weighted median (the vote of baselines.pgm_fixed_height).
 
 def test_weighted_median_odd():
     assert weighted_median([3.0, 1.0, 2.0], [1.0, 1.0, 1.0]) == 2.0
@@ -111,7 +112,6 @@ def test_helpers_accept_box_lists_and_scene_arrays_alike():
     state = _state_for(cam, boxes, [1.8, 1.5, 1.6])
     heights = [1.8, 1.5, 1.6]
     assert classify_boxes(cam, arrays) == classify_boxes(cam, boxes)
-    assert init_camera_height(0.4, arrays) == init_camera_height(0.4, boxes)
     assert total_loss(state, arrays) == total_loss(state, boxes)
     np.testing.assert_array_equal(total_loss_gradient(state, arrays),
                                   total_loss_gradient(state, boxes))
@@ -125,48 +125,111 @@ def test_helpers_accept_box_lists_and_scene_arrays_alike():
 # ---------------------------------------------------------------------------
 # Initialization.
 
+def _start(camera: CameraParams, boxes, ratios=None,
+           config: RefinementConfig = RefinementConfig()):
+    """The cascade's start for `boxes` under `camera`'s pitch and focal
+    length, the way solve_scene calls it."""
+    arrays = scene_arrays(boxes)
+    active, excluded = classify_boxes(camera, arrays)
+    geometry.require_usable(excluded, len(arrays))
+    return init_camera_height(camera, arrays,
+                              ratios or box_ratios(boxes, config), active,
+                              config)
+
+
 def test_init_exact_on_zero_pitch_prior_mean_scene():
     cam = _camera(cam_height=1.6)
     boxes = [_box_for(cam, z, 1.70) for z in (5.0, 8.0, 13.0)]
-    h0 = init_camera_height(0.5, boxes)
+    h0, upright = _start(cam, boxes)
     assert h0 == pytest.approx(1.6, abs=1e-9)
-
-
-def test_init_median_shrugs_off_outlier_vote():
-    cam = _camera(cam_height=1.6)
-    boxes = [_box_for(cam, 5.0, 1.70), _box_for(cam, 8.0, 1.70)]
-    # a nearly horizon-touching bottom makes this box vote absurdly high
-    v0 = 0.5
-    outlier = DetectionBox(u_left=0.1, u_right=0.2, v_top=v0 + 0.001,
-                           v_bottom=v0 + 0.002, category="person")
-    h0 = init_camera_height(v0, boxes + [outlier])
-    assert h0 == pytest.approx(1.6, abs=1e-9)
+    np.testing.assert_allclose(upright, 1.70, atol=1e-9)
 
 
 def test_init_clamps_votes_to_bounds():
-    # a sliver of a box far below the horizon votes in the thousands
-    v0 = 0.5
+    # a sliver of a box far below the horizon implies a camera in the
+    # thousands of meters, and a height under the lower bound at 50 m
     sliver = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.7,
                           v_bottom=0.7 + 1e-4, category="person")
-    h0 = init_camera_height(v0, [sliver])
-    assert h0 == RefinementConfig().cam_height_bounds[1]
+    config = RefinementConfig()
+    h0, upright = _start(_camera(), [sliver], config=config)
+    assert h0 == config.cam_height_bounds[1]
+    assert upright.tolist() == [config.object_height_bounds[0]]
 
 
 def test_init_rejects_all_degenerate():
-    v0 = 0.5
     flat = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.8 - 1e-12,
                         v_bottom=0.8, category="person")
     on_horizon = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.45,
-                              v_bottom=v0 + 1e-9, category="person")
+                              v_bottom=0.5 + 1e-9, category="person")
     with pytest.raises(ValueError):
-        init_camera_height(v0, [flat, on_horizon])
+        _start(_camera(), [flat, on_horizon])
 
 
 def test_init_unknown_category_rejected():
     box = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.6, v_bottom=0.7,
                        category="giraffe")
     with pytest.raises(ValueError):
-        init_camera_height(0.5, [box])
+        _start(_camera(), [box])
+
+
+def test_init_starts_every_used_box_on_its_detected_top():
+    cam = _camera(pitch_deg=-12.0, cam_height=2.3)
+    heights = [1.62, 1.81, 1.45, 1.70]
+    boxes = [_box_for(cam, z, h) for z, h in zip((4.0, 7.0, 11.0, 19.0),
+                                                 heights)]
+    h0, upright = _start(cam, boxes)
+    start = dataclasses.replace(cam, cam_height_m=h0)
+    np.testing.assert_allclose(reprojection_loss(start, upright, boxes)
+                               .residuals, 0.0, atol=1e-12)
+    # Each height is the start camera height's share of its true height.
+    np.testing.assert_allclose(upright, np.array(heights) * h0 / 2.3,
+                               rtol=1e-12)
+
+
+def test_init_ignores_the_height_of_the_camera_it_is_given():
+    scene, boxes, _ = _scene_inputs(seed=8, n_objects=4)
+    starts = [_start(dataclasses.replace(scene.camera, cam_height_m=h), boxes)
+              for h in (1.0, 0.37, 12.5)]
+    for h0, upright in starts[1:]:
+        assert h0 == pytest.approx(starts[0][0], rel=1e-12)
+        np.testing.assert_allclose(upright, starts[0][1], rtol=1e-12)
+
+
+def test_init_counts_a_weight_two_box_as_two_boxes():
+    cam = _camera(pitch_deg=7.0, cam_height=1.9)
+    a, b = _box_for(cam, 5.0, 1.55), _box_for(cam, 9.0, 1.95)
+    heavy = dataclasses.replace(a, weight=2.0)
+    h_weighted, _ = _start(cam, [heavy, b])
+    h_twice, _ = _start(cam, [a, a, b])
+    assert h_weighted == pytest.approx(h_twice, rel=1e-14)
+    assert h_weighted != pytest.approx(_start(cam, [a, b])[0], rel=1e-6)
+
+
+def test_init_posture_ratio_divides_the_implied_height():
+    cam = _camera(pitch_deg=3.0, cam_height=1.6)
+    boxes = [_box_for(cam, 6.0, 1.70), _box_for(cam, 9.0, 1.70)]
+    h_up, upright_up = _start(cam, boxes, ratios=(1.0, 1.0))
+    h_half, upright_half = _start(cam, boxes, ratios=(0.5, 0.5))
+    # Crouched to half their upright height, the same boxes imply people
+    # twice as tall, which the priors answer with half the camera height.
+    assert h_half == pytest.approx(h_up / 2.0, rel=1e-12)
+    np.testing.assert_allclose(upright_half, upright_up, rtol=1e-12)
+
+
+def test_init_refuses_tops_beyond_the_zenith_with_the_reason():
+    # Pitched up 35 deg with a 114 deg field of view, the top row of the
+    # image looks past straight up: no height puts a top there.
+    fov = math.radians(114.0)
+    cam = CameraParams.from_fov(math.radians(35.0), fov, 1.0, 1.0, 1.0)
+    box = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.02, v_bottom=0.97,
+                       category="car")
+    message = ("no usable detection fixes the scale: the ray through the "
+               "top of each of the 1 usable boxes points straight up or "
+               "backward")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _start(cam, [box])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_scene(horizon_from_pitch(cam).v0, fov, [box])
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +570,22 @@ def test_loss_non_increasing_over_layers_on_random_scenes():
 # Full solves.
 
 def test_zero_layers_returns_initialization():
+    # The start puts every used box's top on its detected top, as pgm does
+    # under the linear model (criterion 10).
     scene, boxes, v0 = _scene_inputs(seed=42, n_objects=5)
     config = RefinementConfig(num_layers=0)
     est = solve_scene(v0, scene.camera.fov_rad, boxes, config=config)
     assert len(est.trace) == 1
-    assert est.cam_height_m == pytest.approx(
-        init_camera_height(v0, boxes), rel=1e-12)
-    assert est.heights_m == tuple(1.70 for _ in boxes)
+    assert not est.excluded
+    assert est.trace[0].l_vt <= 1e-12
+    assert max(map(abs, est.trace[0].residuals)) <= 1e-12
+    camera = CameraParams.from_fov(
+        geometry.pitch_from_horizon(v0, geometry.focal_from_fov(
+            scene.camera.fov_rad, 1.0), 1.0), scene.camera.fov_rad,
+        1.0, 1.0, 1.0)
+    h0, upright = _start(camera, boxes, config=config)
+    assert est.cam_height_m == h0
+    assert est.heights_m == tuple(upright.tolist())
 
 
 def test_noiseless_prior_mean_scene_recovers_camera():

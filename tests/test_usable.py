@@ -15,8 +15,8 @@ from scenescale.baselines import pgm_fixed_height, pgm_full
 from scenescale.documents import parse_document
 from scenescale.geometry import (CameraParams, GroundObject,
                                  horizon_from_pitch, project_vertical)
-from scenescale.solver import (DetectionBox, classify_boxes,
-                               init_camera_height, solve_scene)
+from scenescale.solver import (DetectionBox, RefinementConfig,
+                               classify_boxes, solve_scene)
 
 _FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -61,20 +61,26 @@ def test_every_method_uses_the_same_detections(pitch_deg, fov_deg, boxes):
             for off, span, category, weight in boxes]
     full = _outcome(lambda: pgm_full(v0, dets))
     fixed = _outcome(lambda: pgm_fixed_height(v0, dets))
-    init = _outcome(lambda: init_camera_height(v0, dets))
+    start = _outcome(lambda: _start(v0, fov, dets))
     cascade = _outcome(lambda: solve_scene(v0, fov, dets))
-    assert (full is None) == (fixed is None) == (init is None)
+    assert (full is None) == (fixed is None)
+    # The cascade refuses a scene exactly when it cannot start it.
+    assert (start is None) == (cascade is None)
     if full is None:
         assert cascade is None
         return
     assert full.excluded == fixed.excluded
     assert cascade is None or cascade.excluded == full.excluded
-    assert math.isfinite(init) and init > 0
-    for est in (full, fixed, cascade):
+    for est in (full, fixed, start, cascade):
         if est is not None:
             assert all(map(math.isfinite, _numbers(est)))
     assert full.cam_height_m > 0 and min(full.heights_m) > 0
     assert fixed.cam_height_m > 0
+
+
+def _start(v0, fov, boxes):
+    """The cascade's start: its estimate after no refine layer."""
+    return solve_scene(v0, fov, boxes, config=RefinementConfig(num_layers=0))
 
 
 def _camera_boxes():
@@ -103,16 +109,16 @@ def test_a_sky_or_band_box_is_excluded_by_every_method(offset, reason):
         assert est.excluded == ((3, reason),)
         assert est.cam_height_m == pytest.approx(1.6, rel=1e-9)
         assert min(est.heights_m) > 0
-    assert init_camera_height(v0, boxes + [odd]) == pytest.approx(1.6,
-                                                                  rel=1e-12)
+    start = _start(v0, camera.fov_rad, boxes + [odd])
+    assert start.cam_height_m == pytest.approx(1.6, rel=1e-12)
 
 
 def test_three_sky_boxes_leave_the_initial_camera_height_alone():
     camera, boxes, v0 = _camera_boxes()
     sky = DetectionBox(u_left=0.1, u_right=0.2, v_top=v0 - 0.3,
                        v_bottom=v0 - 0.1)
-    assert init_camera_height(v0, boxes + [sky] * 3) == pytest.approx(
-        1.6, rel=1e-12)
+    start = _start(v0, camera.fov_rad, boxes + [sky] * 3)
+    assert start.cam_height_m == pytest.approx(1.6, rel=1e-12)
 
 
 def test_nothing_usable_gives_one_message_naming_the_reasons():
@@ -125,8 +131,7 @@ def test_nothing_usable_gives_one_message_naming_the_reasons():
                           v_bottom=0.9)]
     message = ("no usable detections: 1 bottom-above-horizon, "
                "1 bottom-on-horizon, 1 zero-span")
-    for estimate in (lambda: init_camera_height(v0, boxes),
-                     lambda: solve_scene(v0, camera.fov_rad, boxes),
+    for estimate in (lambda: solve_scene(v0, camera.fov_rad, boxes),
                      lambda: pgm_full(v0, boxes),
                      lambda: pgm_fixed_height(v0, boxes)):
         with pytest.raises(ValueError) as info:
@@ -169,3 +174,53 @@ def test_usable_boxes_names_the_first_reason_each_box_meets():
     mask, excluded = geometry.usable_boxes(v0, v_top, v_bottom)
     assert mask.tolist() == [True] + [False] * 4 + [True, True]
     assert [i for i, _ in excluded] == [1, 2, 3, 4]
+
+
+# Every refusal of a method names one of these reasons.
+_REASONS = ("no usable detections: ",
+            "no usable detection fixes the scale: the ray through the top of "
+            "each of the ")
+
+
+def _fuzz_scene(rng):
+    """v0, fov and 1-6 random boxes of a camera pitched within +-40 deg
+    with a field of view of 20-120 deg; a third of the boxes anywhere
+    around the image, the rest inside it."""
+    pitch = math.radians(rng.uniform(-40.0, 40.0))
+    fov = math.radians(rng.uniform(20.0, 120.0))
+    v0 = 0.5 + geometry.focal_from_fov(fov, 1.0) * math.tan(pitch)
+    dets = []
+    for _ in range(rng.integers(1, 7)):
+        if rng.random() < 1 / 3:
+            v_bottom = rng.uniform(-0.2, 1.2)
+            v_top = v_bottom - rng.uniform(0.01, 1.0)
+        else:
+            v_top, v_bottom = np.sort(rng.uniform(0.0, 1.0, 2))
+            v_top -= 1e-3
+        dets.append(DetectionBox(
+            u_left=0.1, u_right=0.3, v_top=float(v_top),
+            v_bottom=float(v_bottom),
+            category=("person", "car")[rng.integers(2)],
+            weight=float(rng.uniform(0.2, 3.0))))
+    return v0, fov, dets
+
+
+def test_every_method_answers_in_finite_numbers_or_names_its_reason():
+    rng = np.random.default_rng(11)
+    refused = dict.fromkeys(("cascade", "pgm", "pgm-fixed"), 0)
+    for _ in range(400):
+        v0, fov, dets = _fuzz_scene(rng)
+        for method, estimate in (
+                ("cascade", lambda: solve_scene(v0, fov, dets)),
+                ("pgm", lambda: pgm_full(v0, dets)),
+                ("pgm-fixed", lambda: pgm_fixed_height(v0, dets))):
+            try:
+                est = estimate()
+            except ValueError as exc:
+                assert str(exc).startswith(_REASONS), str(exc)
+                refused[method] += 1
+                continue
+            assert all(map(math.isfinite, _numbers(est))), (method, v0, dets)
+            assert est.cam_height_m > 0
+    # Scenes with boxes to use are the common case, for every method.
+    assert max(refused.values()) < 200
