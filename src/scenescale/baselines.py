@@ -17,8 +17,11 @@ Both take a box list or a `DetectionColumns` and read the scene's
 `SceneArrays`, so every box needs a height prior.  Both use the boxes
 `geometry.usable_boxes` keeps, the rule the cascade shares, and report
 each other box in `excluded` with its reason; a scene with no usable box
-raises ValueError.  A box's weight counts its vote in the median of
-`pgm_fixed_height` and its height prior in `pgm_full`.
+raises ValueError.  Given the field of view (and principal row), the
+rule also excludes boxes whose bottom meets the ground behind the
+camera, as the cascade does; the field of view enters nothing else, so
+both stay linear-model estimators.  A box's weight counts its vote in
+the median of `pgm_fixed_height` and its height prior in `pgm_full`.
 """
 
 from __future__ import annotations
@@ -65,10 +68,21 @@ def weighted_median(values, weights) -> float:
     return float(v[idx])
 
 
-def _ratio_votes(v0: float, arrays: SceneArrays):
+def _ratio_votes(v0: float, arrays: SceneArrays, fov_rad: float | None,
+                 principal_v: float):
     """(ratios, keep, excluded): the (v_top - v_bottom) / (v0 - v_bottom)
-    of each box `geometry.usable_boxes` keeps; ValueError if none."""
-    keep, excluded = geometry.usable_boxes(v0, arrays.v_top, arrays.v_bottom)
+    of each box `geometry.usable_boxes` keeps; ValueError if none.  With
+    a field of view, the rule also gets the bottoms' ground depths; they
+    can exclude a box only under a camera pitched down (v0 above the
+    principal row), since below the horizon of a level or raised camera
+    every bottom ray meets the ground in front of it."""
+    depths = None
+    if fov_rad is not None and v0 < principal_v:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            depths = geometry.depths_from_bottoms(geometry.camera_from_horizon(
+                v0, fov_rad, principal_v), arrays.v_bottom)
+    keep, excluded = geometry.usable_boxes(v0, arrays.v_top, arrays.v_bottom,
+                                           depths)
     geometry.require_usable(excluded, len(arrays))
     return ((arrays.v_top[keep] - arrays.v_bottom[keep])
             / (v0 - arrays.v_bottom[keep]), keep, excluded)
@@ -83,8 +97,9 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
     l_vt = float(np.mean(np.abs(res[keep])))
     pen = priors.prior_penalty(heights[keep], arrays.mu[keep],
                                arrays.sigma[keep], "log_density")
-    spans, residuals = trace_rows(tops, arrays.v_bottom, res, keep.tolist())
     n = len(arrays)
+    spans, residuals = trace_rows(n, np.flatnonzero(keep), tops[keep],
+                                  arrays.v_bottom[keep], res[keep])
     heights_full = tuple(heights.tolist())
     trace = LayerTrace(
         layer=0,
@@ -111,12 +126,15 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
 
 def pgm_fixed_height(v0: float, boxes,
                      canonical_heights: dict[str, float] | None = None,
-                     prior_map: dict[str, CategoryPrior] | None = None) -> SceneEstimate:
+                     prior_map: dict[str, CategoryPrior] | None = None,
+                     fov_rad: float | None = None,
+                     principal_v: float = 0.5) -> SceneEstimate:
     """Camera height from fixed canonical object heights.
 
     Every box votes h_cam = h_canonical * (v0 - v_bottom) / (v_top -
     v_bottom); the estimate is the weighted median of the votes and the
-    reported object heights stay at their canonical values.
+    reported object heights stay at their canonical values.  `fov_rad`
+    and `principal_v` serve only the usable rule (see the module notes).
     """
     canonical_heights = canonical_heights or CANONICAL_HEIGHTS
     columns = detection_columns(boxes)
@@ -131,7 +149,7 @@ def pgm_fixed_height(v0: float, boxes,
             f"no canonical height for category {exc.args[0]!r}; "
             f"known: {sorted(canonical_heights)}") from None
     arrays = scene_arrays(columns, prior_map)
-    qs, keep, excluded = _ratio_votes(v0, arrays)
+    qs, keep, excluded = _ratio_votes(v0, arrays, fov_rad, principal_v)
     h_cam = weighted_median(heights[keep] / qs, arrays.weight[keep])
     return _finish("pgm-fixed", v0, arrays, keep, excluded, heights, h_cam,
                    ill_posed=False)
@@ -139,7 +157,9 @@ def pgm_fixed_height(v0: float, boxes,
 
 def pgm_full(v0: float, boxes,
              prior_map: dict[str, CategoryPrior] | None = None,
-             cam_height_prior: CamHeightPrior | None = None) -> SceneEstimate:
+             cam_height_prior: CamHeightPrior | None = None,
+             fov_rad: float | None = None,
+             principal_v: float = 0.5) -> SceneEstimate:
     """Joint MAP under the linear model with free object heights.
 
     Zero reprojection ties each height to the camera height, h_i = q_i *
@@ -149,14 +169,15 @@ def pgm_full(v0: float, boxes,
     too, gives its maximum in closed form.  Excluded boxes keep their
     prior mean height.  The estimate is flagged ill-posed when the boxes
     carry no information on the scale.  The reported reprojection loss is
-    identically zero by construction.
+    identically zero by construction.  `fov_rad` and `principal_v` serve
+    only the usable rule (see the module notes).
     """
     cam_height_prior = cam_height_prior or CamHeightPrior()
     columns = detection_columns(boxes)
     if not len(columns):
         raise ValueError("no detections to estimate from")
     arrays = scene_arrays(columns, prior_map)
-    qs, keep, excluded = _ratio_votes(v0, arrays)
+    qs, keep, excluded = _ratio_votes(v0, arrays, fov_rad, principal_v)
     h_cam, info = priors.scale_map(qs, arrays.mu[keep], arrays.sigma[keep],
                                    arrays.weight[keep], cam_height_prior)
     heights = arrays.mu.copy()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,18 +175,28 @@ def pitch_from_horizon(v0: float | HorizonEstimate, focal_px: float,
     return math.atan2(v0 * image_h_px - principal_v_px, focal_px)
 
 
+def camera_from_horizon(v0: float, fov_rad: float,
+                        principal_v: float = 0.5) -> CameraParams:
+    """The camera of a normalized image (height and width 1, camera
+    height 1) whose horizon lies at v0."""
+    pitch = pitch_from_horizon(v0, focal_from_fov(fov_rad, 1.0), 1.0,
+                               principal_v)
+    return CameraParams.from_fov(pitch, fov_rad, 1.0, 1.0, 1.0,
+                                 principal_v_px=principal_v)
+
+
 # ---------------------------------------------------------------------------
 # Array kernels.  These carry the actual formulas; the scalar operations
 # below add the per-call guards.  Inputs and outputs are normalized by
 # image height; no validity checks, non-finite values propagate.
 
 def project_spans(camera: CameraParams, depths, heights):
-    """Vertical spans (v_tops, v_bottoms) of upright objects, vectorized."""
+    """Vertical spans (v_tops, v_bottoms) of upright objects: float
+    depths and heights give floats, arrays give arrays."""
     st, ct = math.sin(camera.pitch_rad), math.cos(camera.pitch_rad)
     f, vc, h_im = camera.focal_px, camera.principal_v_px, camera.image_h_px
-    hc = camera.cam_height_m
-    z = np.asarray(depths, dtype=float)
-    h = np.asarray(heights, dtype=float)
+    hc = float(camera.cam_height_m)
+    z, h = depths, heights
     v_bottom = (vc + f * (hc * ct + z * st) / (z * ct - hc * st)) / h_im
     v_top = (vc + f * ((hc - h) * ct + z * st)
              / (z * ct + (h - hc) * st)) / h_im
@@ -212,28 +223,60 @@ def heights_from_spans(camera: CameraParams, v_tops, v_bottoms):
     return camera.cam_height_m + z * (f * st - a * ct) / (f * ct + a * st)
 
 
+class BottomRays(NamedTuple):
+    """What `project_tops_with_grads` needs of each detected bottom under
+    one camera pitch and focal length, at any camera height: the bottom's
+    ground depth per unit camera height c, and the derivatives in camera
+    height of the camera-frame y and z of a top above it, cos + c*sin and
+    c*cos - sin.  `camera` is the `_ray_key` of the camera they hold for.
+    """
+
+    camera: tuple
+    c: np.ndarray
+    d_num: np.ndarray
+    d_den: np.ndarray
+
+
+def _ray_key(camera: CameraParams) -> tuple:
+    """The camera fields `BottomRays` depend on: all but the height."""
+    return (camera.pitch_rad, camera.focal_px, camera.principal_v_px,
+            camera.image_h_px)
+
+
+def bottom_rays(camera: CameraParams, v_bottoms) -> BottomRays:
+    """The `BottomRays` of these bottoms under `camera`, computed once for
+    every camera height."""
+    st, ct = math.sin(camera.pitch_rad), math.cos(camera.pitch_rad)
+    f, vc, h_im = camera.focal_px, camera.principal_v_px, camera.image_h_px
+    w = np.asarray(v_bottoms, dtype=float) * h_im - vc
+    c = (f * ct + w * st) / (w * ct - f * st)
+    return BottomRays(_ray_key(camera), c, ct + c * st, c * ct - st)
+
+
 def project_tops_with_grads(camera: CameraParams, v_bottoms, heights):
     """Top coordinates of bottom-anchored objects plus analytic partials.
 
     Each object keeps its bottom pinned to the detected coordinate, so
-    its depth is a function of camera height.  Returns
+    its depth is a function of camera height.  `v_bottoms` are the
+    bottoms, or their `bottom_rays` under this camera.  Returns
     (v_tops, d v_top / d cam_height, d v_top / d height, depths).
     """
+    rays = v_bottoms
+    if not isinstance(rays, BottomRays):
+        rays = bottom_rays(camera, v_bottoms)
+    elif rays.camera != _ray_key(camera):
+        raise ValueError("bottom rays of another camera pitch or focal length")
     st, ct = math.sin(camera.pitch_rad), math.cos(camera.pitch_rad)
     f, vc, h_im = camera.focal_px, camera.principal_v_px, camera.image_h_px
     hc = camera.cam_height_m
-    w = np.asarray(v_bottoms, dtype=float) * h_im - vc
     h = np.asarray(heights, dtype=float)
-    c = (f * ct + w * st) / (w * ct - f * st)  # depth per unit camera height
-    num = hc * (ct + c * st) - h * ct          # camera-frame y of the top
-    den = hc * (c * ct - st) + h * st          # camera-frame z of the top
-    d_num_dhc = ct + c * st
-    d_den_dhc = c * ct - st
+    num = hc * rays.d_num - h * ct             # camera-frame y of the top
+    den = hc * rays.d_den + h * st             # camera-frame z of the top
     v_top = (vc + f * num / den) / h_im
     common = f / (den * den) / h_im
-    d_dhc = common * (d_num_dhc * den - num * d_den_dhc)
+    d_dhc = common * (rays.d_num * den - num * rays.d_den)
     d_dh = common * (-ct * den - num * st)
-    return v_top, d_dhc, d_dh, hc * c
+    return v_top, d_dhc, d_dh, hc * rays.c
 
 
 _USABLE_SPAN_EPS = 1e-9  # shorter boxes carry no height
@@ -278,7 +321,9 @@ def project_vertical(camera: CameraParams, obj: GroundObject) -> ImageVerticalSp
     plane (the projective expressions lose meaning there).
     """
     st, ct = math.sin(camera.pitch_rad), math.cos(camera.pitch_rad)
-    z, h, hc = obj.depth_m, obj.height_m, camera.cam_height_m
+    # Python floats: numpy scalars would run the kernel several times slower.
+    z, h = float(obj.depth_m), float(obj.height_m)
+    hc = float(camera.cam_height_m)
     den_bottom = z * ct - hc * st
     den_top = z * ct + (h - hc) * st
     if abs(den_bottom) < _SINGULAR_DEPTH or abs(den_top) < _SINGULAR_DEPTH:
@@ -385,9 +430,14 @@ def projection_oracle(camera: CameraParams,
             float(uvw[1] / uvw[2] / camera.image_h_px))
 
 
-def oracle_project_points(camera: CameraParams, points_world) -> np.ndarray:
-    """Vectorized `projection_oracle`; points_world is (n, 3), returns (n, 2)."""
-    p = projection_matrix(camera)
+def oracle_project_points(camera: CameraParams, points_world,
+                          matrix: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized `projection_oracle`; points_world is (n, 3), returns (n, 2).
+
+    `matrix` is the camera's `projection_matrix` when the caller already
+    built it.
+    """
+    p = projection_matrix(camera) if matrix is None else matrix
     pts = np.asarray(points_world, dtype=float)
     hom = np.hstack([pts, np.ones((pts.shape[0], 1))])
     uvw = hom @ p.T

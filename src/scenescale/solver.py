@@ -10,18 +10,28 @@ absolute scale comes from category size priors.  The pipeline:
   1. Decide once which objects are used (`classify_boxes`): the boxes
      `geometry.usable_boxes` keeps at the camera's horizon whose bottoms
      meet the ground in front of the camera.  This depends only on the
-     camera's pitch and focal length, so it is carried in the solver
-     state.  Start from the closed form (`init_camera_height`): with each
-     used object's top on its detected top, the height priors fix the
-     camera height (`priors.scale_map`), and each object starts at the
-     height that camera height implies for it.
+     camera's pitch and focal length, and so do the bottoms' rays
+     (`geometry.bottom_rays`: depth per unit camera height and the
+     derivatives a projection needs); both are computed here once, and
+     the layers solve for the used boxes alone (`used_boxes`, a
+     `SceneArrays` with rays).  Start from the closed form
+     (`init_camera_height`): with each used object's top on its detected
+     top, the height priors fix the camera height (`priors.scale_map`),
+     and each object starts at the height that camera height implies for
+     it.
   2. Run a fixed number of refinement layers.  Each layer takes one
      damped Gauss-Newton step on the total loss (L1 reprojection of the
      box tops + Gaussian prior penalty on upright heights) with
      backtracking, so the loss never increases.  Each object's residual
      depends only on the camera height and its own height, so the step's
      normal matrix is arrow-shaped; the Schur complement of its diagonal
-     block solves it in O(k) time and memory for k objects.
+     block solves it in O(k) time and memory for k objects.  Every state
+     is evaluated once: `total_loss` projects it (through
+     `reprojection_loss`) and leaves the tops, their derivatives and the
+     loss terms on the state as its `Evaluation`, which the trace entry,
+     the step's accept test and the next layer's system all read.  Once
+     the loss stops falling, a layer's entry is the previous one with its
+     own layer number.
 
 Object depths are anchored to the detected bottom coordinate throughout:
 depth is always the ground intersection of the bottom ray under the
@@ -44,6 +54,7 @@ from .geometry import CameraParams
 from .priors import CategoryPrior, KeypointSet
 
 _IRLS_FLOOR = 1e-6        # residual magnitude floor for the L1 weights
+MAX_LAYERS = 1000         # cap on refine.num_layers: each layer is traced
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,7 @@ _box_numbers = attrgetter("u_left", "u_right", "v_top", "v_bottom", "weight")
 class RefinementConfig:
     """Knobs of the cascade refinement."""
 
-    num_layers: int = 3
+    num_layers: int = 3                # at most MAX_LAYERS
     reprojection_weight: float = 1.0   # multiplies the L1 top-reprojection term
     prior_weight: float = 0.1          # multiplies the height-prior term
     damping: float = 1e-3              # Levenberg-style diagonal damping
@@ -146,6 +157,9 @@ class RefinementConfig:
     def __post_init__(self) -> None:
         if self.num_layers < 0 or self.max_backtracks < 0:
             raise ValueError("num_layers and max_backtracks must be >= 0")
+        if self.num_layers > MAX_LAYERS:
+            raise ValueError(f"num_layers must be at most {MAX_LAYERS}, "
+                             f"got {self.num_layers}")
         for name in ("reprojection_weight", "prior_weight", "damping",
                      "loss_tolerance"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -160,25 +174,54 @@ class RefinementConfig:
             raise ValueError(f"bad object height bounds {self.object_height_bounds}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneState:
     """Current iterate of the solver.
 
     upright_heights are the optimization variables; the actual heights
     used in reprojection are upright * ratio.  `active` marks objects
-    that participate in the loss (those `classify_boxes` keeps).  `loss`
-    is the state's total loss when it is already known; `refine_layer`
-    and the trace evaluate it when None.
+    that participate in the loss (those `classify_boxes` keeps).  The
+    three are kept as read-only float (bool) arrays, whatever sequence
+    they are given as.  `evaluation` is the state's last `total_loss`
+    evaluation, which `refine_layer`, `total_loss_gradient` and the trace
+    read instead of evaluating the state again; `dataclasses.replace`
+    gives a state without one.  States compare by value.
     """
 
     camera: CameraParams
-    upright_heights: tuple[float, ...]
-    ratios: tuple[float, ...]
-    active: tuple[bool, ...]
-    loss: float | None = None
+    upright_heights: np.ndarray
+    ratios: np.ndarray
+    active: np.ndarray
+    evaluation: Evaluation | None = field(default=None, init=False,
+                                          repr=False)
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("upright_heights", float), ("ratios", float),
+                            ("active", bool)):
+            value = np.asarray(getattr(self, name), dtype=dtype)
+            if value.flags.writeable:
+                value = value.copy()
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SceneState):
+            return NotImplemented
+        return (self.camera == other.camera and self.loss == other.loss
+                and all(map(np.array_equal,
+                            (self.upright_heights, self.ratios, self.active),
+                            (other.upright_heights, other.ratios,
+                             other.active))))
+
+    __hash__ = None
+
+    @property
+    def loss(self) -> float | None:
+        """The total loss of `evaluation`, None before one."""
+        return None if self.evaluation is None else self.evaluation.total_loss
 
     def actual_heights(self) -> np.ndarray:
-        return np.asarray(self.upright_heights) * np.asarray(self.ratios)
+        return self.upright_heights * self.ratios
 
 
 @dataclass(frozen=True)
@@ -219,13 +262,39 @@ class ReprojectionResult(NamedTuple):
     l_vt: float
     excluded: tuple[tuple[int, str], ...]
     v_tops: np.ndarray                     # reprojected tops, meaningless if excluded
+    d_cam: np.ndarray                      # d v_top / d camera height
+    d_height: np.ndarray                   # d v_top / d actual height
+    depths: np.ndarray                     # ground depth of each bottom
 
 
-@dataclass(frozen=True)
+class Evaluation(NamedTuple):
+    """One evaluation of a state by `total_loss`, over the boxes it uses
+    (`scene`, in their order): their upright and actual heights and
+    posture ratios, the reprojection of their tops with its derivatives,
+    the prior penalty and the total loss.  `arrays` and `config` are the
+    scene and config it was made under.
+    """
+
+    arrays: SceneArrays
+    config: RefinementConfig
+    scene: SceneArrays
+    upright: np.ndarray
+    ratios: np.ndarray
+    heights: np.ndarray
+    reprojection: ReprojectionResult
+    prior_loss: float
+    total_loss: float
+
+
+@dataclass(frozen=True, eq=False)
 class SceneArrays:
     """Array form of a scene's detections, one read-only entry per box in
     input order: detected top and bottom, the height prior of the box's
     category and the box weight.  Built once per solve by `scene_arrays`.
+
+    `rays`, when set, are the boxes' `geometry.bottom_rays` under one
+    camera pitch and focal length, and mark every box usable there: the
+    form of the boxes a solve uses (`used_boxes`).
     """
 
     v_top: np.ndarray
@@ -233,9 +302,19 @@ class SceneArrays:
     mu: np.ndarray
     sigma: np.ndarray
     weight: np.ndarray
+    rays: geometry.BottomRays | None = None
 
     def __len__(self) -> int:
         return len(self.v_top)
+
+
+def used_boxes(camera: CameraParams, arrays: SceneArrays, used) -> SceneArrays:
+    """The boxes of `arrays` at `used` (indices or a mask), with their
+    bottom rays under `camera`; they must be usable there."""
+    v_bottom = arrays.v_bottom[used]
+    return SceneArrays(arrays.v_top[used], v_bottom, arrays.mu[used],
+                       arrays.sigma[used], arrays.weight[used],
+                       geometry.bottom_rays(camera, v_bottom))
 
 
 def _v_columns(boxes) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +421,8 @@ def reprojection_loss(camera: CameraParams, heights_m, boxes) -> ReprojectionRes
     heights_m are actual heights, one per box.  Excluded objects get NaN
     residuals and do not enter the mean; which objects are excluded is
     read off the depths the projection returns, by the rule of
-    `classify_boxes`.
+    `classify_boxes`.  Boxes with bottom rays (`used_boxes`) are all
+    usable and project through their rays.
     """
     v_top, v_bottom = _v_columns(boxes)
     if not len(v_top):
@@ -350,17 +430,21 @@ def reprojection_loss(camera: CameraParams, heights_m, boxes) -> ReprojectionRes
     heights_m = np.asarray(heights_m, dtype=float)
     if heights_m.shape != v_top.shape:
         raise ValueError("heights_m must have one entry per box")
+    rays = boxes.rays if isinstance(boxes, SceneArrays) else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        vt, _, _, depth = geometry.project_tops_with_grads(
-            camera, v_bottom, heights_m)
-        active, excluded = geometry.usable_boxes(
-            geometry.horizon_from_pitch(camera).v0, v_top, v_bottom, depth)
-        residuals = np.where(active, v_top - vt, np.nan)
-    if active.any():
-        l_vt = float(np.mean(np.abs(residuals[active])))
-    else:
-        l_vt = math.nan
-    return ReprojectionResult(residuals, l_vt, excluded, vt)
+        vt, d_hc, d_h, depth = geometry.project_tops_with_grads(
+            camera, v_bottom if rays is None else rays, heights_m)
+        if rays is None:
+            active, excluded = geometry.usable_boxes(
+                geometry.horizon_from_pitch(camera).v0, v_top, v_bottom,
+                depth)
+            residuals = np.where(active, v_top - vt, np.nan)
+            used = residuals[active]
+        else:
+            excluded = ()
+            residuals = used = v_top - vt
+    l_vt = float(np.mean(np.abs(used))) if len(used) else math.nan
+    return ReprojectionResult(residuals, l_vt, excluded, vt, d_hc, d_h, depth)
 
 
 def total_loss(state: SceneState, boxes,
@@ -369,28 +453,46 @@ def total_loss(state: SceneState, boxes,
     """Weighted sum of the L1 reprojection loss and the prior penalty.
 
     Returns +inf when the current heights push some object top across the
-    camera plane, so line searches reject such candidates.
+    camera plane, so line searches reject such candidates.  Leaves the
+    whole evaluation in `state.evaluation`.
     """
     config = config or RefinementConfig()
     arrays = scene_arrays(boxes, prior_map)
-    mask = np.asarray(state.active)
-    if not mask.any():
+    mask = state.active
+    if arrays.rays is not None and mask.all():
+        scene, upright, ratios = arrays, state.upright_heights, state.ratios
+    elif mask.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scene = used_boxes(state.camera, arrays, mask)
+        upright, ratios = state.upright_heights[mask], state.ratios[mask]
+    else:
         raise ValueError("no active objects to evaluate")
-    vb = arrays.v_bottom[mask]
-    vt_det = arrays.v_top[mask]
-    actual = state.actual_heights()[mask]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vt, _, _, depth = geometry.project_tops_with_grads(state.camera, vb, actual)
+    actual = upright * ratios
+    rep = reprojection_loss(state.camera, actual, scene)
     # Camera-frame z of the anchored tops must stay positive.
     st, ct = math.sin(state.camera.pitch_rad), math.cos(state.camera.pitch_rad)
-    top_z = depth * ct + (actual - state.camera.cam_height_m) * st
-    if not np.all(np.isfinite(vt)) or np.any(top_z <= 0):
-        return math.inf
-    l_vt = float(np.mean(np.abs(vt_det - vt)))
-    upright = np.asarray(state.upright_heights)[mask]
-    pen = float(np.mean(priors.prior_penalty(
-        upright, arrays.mu[mask], arrays.sigma[mask], config.prior_mode)))
-    return config.reprojection_weight * l_vt + config.prior_weight * pen
+    top_z = rep.depths * ct + (actual - state.camera.cam_height_m) * st
+    pen = float(np.mean(priors.prior_penalty(upright, scene.mu, scene.sigma,
+                                             config.prior_mode)))
+    if not np.all(np.isfinite(rep.v_tops)) or np.any(top_z <= 0):
+        loss = math.inf
+    else:
+        loss = (config.reprojection_weight * rep.l_vt
+                + config.prior_weight * pen)
+    object.__setattr__(state, "evaluation", Evaluation(
+        arrays, config, scene, upright, ratios, actual, rep, pen, loss))
+    return loss
+
+
+def _evaluation(state: SceneState, arrays: SceneArrays,
+                config: RefinementConfig) -> Evaluation:
+    """The state's evaluation under this scene and config: the one it
+    carries, or a new one from `total_loss`."""
+    ev = state.evaluation
+    if ev is None or ev.arrays is not arrays or ev.config is not config:
+        total_loss(state, arrays, config=config)
+        ev = state.evaluation
+    return ev
 
 
 def total_loss_gradient(state: SceneState, boxes,
@@ -403,25 +505,19 @@ def total_loss_gradient(state: SceneState, boxes,
     """
     config = config or RefinementConfig()
     arrays = scene_arrays(boxes, prior_map)
-    mask = np.asarray(state.active)
     grad = np.zeros(len(arrays) + 1)
-    if not mask.any():
+    if not state.active.any():
         return grad
-    k = int(mask.sum())
-    vb = arrays.v_bottom[mask]
-    vt_det = arrays.v_top[mask]
-    ratios = np.asarray(state.ratios)[mask]
-    upright = np.asarray(state.upright_heights)[mask]
-    actual = upright * ratios
-    vt, d_hc, d_h, _ = geometry.project_tops_with_grads(state.camera, vb, actual)
-    r = vt_det - vt
-    sign = np.sign(r)
+    ev = _evaluation(state, arrays, config)
+    rep = ev.reprojection
+    k = len(ev.upright)
+    sign = np.sign(rep.residuals)
     coef = config.reprojection_weight / k
-    grad[0] = coef * np.sum(sign * (-d_hc))
-    dr_dH = -d_h * ratios
-    pg = priors.prior_penalty_grad(upright, arrays.mu[mask],
-                                   arrays.sigma[mask], config.prior_mode)
-    grad[1:][mask] = coef * sign * dr_dH + config.prior_weight / k * pg
+    grad[0] = coef * np.sum(sign * (-rep.d_cam))
+    dr_dH = -rep.d_height * ev.ratios
+    pg = priors.prior_penalty_grad(ev.upright, ev.scene.mu, ev.scene.sigma,
+                                   config.prior_mode)
+    grad[1:][state.active] = coef * sign * dr_dH + config.prior_weight / k * pg
     return grad
 
 
@@ -434,16 +530,17 @@ def _clamp_vars(x: np.ndarray, config: RefinementConfig) -> np.ndarray:
 
 
 def _state_with(state: SceneState, x: np.ndarray, mask: np.ndarray) -> SceneState:
-    upright = np.asarray(state.upright_heights).copy()
+    upright = state.upright_heights.copy()
     upright[mask] = x[1:]
-    return SceneState(camera=replace(state.camera, cam_height_m=float(x[0])),
-                      upright_heights=tuple(upright.tolist()),
-                      ratios=state.ratios, active=state.active)
+    upright.flags.writeable = False
+    return SceneState(replace(state.camera, cam_height_m=float(x[0])),
+                      upright, state.ratios, state.active)
 
 
 def _arrow_system(state: SceneState, arrays: SceneArrays,
-                  config: RefinementConfig, mask: np.ndarray):
-    """Damped Gauss-Newton system of one layer, in arrow form.
+                  config: RefinementConfig):
+    """Damped Gauss-Newton system of one layer, in arrow form, built from
+    the state's evaluation.
 
     The unknowns are the camera height and the upright height of each
     active object.  Each object's residual depends on the camera height
@@ -453,22 +550,19 @@ def _arrow_system(state: SceneState, arrays: SceneArrays,
     the gradient of the model, with the Levenberg damping already on m00
     and on d.
     """
-    k = int(mask.sum())
-    vb = arrays.v_bottom[mask]
-    ratios = np.asarray(state.ratios)[mask]
-    upright = np.asarray(state.upright_heights)[mask]
-    actual = upright * ratios
-    vt, d_hc, d_h, _ = geometry.project_tops_with_grads(state.camera, vb, actual)
-    r = -(vt - arrays.v_top[mask])         # detected minus reprojected top
+    ev = _evaluation(state, arrays, config)
+    rep = ev.reprojection
+    k = len(ev.upright)
+    r = rep.residuals                      # detected minus reprojected top
 
     # IRLS quadratic model of the L1 term plus exact/nonnegative prior model.
     w = 1.0 / np.maximum(np.abs(r), _IRLS_FLOOR)
     coef = config.reprojection_weight / k
-    a = -d_hc                              # d r / d cam height
-    b = -d_h * ratios                      # d r / d upright height
-    mu, sigma = arrays.mu[mask], arrays.sigma[mask]
-    pg = priors.prior_penalty_grad(upright, mu, sigma, config.prior_mode)
-    pc = priors.prior_curvature(upright, mu, sigma, config.prior_mode)
+    a = -rep.d_cam                         # d r / d cam height
+    b = -rep.d_height * ev.ratios          # d r / d upright height
+    mu, sigma = ev.scene.mu, ev.scene.sigma
+    pg = priors.prior_penalty_grad(ev.upright, mu, sigma, config.prior_mode)
+    pc = priors.prior_curvature(ev.upright, mu, sigma, config.prior_mode)
 
     m00 = coef * np.sum(w * a * a)
     g0 = coef * np.sum(w * r * a)
@@ -503,65 +597,63 @@ def refine_layer(state: SceneState, boxes,
     """One damped Gauss-Newton step on the total loss with backtracking.
 
     The accepted state never has a larger total loss than the input and
-    carries that loss; when no decrease is found within the backtracking
-    budget, or the step is not finite, the input state is returned
-    unchanged.
+    carries the evaluation it was accepted on; when no decrease is found
+    within the backtracking budget, or the step is not finite, the input
+    state is returned unchanged.
     """
     config = config or RefinementConfig()
     arrays = scene_arrays(boxes, prior_map)
-    mask = np.asarray(state.active)
+    mask = state.active
     if not mask.any():
         return state
-    loss0 = state.loss
-    if loss0 is None:
-        loss0 = total_loss(state, arrays, prior_map, config)
-    if not math.isfinite(loss0):
+    ev = _evaluation(state, arrays, config)
+    if not math.isfinite(ev.total_loss):
         return state
 
-    delta = _arrow_solve(*_arrow_system(state, arrays, config, mask))
+    delta = _arrow_solve(*_arrow_system(state, arrays, config))
     if not np.all(np.isfinite(delta)):
         return state
 
-    x0 = np.concatenate(
-        ([state.camera.cam_height_m], np.asarray(state.upright_heights)[mask]))
+    x0 = np.concatenate(([state.camera.cam_height_m], ev.upright))
     step = 1.0
     for _ in range(config.max_backtracks + 1):
         cand = _clamp_vars(x0 + step * delta, config)
         cand_state = _state_with(state, cand, mask)
-        cand_loss = total_loss(cand_state, arrays, prior_map, config)
-        if cand_loss < loss0:
-            return replace(cand_state, loss=cand_loss)
+        if total_loss(cand_state, arrays, prior_map, config) < ev.total_loss:
+            return cand_state
         step *= 0.5
     return state
 
 
-def trace_rows(v_tops, v_bottoms, residuals, used) -> tuple[tuple, tuple]:
-    """LayerTrace `spans` and `residuals`: a box's values if used, else None."""
-    return (tuple((t, b) if u else None for t, b, u in zip(
-                v_tops.tolist(), v_bottoms.tolist(), used)),
-            tuple(r if u else None for r, u in zip(residuals.tolist(), used)))
+def trace_rows(n: int, used, v_tops, v_bottoms, residuals
+               ) -> tuple[tuple, tuple]:
+    """LayerTrace `spans` and `residuals` of `n` boxes: the values of the
+    boxes at indices `used`, given in that order, and None for the rest."""
+    spans, rows = [None] * n, [None] * n
+    for i, t, b, r in zip(used.tolist(), v_tops.tolist(), v_bottoms.tolist(),
+                          residuals.tolist()):
+        spans[i] = (t, b)
+        rows[i] = r
+    return tuple(spans), tuple(rows)
 
 
-def _layer_trace(layer: int, state: SceneState, arrays: SceneArrays,
-                 prior_map, config) -> LayerTrace:
-    mask = np.asarray(state.active)
-    actual = state.actual_heights()
-    rep = reprojection_loss(state.camera, actual, arrays)
-    spans, residuals = trace_rows(rep.v_tops, arrays.v_bottom, rep.residuals,
-                                  state.active)
-    upright = np.asarray(state.upright_heights)[mask]
-    pen = float(np.mean(priors.prior_penalty(
-        upright, arrays.mu[mask], arrays.sigma[mask], config.prior_mode)))
-    loss = state.loss
-    if loss is None:
-        loss = total_loss(state, arrays, prior_map, config)
+def _layer_trace(layer: int, state: SceneState, used: np.ndarray,
+                 heights: np.ndarray) -> LayerTrace:
+    """Trace entry of a state of the used boxes: `heights` holds every
+    box's actual height, and the used boxes' are taken from the state."""
+    ev = state.evaluation
+    rep = ev.reprojection
+    heights = heights.copy()
+    heights[used] = ev.heights
+    spans, residuals = trace_rows(len(heights), used, rep.v_tops,
+                                  ev.scene.v_bottom, rep.residuals)
     return LayerTrace(
         layer=layer,
         cam_height_m=state.camera.cam_height_m,
-        heights_m=tuple(actual.tolist()),
+        heights_m=tuple(heights.tolist()),
         l_vt=rep.l_vt,
-        prior_loss=pen,
-        total_loss=loss,
+        prior_loss=ev.prior_loss,
+        total_loss=ev.total_loss,
         spans=spans,
         residuals=residuals,
     )
@@ -584,35 +676,40 @@ def solve_scene(v0: float, fov_rad: float, boxes,
 
     ratios = box_ratios(columns, config)
     arrays = scene_arrays(columns, prior_map)
-    focal = geometry.focal_from_fov(fov_rad, 1.0)
-    pitch = geometry.pitch_from_horizon(v0, focal, 1.0, principal_v)
-    camera = CameraParams.from_fov(pitch, fov_rad, 1.0, 1.0, 1.0,
-                                   principal_v_px=principal_v)
+    camera = geometry.camera_from_horizon(v0, fov_rad, principal_v)
     active, excluded = classify_boxes(camera, arrays)
     geometry.require_usable(excluded, len(arrays))
-    cam_height, upright0 = init_camera_height(camera, arrays, ratios, active,
-                                              config)
+    used = np.flatnonzero(active)
+    scene = used_boxes(camera, arrays, used)
+    cam_height, upright = init_camera_height(camera, arrays, ratios, active,
+                                             config)
+    ratio_array = np.array(ratios)
+    # The layers solve for the used boxes alone; the others keep their
+    # start.
+    heights = upright * ratio_array
     state = SceneState(replace(camera, cam_height_m=cam_height),
-                       tuple(upright0.tolist()), ratios, active)
-    trace = [_layer_trace(0, state, arrays, prior_map, config)]
-    # From here on every state carries its loss: the trace's for this one,
-    # the loss refine_layer accepted it on for the later ones.
-    state = replace(state, loss=trace[0].total_loss)
+                       upright[used], ratio_array[used],
+                       np.ones(len(used), dtype=bool))
+    total_loss(state, scene, prior_map, config)
+    trace = [_layer_trace(0, state, used, heights)]
 
     converged = False
     for j in range(1, config.num_layers + 1):
+        previous = state
         if not converged:
-            state = refine_layer(state, arrays, prior_map, config)
-        entry = _layer_trace(j, state, arrays, prior_map, config)
+            state = refine_layer(state, scene, prior_map, config)
+        if state is previous:
+            entry = replace(trace[-1], layer=j)
+        else:
+            entry = _layer_trace(j, state, used, heights)
         trace.append(entry)
-        decrease = trace[-2].total_loss - entry.total_loss
-        if decrease < config.loss_tolerance:
+        if trace[-2].total_loss - entry.total_loss < config.loss_tolerance:
             converged = True
 
     final = trace[-1]
+    upright[used] = state.upright_heights
     return SceneEstimate(
         method="cascade", cam_height_m=final.cam_height_m,
-        heights_m=final.heights_m,
-        upright_heights_m=tuple(float(h) for h in state.upright_heights),
+        heights_m=final.heights_m, upright_heights_m=tuple(upright.tolist()),
         upright_ratios=ratios, excluded=excluded, converged=converged,
         ill_posed=False, trace=tuple(trace))

@@ -102,8 +102,10 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _corner_box(camera: CameraParams, obj: GroundObject):
-    """Amodal bounding box (u_left, u_right, v_top, v_bottom), normalized."""
+def _corner_box(camera: CameraParams, obj: GroundObject,
+                matrix: np.ndarray | None = None):
+    """Amodal bounding box (u_left, u_right, v_top, v_bottom), normalized;
+    `matrix` is the camera's projection matrix, if already built."""
     span = geometry.project_vertical(camera, obj)
     half = obj.width_m / 2.0
     corners = [
@@ -112,7 +114,7 @@ def _corner_box(camera: CameraParams, obj: GroundObject):
         (obj.lateral_m - half, obj.height_m, obj.depth_m),
         (obj.lateral_m + half, obj.height_m, obj.depth_m),
     ]
-    uv = geometry.oracle_project_points(camera, corners)
+    uv = geometry.oracle_project_points(camera, corners, matrix)
     return float(uv[:, 0].min()), float(uv[:, 0].max()), span.v_top, span.v_bottom
 
 
@@ -300,6 +302,7 @@ def render_detections(scene: SceneSpec, noise: NoiseModel | None = None
     aspect = scene.camera.image_w_px / scene.camera.image_h_px
     cam_n = CameraParams.from_fov(scene.camera.pitch_rad, scene.camera.fov_rad,
                                   scene.camera.cam_height_m, aspect, 1.0)
+    matrix = geometry.projection_matrix(cam_n)
     heights = effective_heights(scene, noise)
     rng = _rng(scene.seed, _STREAM_BOX)
     sigma = noise.box_sigma if noise is not None else 0.0
@@ -308,7 +311,7 @@ def render_detections(scene: SceneSpec, noise: NoiseModel | None = None
         if height != obj.height_m:
             obj = GroundObject(obj.depth_m, height, obj.lateral_m,
                                obj.width_m, obj.category)
-        u_l, u_r, v_t, v_b = _corner_box(cam_n, obj)
+        u_l, u_r, v_t, v_b = _corner_box(cam_n, obj, matrix)
         if sigma > 0.0:
             for _ in range(_MAX_ORDER_RESAMPLES):
                 du_l, du_r, dv_t, dv_b = rng.normal(0.0, sigma, size=4)

@@ -166,6 +166,26 @@ def test_category_without_height_prior_fails_every_method(tmp_path, capsys,
     assert not (tmp_path / "bikes.results.json").exists()
 
 
+@pytest.mark.parametrize("method", ["cascade", "pgm", "pgm-fixed"])
+def test_every_method_refuses_bottoms_behind_the_camera(tmp_path, capsys,
+                                                        method):
+    # A horizon far above the image tilts the camera almost straight
+    # down: every bottom ray meets the ground behind the camera, under
+    # the linear model of the baselines as under the cascade's.
+    payload = json.loads((_FIXTURES / "scene_0000.json").read_text())
+    payload["calibration"] = {"fov_rad": payload["calibration"]["fov_rad"],
+                              "v0": -50.0}
+    doc = tmp_path / "steep.json"
+    doc.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = cli.main(["solve", str(doc), "--method", method])
+    err = capsys.readouterr().err
+    assert rc == 1
+    n = len(payload["detections"])
+    assert f"no usable detections: {n} bottom-behind-camera" in err
+    assert not (tmp_path / "steep.results.json").exists()
+
+
 def test_unknown_method_lists_valid_ones(tmp_path, capsys):
     data = _synth(tmp_path, "data")
     capsys.readouterr()
@@ -300,6 +320,8 @@ def test_print_config_of_every_section_is_pinned(tmp_path, capsys):
     ("refine: {damping: -0.5}", "config.refine: damping must be finite"),
     ("refine: {max_backtracks: -1}",
      "config.refine: num_layers and max_backtracks must be >= 0"),
+    ("refine: {num_layers: 100000000}",
+     "config.refine: num_layers must be at most 1000, got 100000000"),
     ("cam_height_prior: {sigma_m: .inf}",
      "config.cam_height_prior: camera height prior must have positive"),
     ("refine: {1: 2, foo: 3}", "config.refine: unknown keys [1, 'foo']"),

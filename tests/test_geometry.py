@@ -7,12 +7,14 @@ round trips.  Coordinates are normalized by image height, v grows down,
 pitch > 0 looks up.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scenescale import geometry
 from scenescale.geometry import (CameraParams, GroundObject, HorizonEstimate,
                                  ImageVerticalSpan, depth_from_bottom,
                                  depths_from_bottoms, focal_from_fov,
@@ -327,3 +329,31 @@ def test_oracle_rejects_points_behind_camera():
     cam = _camera()
     with pytest.raises(ValueError):
         projection_oracle(cam, (0.0, 0.0, -3.0))
+
+
+def test_span_kernel_keeps_floats_floats():
+    # The scalar path (`project_vertical`) runs the kernel on plain
+    # floats, with the same values as the array path.
+    cam = _camera(pitch_deg=11.0, cam_height=2.4)
+    v_t, v_b = project_spans(cam, 8.0, 1.9)
+    assert type(v_t) is float and type(v_b) is float
+    arr_t, arr_b = project_spans(cam, np.array([8.0]), np.array([1.9]))
+    assert (v_t, v_b) == (arr_t[0], arr_b[0])
+    span = project_vertical(cam, GroundObject(8.0, 1.9))
+    assert (span.v_top, span.v_bottom) == (v_t, v_b)
+
+
+def test_bottom_rays_serve_every_camera_height_of_their_pitch():
+    cam = _camera(pitch_deg=7.0, cam_height=1.0, w=1.0, h=1.0)
+    v_bottoms = np.array([0.62, 0.75, 0.98])
+    heights = np.array([1.7, 1.5, 0.4])
+    rays = geometry.bottom_rays(cam, v_bottoms)
+    for hc in (0.5, 1.0, 3.2):
+        taller = dataclasses.replace(cam, cam_height_m=hc)
+        for got, want in zip(
+                geometry.project_tops_with_grads(taller, rays, heights),
+                geometry.project_tops_with_grads(taller, v_bottoms, heights)):
+            np.testing.assert_array_equal(got, want)
+    tilted = _camera(pitch_deg=8.0, cam_height=1.0, w=1.0, h=1.0)
+    with pytest.raises(ValueError, match="another camera pitch"):
+        geometry.project_tops_with_grads(tilted, rays, heights)

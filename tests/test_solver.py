@@ -445,9 +445,7 @@ def _dense_step(state, arrays, config):
 
 
 def _arrow_step(state, arrays, config):
-    mask = np.asarray(state.active)
-    return solver._arrow_solve(
-        *solver._arrow_system(state, arrays, config, mask))
+    return solver._arrow_solve(*solver._arrow_system(state, arrays, config))
 
 
 @pytest.mark.parametrize("mode", ["density", "log_density"])
@@ -470,12 +468,11 @@ def test_arrow_gradient_is_the_loss_gradient(k, mode):
     rng = np.random.default_rng([k, len(mode), 8])
     for _ in range(3 if k < 2000 else 1):
         config, state, arrays = _arrow_case(rng, k, mode)
-        mask = np.asarray(state.active)
         vt = project_tops_with_grads(
             state.camera, arrays.v_bottom,
             np.asarray(state.upright_heights) * np.asarray(state.ratios))[0]
         assert np.all(np.abs(arrays.v_top - vt) >= 1e-6)
-        _, _, _, g0, g1 = solver._arrow_system(state, arrays, config, mask)
+        _, _, _, g0, g1 = solver._arrow_system(state, arrays, config)
         np.testing.assert_allclose(
             np.concatenate(([g0], g1)),
             total_loss_gradient(state, arrays, config=config),
@@ -551,8 +548,9 @@ def test_accepted_layer_carries_the_loss_it_was_accepted_on():
     config, state, arrays = _arrow_case(rng, 30, "log_density")
     out = refine_layer(state, arrays, config=config)
     assert out is not state
-    assert out.loss == total_loss(dataclasses.replace(out, loss=None), arrays,
-                                  config=config)
+    fresh = dataclasses.replace(out)
+    assert fresh.loss is None
+    assert out.loss == total_loss(fresh, arrays, config=config)
 
 
 def test_loss_non_increasing_over_layers_on_random_scenes():
@@ -729,6 +727,61 @@ def test_solve_evaluates_the_loss_of_each_state_once(monkeypatch):
     assert len({t.total_loss for t in est.trace}) == 4
 
 
+@pytest.mark.parametrize("num_layers", [3, 30])
+def test_solve_projects_each_state_once(monkeypatch, num_layers):
+    # One projection for the start and one for each candidate a layer
+    # scores; the trace, the accept test and the next layer's system read
+    # the evaluation the state carries.
+    counts = {"project": 0, "candidates": 0, "other": 0}
+    project, loss, refine = (geometry.project_tops_with_grads,
+                             solver.total_loss, solver.refine_layer)
+    inputs = []
+
+    def counting_project(*args, **kwargs):
+        counts["project"] += 1
+        return project(*args, **kwargs)
+
+    def counting_loss(state, *args, **kwargs):
+        counts["candidates" if inputs and state is not inputs[-1]
+               else "other"] += 1
+        return loss(state, *args, **kwargs)
+
+    def tracking_refine(state, *args, **kwargs):
+        inputs.append(state)
+        try:
+            return refine(state, *args, **kwargs)
+        finally:
+            inputs.pop()
+
+    monkeypatch.setattr(geometry, "project_tops_with_grads", counting_project)
+    monkeypatch.setattr(solver, "total_loss", counting_loss)
+    monkeypatch.setattr(solver, "refine_layer", tracking_refine)
+    scene, boxes, v0 = _scene_inputs(seed=21, n_objects=6,
+                                     noise=synth.NoiseModel(box_sigma=0.003))
+    est = solve_scene(v0, scene.camera.fov_rad, boxes,
+                      config=RefinementConfig(num_layers=num_layers))
+    assert len(est.trace) == num_layers + 1
+    assert counts["other"] == 1
+    assert counts["candidates"] >= 3
+    assert counts["project"] == 1 + counts["candidates"]
+
+
+def test_a_layer_traced_after_convergence_repeats_the_previous_entry():
+    scene, boxes, v0 = _scene_inputs(seed=21, n_objects=6,
+                                     noise=synth.NoiseModel(box_sigma=0.003))
+    config = RefinementConfig(num_layers=40)
+    est = solve_scene(v0, scene.camera.fov_rad, boxes, config=config)
+    assert est.converged
+    losses = [t.total_loss for t in est.trace]
+    first = next(j for j in range(1, len(losses))
+                 if losses[j - 1] - losses[j] < config.loss_tolerance)
+    assert first < len(est.trace) - 1
+    for prev, entry in zip(est.trace[first:], est.trace[first + 1:]):
+        assert entry.layer == prev.layer + 1
+        assert dataclasses.replace(entry, layer=prev.layer) == prev
+    assert est.cam_height_m == est.trace[first].cam_height_m
+
+
 def test_solve_rejects_empty_and_fully_degenerate_inputs():
     with pytest.raises(ValueError):
         solve_scene(0.5, math.radians(60.0), [])
@@ -821,6 +874,9 @@ def test_upright_ratio_can_be_disabled():
 def test_refinement_config_validation():
     with pytest.raises(ValueError):
         RefinementConfig(num_layers=-1)
+    assert RefinementConfig(num_layers=solver.MAX_LAYERS).num_layers == 1000
+    with pytest.raises(ValueError, match="num_layers must be at most 1000"):
+        RefinementConfig(num_layers=solver.MAX_LAYERS + 1)
     with pytest.raises(ValueError):
         RefinementConfig(prior_mode="huber")
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from scenescale import cli, synth
+from scenescale import cli, geometry, synth
 from scenescale.geometry import (CameraParams, GroundObject,
                                  depths_from_bottoms, horizon_from_pitch)
 from scenescale.priors import DEFAULT_PRIORS, CategoryPrior
@@ -536,3 +536,28 @@ def test_placement_checks_few_candidates_per_object(monkeypatch):
                  for seed in range(300000, 300040))
     assert placed == 800
     assert calls < 3 * placed
+
+
+def test_render_builds_one_projection_matrix_per_scene(monkeypatch):
+    # Every object of a scene shares the camera, so its 3x4 matrix is
+    # built once; the boxes stay those of a matrix built per object.
+    scene = synth.sample_scene(_experiment_ranges(), n_objects=20, seed=7)
+    noise = synth.NoiseModel(box_sigma=0.002)
+    expected = synth.render_detections(scene, noise)
+    calls = 0
+    build = geometry.projection_matrix
+
+    def counted(camera):
+        nonlocal calls
+        calls += 1
+        return build(camera)
+
+    monkeypatch.setattr(geometry, "projection_matrix", counted)
+    assert synth.render_detections(scene, noise) == expected
+    assert calls == 1
+    corner_box = synth._corner_box
+    monkeypatch.setattr(synth, "_corner_box", lambda camera, obj, matrix=None:
+                        corner_box(camera, obj))
+    calls = 0
+    assert synth.render_detections(scene, noise) == expected
+    assert calls == 1 + len(scene.objects)

@@ -59,8 +59,8 @@ def test_every_method_uses_the_same_detections(pitch_deg, fov_deg, boxes):
     dets = [DetectionBox(u_left=0.1, u_right=0.2, v_top=v0 + off - span,
                          v_bottom=v0 + off, category=category, weight=weight)
             for off, span, category, weight in boxes]
-    full = _outcome(lambda: pgm_full(v0, dets))
-    fixed = _outcome(lambda: pgm_fixed_height(v0, dets))
+    full = _outcome(lambda: pgm_full(v0, dets, fov_rad=fov))
+    fixed = _outcome(lambda: pgm_fixed_height(v0, dets, fov_rad=fov))
     start = _outcome(lambda: _start(v0, fov, dets))
     cascade = _outcome(lambda: solve_scene(v0, fov, dets))
     assert (full is None) == (fixed is None)
@@ -182,12 +182,12 @@ _REASONS = ("no usable detections: ",
             "each of the ")
 
 
-def _fuzz_scene(rng):
+def _fuzz_scene(rng, pitch_deg=(-40.0, 40.0), fov_deg=(20.0, 120.0)):
     """v0, fov and 1-6 random boxes of a camera pitched within +-40 deg
-    with a field of view of 20-120 deg; a third of the boxes anywhere
-    around the image, the rest inside it."""
-    pitch = math.radians(rng.uniform(-40.0, 40.0))
-    fov = math.radians(rng.uniform(20.0, 120.0))
+    with a field of view of 20-120 deg (or the given ranges); a third of
+    the boxes anywhere around the image, the rest inside it."""
+    pitch = math.radians(rng.uniform(*pitch_deg))
+    fov = math.radians(rng.uniform(*fov_deg))
     v0 = 0.5 + geometry.focal_from_fov(fov, 1.0) * math.tan(pitch)
     dets = []
     for _ in range(rng.integers(1, 7)):
@@ -224,3 +224,25 @@ def test_every_method_answers_in_finite_numbers_or_names_its_reason():
             assert est.cam_height_m > 0
     # Scenes with boxes to use are the common case, for every method.
     assert max(refused.values()) < 200
+
+
+def test_given_the_field_of_view_every_method_excludes_the_same_boxes():
+    # Without a field of view the baselines cannot see a bottom whose
+    # ground point lies behind the camera; with it, they exclude what the
+    # cascade excludes.  Wide views pitched down put some bottom rays
+    # past the nadir.
+    rng = np.random.default_rng(12)
+    behind = compared = 0
+    for _ in range(300):
+        v0, fov, dets = _fuzz_scene(rng, (-40.0, -20.0), (100.0, 120.0))
+        answers = [_outcome(estimate) for estimate in (
+            lambda: solve_scene(v0, fov, dets),
+            lambda: pgm_full(v0, dets, fov_rad=fov),
+            lambda: pgm_fixed_height(v0, dets, fov_rad=fov))]
+        if None in answers:
+            continue
+        compared += 1
+        cascade, full, fixed = answers
+        assert full.excluded == fixed.excluded == cascade.excluded
+        behind += any(r == "bottom-behind-camera" for _, r in full.excluded)
+    assert compared > 100 and behind > 10
