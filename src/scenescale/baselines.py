@@ -17,11 +17,12 @@ Both take a box list or a `DetectionColumns` and read the scene's
 `SceneArrays`, so every box needs a height prior.  Both use the boxes
 `geometry.usable_boxes` keeps, the rule the cascade shares, and report
 each other box in `excluded` with its reason; a scene with no usable box
-raises ValueError.  Given the field of view (and principal row), the
-rule also excludes boxes whose bottom meets the ground behind the
-camera, as the cascade does; the field of view enters nothing else, so
-both stay linear-model estimators.  A box's weight counts its vote in
-the median of `pgm_fixed_height` and its height prior in `pgm_full`.
+raises ValueError.  Like `solver.solve_scene`, both take the vertical
+field of view (and principal row), which the rule needs to exclude the
+boxes whose bottom meets the ground behind the camera; it enters
+nothing else, so both stay linear-model estimators.  A box's weight
+counts its vote in the median of `pgm_fixed_height` and its height
+prior in `pgm_full`.
 """
 
 from __future__ import annotations
@@ -68,38 +69,40 @@ def weighted_median(values, weights) -> float:
     return float(v[idx])
 
 
-def _ratio_votes(v0: float, arrays: SceneArrays, fov_rad: float | None,
+def _ratio_votes(v0: float, fov_rad: float, arrays: SceneArrays,
                  principal_v: float):
     """(ratios, keep, excluded): the (v_top - v_bottom) / (v0 - v_bottom)
-    of each box `geometry.usable_boxes` keeps; ValueError if none.  With
-    a field of view, the rule also gets the bottoms' ground depths; they
-    can exclude a box only under a camera pitched down (v0 above the
-    principal row), since below the horizon of a level or raised camera
-    every bottom ray meets the ground in front of it."""
-    depths = None
-    if fov_rad is not None and v0 < principal_v:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            depths = geometry.depths_from_bottoms(geometry.camera_from_horizon(
-                v0, fov_rad, principal_v), arrays.v_bottom)
-    keep, excluded = geometry.usable_boxes(v0, arrays.v_top, arrays.v_bottom,
-                                           depths)
+    of each box `geometry.usable_boxes` keeps; ValueError if none.
+
+    Under the camera whose horizon lies at v0, a bottom's ground depth per
+    unit camera height is (f^2 + w*w0) / (f*(v_bottom - v0)), w and w0
+    the offsets of the bottom and of the horizon from the principal row.
+    The rule reads only whether the depth of a bottom below the horizon
+    is finite and positive, so it is given the numerator, which is
+    exactly when the depth is.
+    """
+    f = geometry.focal_from_fov(fov_rad, 1.0)
+    v_top, v_bottom = arrays.v_top, arrays.v_bottom
+    depth_signs = f * f + (v_bottom - principal_v) * (v0 - principal_v)
+    keep, excluded = geometry.usable_boxes(v0, v_top, v_bottom, depth_signs)
     geometry.require_usable(excluded, len(arrays))
-    return ((arrays.v_top[keep] - arrays.v_bottom[keep])
-            / (v0 - arrays.v_bottom[keep]), keep, excluded)
+    return ((v_top[keep] - v_bottom[keep]) / (v0 - v_bottom[keep]), keep,
+            excluded)
 
 
 def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
             heights, h_cam: float, ill_posed: bool) -> SceneEstimate:
     """Estimate with a one-entry trace of the linear-model reprojection of
     the kept boxes and the prior loss of their heights."""
-    tops = arrays.v_bottom + heights * (v0 - arrays.v_bottom) / h_cam
-    res = arrays.v_top - tops
-    l_vt = float(np.mean(np.abs(res[keep])))
-    pen = priors.prior_penalty(heights[keep], arrays.mu[keep],
-                               arrays.sigma[keep], "log_density")
+    used = np.flatnonzero(keep)
+    v_bottom = arrays.v_bottom[used]
+    tops = v_bottom + heights[used] * (v0 - v_bottom) / h_cam
+    res = arrays.v_top[used] - tops
+    l_vt = float(np.mean(np.abs(res)))
+    pen = priors.prior_penalty(heights[used], arrays.mu[used],
+                               arrays.sigma[used], "log_density")
     n = len(arrays)
-    spans, residuals = trace_rows(n, np.flatnonzero(keep), tops[keep],
-                                  arrays.v_bottom[keep], res[keep])
+    spans, residuals = trace_rows(n, used, tops, v_bottom, res)
     heights_full = tuple(heights.tolist())
     trace = LayerTrace(
         layer=0,
@@ -124,10 +127,9 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
     )
 
 
-def pgm_fixed_height(v0: float, boxes,
+def pgm_fixed_height(v0: float, fov_rad: float, boxes,
                      canonical_heights: dict[str, float] | None = None,
                      prior_map: dict[str, CategoryPrior] | None = None,
-                     fov_rad: float | None = None,
                      principal_v: float = 0.5) -> SceneEstimate:
     """Camera height from fixed canonical object heights.
 
@@ -149,16 +151,15 @@ def pgm_fixed_height(v0: float, boxes,
             f"no canonical height for category {exc.args[0]!r}; "
             f"known: {sorted(canonical_heights)}") from None
     arrays = scene_arrays(columns, prior_map)
-    qs, keep, excluded = _ratio_votes(v0, arrays, fov_rad, principal_v)
+    qs, keep, excluded = _ratio_votes(v0, fov_rad, arrays, principal_v)
     h_cam = weighted_median(heights[keep] / qs, arrays.weight[keep])
     return _finish("pgm-fixed", v0, arrays, keep, excluded, heights, h_cam,
                    ill_posed=False)
 
 
-def pgm_full(v0: float, boxes,
+def pgm_full(v0: float, fov_rad: float, boxes,
              prior_map: dict[str, CategoryPrior] | None = None,
              cam_height_prior: CamHeightPrior | None = None,
-             fov_rad: float | None = None,
              principal_v: float = 0.5) -> SceneEstimate:
     """Joint MAP under the linear model with free object heights.
 
@@ -177,7 +178,7 @@ def pgm_full(v0: float, boxes,
     if not len(columns):
         raise ValueError("no detections to estimate from")
     arrays = scene_arrays(columns, prior_map)
-    qs, keep, excluded = _ratio_votes(v0, arrays, fov_rad, principal_v)
+    qs, keep, excluded = _ratio_votes(v0, fov_rad, arrays, principal_v)
     h_cam, info = priors.scale_map(qs, arrays.mu[keep], arrays.sigma[keep],
                                    arrays.weight[keep], cam_height_prior)
     heights = arrays.mu.copy()

@@ -62,12 +62,12 @@ def _run_method(doc: DetectionDocument, config: ToolkitConfig):
             principal_v=doc.calibration.principal_v)
     elif config.method == "pgm":
         estimate = baselines.pgm_full(
-            v0, kept.columns, priors, config.cam_height_prior,
-            doc.calibration.fov_rad, doc.calibration.principal_v)
+            v0, doc.calibration.fov_rad, kept.columns, priors,
+            config.cam_height_prior, principal_v=doc.calibration.principal_v)
     else:
         estimate = baselines.pgm_fixed_height(
-            v0, kept.columns, config.canonical_map(), priors,
-            doc.calibration.fov_rad, doc.calibration.principal_v)
+            v0, doc.calibration.fov_rad, kept.columns, config.canonical_map(),
+            priors, principal_v=doc.calibration.principal_v)
     return estimate, kept
 
 

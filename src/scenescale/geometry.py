@@ -192,11 +192,14 @@ def camera_from_horizon(v0: float, fov_rad: float,
 
 def project_spans(camera: CameraParams, depths, heights):
     """Vertical spans (v_tops, v_bottoms) of upright objects: float
-    depths and heights give floats, arrays give arrays."""
+    depths and heights give floats, sequences give arrays."""
     st, ct = math.sin(camera.pitch_rad), math.cos(camera.pitch_rad)
     f, vc, h_im = camera.focal_px, camera.principal_v_px, camera.image_h_px
     hc = float(camera.cam_height_m)
-    z, h = depths, heights
+    # Python floats skip numpy, which would cost more than the formulas.
+    z = depths if type(depths) is float else np.asarray(depths, dtype=float)
+    h = heights if type(heights) is float else np.asarray(heights,
+                                                           dtype=float)
     v_bottom = (vc + f * (hc * ct + z * st) / (z * ct - hc * st)) / h_im
     v_top = (vc + f * ((hc - h) * ct + z * st)
              / (z * ct + (h - hc) * st)) / h_im

@@ -185,7 +185,8 @@ class SceneState:
     they are given as.  `evaluation` is the state's last `total_loss`
     evaluation, which `refine_layer`, `total_loss_gradient` and the trace
     read instead of evaluating the state again; `dataclasses.replace`
-    gives a state without one.  States compare by value.
+    gives a state without one.  States compare by value, without their
+    evaluation.
     """
 
     camera: CameraParams
@@ -207,7 +208,7 @@ class SceneState:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SceneState):
             return NotImplemented
-        return (self.camera == other.camera and self.loss == other.loss
+        return (self.camera == other.camera
                 and all(map(np.array_equal,
                             (self.upright_heights, self.ratios, self.active),
                             (other.upright_heights, other.ratios,
@@ -293,8 +294,9 @@ class SceneArrays:
     category and the box weight.  Built once per solve by `scene_arrays`.
 
     `rays`, when set, are the boxes' `geometry.bottom_rays` under one
-    camera pitch and focal length, and mark every box usable there: the
-    form of the boxes a solve uses (`used_boxes`).
+    camera pitch and focal length: the form of the boxes a loss runs over
+    (`used_boxes`), which `reprojection_loss` projects through their rays
+    and excludes none of.
     """
 
     v_top: np.ndarray
@@ -307,10 +309,19 @@ class SceneArrays:
     def __len__(self) -> int:
         return len(self.v_top)
 
+    def same_boxes(self, other: SceneArrays) -> bool:
+        """Whether `other` holds the same boxes and priors (rays aside)."""
+        return self is other or all(map(
+            np.array_equal,
+            (self.v_top, self.v_bottom, self.mu, self.sigma, self.weight),
+            (other.v_top, other.v_bottom, other.mu, other.sigma,
+             other.weight)))
+
 
 def used_boxes(camera: CameraParams, arrays: SceneArrays, used) -> SceneArrays:
     """The boxes of `arrays` at `used` (indices or a mask), with their
-    bottom rays under `camera`; they must be usable there."""
+    bottom rays under `camera`: the boxes a loss runs over, all of them,
+    as `total_loss` does over a state's active boxes."""
     v_bottom = arrays.v_bottom[used]
     return SceneArrays(arrays.v_top[used], v_bottom, arrays.mu[used],
                        arrays.sigma[used], arrays.weight[used],
@@ -421,8 +432,8 @@ def reprojection_loss(camera: CameraParams, heights_m, boxes) -> ReprojectionRes
     heights_m are actual heights, one per box.  Excluded objects get NaN
     residuals and do not enter the mean; which objects are excluded is
     read off the depths the projection returns, by the rule of
-    `classify_boxes`.  Boxes with bottom rays (`used_boxes`) are all
-    usable and project through their rays.
+    `classify_boxes`.  Boxes with bottom rays (`used_boxes`) are the boxes
+    of a loss: they project through their rays and none is excluded.
     """
     v_top, v_bottom = _v_columns(boxes)
     if not len(v_top):
@@ -459,14 +470,13 @@ def total_loss(state: SceneState, boxes,
     config = config or RefinementConfig()
     arrays = scene_arrays(boxes, prior_map)
     mask = state.active
-    if arrays.rays is not None and mask.all():
-        scene, upright, ratios = arrays, state.upright_heights, state.ratios
-    elif mask.any():
+    if not mask.any():
+        raise ValueError("no active objects to evaluate")
+    scene = arrays
+    if arrays.rays is None or not mask.all():
         with np.errstate(divide="ignore", invalid="ignore"):
             scene = used_boxes(state.camera, arrays, mask)
-        upright, ratios = state.upright_heights[mask], state.ratios[mask]
-    else:
-        raise ValueError("no active objects to evaluate")
+    upright, ratios = state.upright_heights[mask], state.ratios[mask]
     actual = upright * ratios
     rep = reprojection_loss(state.camera, actual, scene)
     # Camera-frame z of the anchored tops must stay positive.
@@ -487,9 +497,11 @@ def total_loss(state: SceneState, boxes,
 def _evaluation(state: SceneState, arrays: SceneArrays,
                 config: RefinementConfig) -> Evaluation:
     """The state's evaluation under this scene and config: the one it
-    carries, or a new one from `total_loss`."""
+    carries if that was made under the same boxes and an equal config,
+    else a new one from `total_loss`."""
     ev = state.evaluation
-    if ev is None or ev.arrays is not arrays or ev.config is not config:
+    if (ev is None or not ev.arrays.same_boxes(arrays)
+            or ev.config != config):
         total_loss(state, arrays, config=config)
         ev = state.evaluation
     return ev

@@ -313,7 +313,7 @@ def test_criterion_09_joint_solve_beats_fixed_height_baseline():
         v0 = _v0(scene)
         truth = np.array([o.height_m for o in scene.objects])
         est = solve_scene(v0, scene.camera.fov_rad, boxes)
-        base = pgm_fixed_height(v0, boxes)
+        base = pgm_fixed_height(v0, scene.camera.fov_rad, boxes)
         solver_means.append(float(np.mean(np.abs(np.array(est.heights_m)
                                                  - truth))))
         fixed_means.append(float(np.mean(np.abs(np.array(base.heights_m)
@@ -338,7 +338,7 @@ def test_criterion_10_free_height_baseline_reports_zero_reprojection():
             scene = synth.sample_scene(synth.SceneRanges(), n_objects=n,
                                        seed=base_seed + i)
             boxes = synth.render_detections(scene, noise)
-            est = pgm_full(_v0(scene), boxes)
+            est = pgm_full(_v0(scene), scene.camera.fov_rad, boxes)
             for t in est.trace:
                 worst = max(worst, t.l_vt)
                 worst = max(worst, max((abs(r) for r in t.residuals

@@ -21,9 +21,11 @@ from scenescale.priors import DEFAULT_PRIORS, CategoryPrior
 from scenescale.solver import DetectionBox, RefinementConfig, solve_scene
 
 
-def _camera(cam_height=1.6, fov_deg=60.0) -> CameraParams:
-    return CameraParams.from_fov(0.0, math.radians(fov_deg), cam_height,
-                                 1.0, 1.0)
+_FOV = math.radians(60.0)
+
+
+def _camera(cam_height=1.6) -> CameraParams:
+    return CameraParams.from_fov(0.0, _FOV, cam_height, 1.0, 1.0)
 
 
 def _box_for(camera: CameraParams, depth: float, height: float,
@@ -68,7 +70,7 @@ def test_pgm_fixed_exact_at_pitch_zero():
     boxes = [_box_for(camera, 6.0, 1.70, "person"),
              _box_for(camera, 9.0, 1.59, "car"),
              _box_for(camera, 14.0, 1.70, "person")]
-    est = pgm_fixed_height(v0, boxes)
+    est = pgm_fixed_height(v0, camera.fov_rad, boxes)
     assert est.cam_height_m == pytest.approx(2.3, rel=1e-12)
     assert est.method == "pgm-fixed"
     assert est.converged and not est.ill_posed
@@ -79,7 +81,7 @@ def test_pgm_fixed_heights_stay_canonical():
     v0 = horizon_from_pitch(camera).v0
     boxes = [_box_for(camera, 5.0, 1.9, "person"),
              _box_for(camera, 8.0, 1.4, "car")]
-    est = pgm_fixed_height(v0, boxes)
+    est = pgm_fixed_height(v0, camera.fov_rad, boxes)
     assert est.heights_m == (1.70, 1.59)
     assert est.upright_heights_m == est.heights_m
     assert est.upright_ratios == (1.0, 1.0)
@@ -93,7 +95,7 @@ def test_pgm_fixed_vote_is_weighted_median():
     crush = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.88, v_bottom=0.9,
                          category="person", weight=2.0)
     votes = sorted([1.70 / _q(v0, b) for b in good + [crush]])
-    est = pgm_fixed_height(v0, good + [crush])
+    est = pgm_fixed_height(v0, camera.fov_rad, good + [crush])
     # Weight 2 on the low vote drags the weighted median to the second
     # smallest vote.
     assert est.cam_height_m == pytest.approx(votes[1], rel=1e-12)
@@ -107,7 +109,7 @@ def test_pgm_fixed_excludes_degenerates_with_reasons():
                           v_bottom=0.7 + 1e-12, category="person")
     on_horizon = DetectionBox(u_left=0.1, u_right=0.2, v_top=v0 - 0.2,
                               v_bottom=v0 + 1e-9, category="person")
-    est = pgm_fixed_height(v0, [sliver, ok, on_horizon])
+    est = pgm_fixed_height(v0, camera.fov_rad, [sliver, ok, on_horizon])
     assert dict(est.excluded) == {0: "zero-span", 2: "bottom-on-horizon"}
     assert est.trace[0].spans[0] is None
     assert est.trace[0].residuals[2] is None
@@ -116,18 +118,18 @@ def test_pgm_fixed_excludes_degenerates_with_reasons():
 
 def test_pgm_fixed_rejects_empty_and_all_degenerate():
     with pytest.raises(ValueError):
-        pgm_fixed_height(0.5, [])
+        pgm_fixed_height(0.5, _FOV, [])
     sliver = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.7,
                           v_bottom=0.7 + 1e-12, category="person")
     with pytest.raises(ValueError, match="no usable detections: 1 zero-span"):
-        pgm_fixed_height(0.5, [sliver])
+        pgm_fixed_height(0.5, _FOV, [sliver])
 
 
 def test_pgm_fixed_unknown_category_names_known_ones():
     box = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.6, v_bottom=0.8,
                        category="lamppost")
     with pytest.raises(ValueError, match="person"):
-        pgm_fixed_height(0.5, [box])
+        pgm_fixed_height(0.5, _FOV, [box])
 
 
 def test_pgm_fixed_permutation_invariant():
@@ -136,8 +138,8 @@ def test_pgm_fixed_permutation_invariant():
     boxes = [_box_for(camera, d, h, c) for d, h, c in
              [(4.0, 1.6, "person"), (6.0, 1.8, "person"), (9.0, 1.5, "car"),
               (12.0, 1.75, "person"), (20.0, 1.62, "car")]]
-    fwd = pgm_fixed_height(v0, boxes)
-    rev = pgm_fixed_height(v0, boxes[::-1])
+    fwd = pgm_fixed_height(v0, camera.fov_rad, boxes)
+    rev = pgm_fixed_height(v0, camera.fov_rad, boxes[::-1])
     assert fwd.cam_height_m == rev.cam_height_m
     assert fwd.heights_m == rev.heights_m[::-1]
 
@@ -158,7 +160,7 @@ def test_pgm_full_single_box_closed_form():
     expect = ((q * prior.mean_m / prior.sigma_m ** 2
                + cam_prior.mean_m / cam_prior.sigma_m ** 2)
               / (q ** 2 / prior.sigma_m ** 2 + 1.0 / cam_prior.sigma_m ** 2))
-    est = pgm_full(v0, [box])
+    est = pgm_full(v0, _FOV, [box])
     assert est.cam_height_m == pytest.approx(expect, rel=1e-12)
     assert est.heights_m[0] == pytest.approx(q * expect, rel=1e-12)
     assert est.method == "pgm"
@@ -180,7 +182,7 @@ def test_pgm_full_matches_grid_search():
     grid = np.arange(0.2, 8.0, 1e-4)
     post = (-0.5 * np.sum((np.outer(grid, qs) - mu) ** 2 / var, axis=1)
             - 0.5 * (grid - cam_prior.mean_m) ** 2 / cam_prior.sigma_m ** 2)
-    est = pgm_full(v0, boxes)
+    est = pgm_full(v0, camera.fov_rad, boxes)
     assert abs(est.cam_height_m - grid[np.argmax(post)]) < 2e-4
 
 
@@ -196,7 +198,7 @@ def test_pgm_full_reprojection_loss_is_zero():
         cam_n = CameraParams.from_fov(cam.pitch_rad, cam.fov_rad,
                                       cam.cam_height_m,
                                       cam.image_w_px / cam.image_h_px, 1.0)
-        est = pgm_full(horizon_from_pitch(cam_n).v0, boxes)
+        est = pgm_full(horizon_from_pitch(cam_n).v0, cam_n.fov_rad, boxes)
         assert est.trace[-1].l_vt <= 1e-9
         for r in est.trace[-1].residuals:
             assert r is None or abs(r) <= 1e-9
@@ -209,7 +211,7 @@ def test_pgm_full_flat_priors_flag_ill_posed():
     box = DetectionBox(u_left=0.4, u_right=0.5, v_top=0.7, v_bottom=0.9,
                        category="person")
     flat = {"person": CategoryPrior("person", 1.70, 1e9)}
-    est = pgm_full(v0, [box], prior_map=flat)
+    est = pgm_full(v0, _FOV, [box], prior_map=flat)
     assert est.ill_posed
     assert est.cam_height_m == pytest.approx(1.6, rel=1e-9)
 
@@ -220,7 +222,7 @@ def test_pgm_full_excluded_boxes_fall_back_to_prior_mean():
     ok = _box_for(camera, 6.0, 1.70, "person")
     sliver = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.7,
                           v_bottom=0.7 + 1e-12, category="car")
-    est = pgm_full(v0, [ok, sliver])
+    est = pgm_full(v0, camera.fov_rad, [ok, sliver])
     assert dict(est.excluded) == {1: "zero-span"}
     assert est.heights_m[1] == DEFAULT_PRIORS["car"].mean_m
     assert est.trace[0].spans[1] is None
@@ -232,8 +234,8 @@ def test_pgm_full_permutation_invariant():
     boxes = [_box_for(camera, d, h, c) for d, h, c in
              [(4.0, 1.6, "person"), (7.0, 1.85, "person"), (9.0, 1.5, "car"),
               (13.0, 1.72, "person")]]
-    fwd = pgm_full(v0, boxes)
-    rev = pgm_full(v0, boxes[::-1])
+    fwd = pgm_full(v0, camera.fov_rad, boxes)
+    rev = pgm_full(v0, camera.fov_rad, boxes[::-1])
     assert fwd.cam_height_m == pytest.approx(rev.cam_height_m, abs=1e-12)
     np.testing.assert_allclose(fwd.heights_m, rev.heights_m[::-1],
                                atol=1e-12)
@@ -243,8 +245,10 @@ def test_pgm_full_custom_camera_prior_shifts_estimate():
     v0 = 0.5
     box = DetectionBox(u_left=0.4, u_right=0.5, v_top=0.7, v_bottom=0.9,
                        category="person")
-    lo = pgm_full(v0, [box], cam_height_prior=CamHeightPrior(1.0, 0.1))
-    hi = pgm_full(v0, [box], cam_height_prior=CamHeightPrior(5.0, 0.1))
+    lo = pgm_full(v0, _FOV, [box],
+                  cam_height_prior=CamHeightPrior(1.0, 0.1))
+    hi = pgm_full(v0, _FOV, [box],
+                  cam_height_prior=CamHeightPrior(5.0, 0.1))
     assert lo.cam_height_m < hi.cam_height_m
 
 
@@ -254,12 +258,12 @@ def test_pgm_full_counts_a_weight_two_box_as_two_boxes():
     a = _box_for(camera, 5.0, 1.55, "person")
     b = _box_for(camera, 9.0, 1.62, "car")
     heavy = dataclasses.replace(a, weight=2.0)
-    weighted = pgm_full(v0, [heavy, b])
-    twice = pgm_full(v0, [a, a, b])
+    weighted = pgm_full(v0, camera.fov_rad, [heavy, b])
+    twice = pgm_full(v0, camera.fov_rad, [a, a, b])
     assert weighted.cam_height_m == pytest.approx(twice.cam_height_m,
                                                   rel=1e-14)
     assert weighted.cam_height_m != pytest.approx(
-        pgm_full(v0, [a, b]).cam_height_m, rel=1e-6)
+        pgm_full(v0, camera.fov_rad, [a, b]).cam_height_m, rel=1e-6)
 
 
 def test_pgm_full_and_the_cascade_start_share_the_closed_form():
@@ -273,6 +277,6 @@ def test_pgm_full_and_the_cascade_start_share_the_closed_form():
     flat = CamHeightPrior(sigma_m=1e12)
     start = solve_scene(v0, camera.fov_rad, boxes,
                         config=RefinementConfig(num_layers=0))
-    est = pgm_full(v0, boxes, cam_height_prior=flat)
+    est = pgm_full(v0, camera.fov_rad, boxes, cam_height_prior=flat)
     assert start.cam_height_m == pytest.approx(est.cam_height_m, rel=1e-9)
     np.testing.assert_allclose(start.heights_m, est.heights_m, rtol=1e-9)

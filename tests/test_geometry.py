@@ -339,6 +339,8 @@ def test_span_kernel_keeps_floats_floats():
     assert type(v_t) is float and type(v_b) is float
     arr_t, arr_b = project_spans(cam, np.array([8.0]), np.array([1.9]))
     assert (v_t, v_b) == (arr_t[0], arr_b[0])
+    list_t, list_b = project_spans(cam, [8.0], [1.9])
+    assert (list_t.tolist(), list_b.tolist()) == ([v_t], [v_b])
     span = project_vertical(cam, GroundObject(8.0, 1.9))
     assert (span.v_top, span.v_bottom) == (v_t, v_b)
 

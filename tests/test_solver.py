@@ -553,6 +553,40 @@ def test_accepted_layer_carries_the_loss_it_was_accepted_on():
     assert out.loss == total_loss(fresh, arrays, config=config)
 
 
+def test_an_evaluation_is_reused_for_equal_inputs_and_is_not_compared(
+        monkeypatch):
+    # The state's evaluation is kept for a scene and config of the same
+    # values, such as a copy of the boxes and a fresh default config, and
+    # is not part of the state's value.
+    rng = np.random.default_rng(9)
+    _, state, arrays = _arrow_case(rng, 5, "log_density")
+    calls = []
+    project = geometry.project_tops_with_grads
+
+    def counting_project(*args, **kwargs):
+        calls.append(1)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "project_tops_with_grads", counting_project)
+    twin = dataclasses.replace(state)
+    loss = total_loss(state, arrays)
+    assert twin.loss is None and state.loss == loss
+    assert state == twin
+    copy = solver.SceneArrays(*(column.copy() for column in (
+        arrays.v_top, arrays.v_bottom, arrays.mu, arrays.sigma,
+        arrays.weight)))
+    assert copy.same_boxes(arrays) and copy is not arrays
+    total_loss_gradient(state, copy)
+    assert len(calls) == 1
+    other = RefinementConfig(prior_weight=1.0)
+    total_loss_gradient(state, copy, config=other)
+    assert len(calls) == 2
+    moved = solver.SceneArrays(arrays.v_top, arrays.v_bottom + 1e-3,
+                               arrays.mu, arrays.sigma, arrays.weight)
+    total_loss_gradient(state, moved, config=other)
+    assert len(calls) == 3
+
+
 def test_loss_non_increasing_over_layers_on_random_scenes():
     config = RefinementConfig()
     noise = synth.NoiseModel(box_sigma=0.004)

@@ -59,8 +59,8 @@ def test_every_method_uses_the_same_detections(pitch_deg, fov_deg, boxes):
     dets = [DetectionBox(u_left=0.1, u_right=0.2, v_top=v0 + off - span,
                          v_bottom=v0 + off, category=category, weight=weight)
             for off, span, category, weight in boxes]
-    full = _outcome(lambda: pgm_full(v0, dets, fov_rad=fov))
-    fixed = _outcome(lambda: pgm_fixed_height(v0, dets, fov_rad=fov))
+    full = _outcome(lambda: pgm_full(v0, fov, dets))
+    fixed = _outcome(lambda: pgm_fixed_height(v0, fov, dets))
     start = _outcome(lambda: _start(v0, fov, dets))
     cascade = _outcome(lambda: solve_scene(v0, fov, dets))
     assert (full is None) == (fixed is None)
@@ -95,8 +95,9 @@ def _camera_boxes():
 
 
 def _estimates(camera, v0, boxes):
-    return (solve_scene(v0, camera.fov_rad, boxes), pgm_full(v0, boxes),
-            pgm_fixed_height(v0, boxes))
+    fov = camera.fov_rad
+    return (solve_scene(v0, fov, boxes), pgm_full(v0, fov, boxes),
+            pgm_fixed_height(v0, fov, boxes))
 
 
 @pytest.mark.parametrize("offset, reason", [
@@ -132,8 +133,8 @@ def test_nothing_usable_gives_one_message_naming_the_reasons():
     message = ("no usable detections: 1 bottom-above-horizon, "
                "1 bottom-on-horizon, 1 zero-span")
     for estimate in (lambda: solve_scene(v0, camera.fov_rad, boxes),
-                     lambda: pgm_full(v0, boxes),
-                     lambda: pgm_fixed_height(v0, boxes)):
+                     lambda: pgm_full(v0, camera.fov_rad, boxes),
+                     lambda: pgm_fixed_height(v0, camera.fov_rad, boxes)):
         with pytest.raises(ValueError) as info:
             estimate()
         assert str(info.value) == message
@@ -212,8 +213,8 @@ def test_every_method_answers_in_finite_numbers_or_names_its_reason():
         v0, fov, dets = _fuzz_scene(rng)
         for method, estimate in (
                 ("cascade", lambda: solve_scene(v0, fov, dets)),
-                ("pgm", lambda: pgm_full(v0, dets)),
-                ("pgm-fixed", lambda: pgm_fixed_height(v0, dets))):
+                ("pgm", lambda: pgm_full(v0, fov, dets)),
+                ("pgm-fixed", lambda: pgm_fixed_height(v0, fov, dets))):
             try:
                 est = estimate()
             except ValueError as exc:
@@ -226,19 +227,18 @@ def test_every_method_answers_in_finite_numbers_or_names_its_reason():
     assert max(refused.values()) < 200
 
 
-def test_given_the_field_of_view_every_method_excludes_the_same_boxes():
-    # Without a field of view the baselines cannot see a bottom whose
-    # ground point lies behind the camera; with it, they exclude what the
-    # cascade excludes.  Wide views pitched down put some bottom rays
-    # past the nadir.
+def test_every_method_excludes_the_same_boxes_behind_the_camera():
+    # Given the field of view, the baselines exclude the boxes whose
+    # bottom meets the ground behind the camera, as the cascade does.
+    # Wide views pitched down put some bottom rays past the nadir.
     rng = np.random.default_rng(12)
     behind = compared = 0
     for _ in range(300):
         v0, fov, dets = _fuzz_scene(rng, (-40.0, -20.0), (100.0, 120.0))
         answers = [_outcome(estimate) for estimate in (
             lambda: solve_scene(v0, fov, dets),
-            lambda: pgm_full(v0, dets, fov_rad=fov),
-            lambda: pgm_fixed_height(v0, dets, fov_rad=fov))]
+            lambda: pgm_full(v0, fov, dets),
+            lambda: pgm_fixed_height(v0, fov, dets))]
         if None in answers:
             continue
         compared += 1

@@ -140,7 +140,7 @@ def criterion9(n_scenes: int) -> None:
             truth = np.array([o.height_m for o in scene.objects])
             est = solve_scene(v0, scene.camera.fov_rad, boxes, DEFAULT_PRIORS)
             solver_errs.extend(np.abs(np.array(est.heights_m) - truth))
-            base = pgm_fixed_height(v0, boxes)
+            base = pgm_fixed_height(v0, scene.camera.fov_rad, boxes)
             fixed_errs.extend(np.abs(np.array(base.heights_m) - truth))
         med_s = summarize(solver_errs)[2]
         med_f = summarize(fixed_errs)[2]
