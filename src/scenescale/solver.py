@@ -12,26 +12,27 @@ absolute scale comes from category size priors.  The pipeline:
      meet the ground in front of the camera.  This depends only on the
      camera's pitch and focal length, and so do the bottoms' rays
      (`geometry.bottom_rays`: depth per unit camera height and the
-     derivatives a projection needs); both are computed here once, and
-     the layers solve for the used boxes alone (`used_boxes`, a
-     `SceneArrays` with rays).  Start from the closed form
-     (`init_camera_height`): with each used object's top on its detected
-     top, the height priors fix the camera height (`priors.scale_map`),
-     and each object starts at the height that camera height implies for
-     it.
-  2. Run a fixed number of refinement layers.  Each layer takes one
-     damped Gauss-Newton step on the total loss (L1 reprojection of the
-     box tops + Gaussian prior penalty on upright heights) with
-     backtracking, so the loss never increases.  Each object's residual
-     depends only on the camera height and its own height, so the step's
-     normal matrix is arrow-shaped; the Schur complement of its diagonal
-     block solves it in O(k) time and memory for k objects.  Every state
-     is evaluated once: `total_loss` projects it (through
-     `reprojection_loss`) and leaves the tops, their derivatives and the
-     loss terms on the state as its `Evaluation`, which the trace entry,
-     the step's accept test and the next layer's system all read.  Once
-     the loss stops falling, a layer's entry is the previous one with its
-     own layer number.
+     derivatives a projection needs).  Both are computed here once, into
+     the used boxes' `_LossBoxes`, and the layers solve for those boxes
+     alone.  Start from the closed form (`init_camera_height`): with each
+     used object's top on its detected top, the height priors fix the
+     camera height (`priors.scale_map`), and each object starts at the
+     height that camera height implies for it.
+  2. Run a fixed number of refinement layers.  The total loss is the L1
+     reprojection of the box tops plus a Gaussian prior penalty on the
+     upright heights, each a mean weighted by the boxes' `weight`, so a
+     box of weight 2 pulls like the same box listed twice.  `_evaluate`
+     scores one point (camera height, upright heights) and returns an
+     `Evaluation`: the tops, their derivatives and the loss terms.  Each
+     layer (`_step`) takes one damped Gauss-Newton step from the last
+     accepted evaluation, with backtracking, so the loss never
+     increases, and returns the evaluation of the candidate it accepts;
+     the loop hands it to the trace and to the next layer.  Each
+     object's residual depends only on the camera height and its own
+     height, so the step's normal matrix is arrow-shaped; the Schur
+     complement of its diagonal block solves it in O(k) time and memory
+     for k objects.  Once the loss stops falling, a layer's entry is the
+     previous one with its own layer number.
 
 Object depths are anchored to the detected bottom coordinate throughout:
 depth is always the ground intersection of the bottom ray under the
@@ -43,7 +44,7 @@ prior constrains the UPRIGHT height while reprojection uses the actual
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -182,19 +183,13 @@ class SceneState:
     used in reprojection are upright * ratio.  `active` marks objects
     that participate in the loss (those `classify_boxes` keeps).  The
     three are kept as read-only float (bool) arrays, whatever sequence
-    they are given as.  `evaluation` is the state's last `total_loss`
-    evaluation, which `refine_layer`, `total_loss_gradient` and the trace
-    read instead of evaluating the state again; `dataclasses.replace`
-    gives a state without one.  States compare by value, without their
-    evaluation.
+    they are given as.  States compare by value.
     """
 
     camera: CameraParams
     upright_heights: np.ndarray
     ratios: np.ndarray
     active: np.ndarray
-    evaluation: Evaluation | None = field(default=None, init=False,
-                                          repr=False)
 
     def __post_init__(self) -> None:
         for name, dtype in (("upright_heights", float), ("ratios", float),
@@ -215,11 +210,6 @@ class SceneState:
                              other.active))))
 
     __hash__ = None
-
-    @property
-    def loss(self) -> float | None:
-        """The total loss of `evaluation`, None before one."""
-        return None if self.evaluation is None else self.evaluation.total_loss
 
     def actual_heights(self) -> np.ndarray:
         return self.upright_heights * self.ratios
@@ -263,26 +253,23 @@ class ReprojectionResult(NamedTuple):
     l_vt: float
     excluded: tuple[tuple[int, str], ...]
     v_tops: np.ndarray                     # reprojected tops, meaningless if excluded
-    d_cam: np.ndarray                      # d v_top / d camera height
-    d_height: np.ndarray                   # d v_top / d actual height
-    depths: np.ndarray                     # ground depth of each bottom
 
 
 class Evaluation(NamedTuple):
-    """One evaluation of a state by `total_loss`, over the boxes it uses
-    (`scene`, in their order): their upright and actual heights and
-    posture ratios, the reprojection of their tops with its derivatives,
-    the prior penalty and the total loss.  `arrays` and `config` are the
-    scene and config it was made under.
+    """The loss at one point of a solve, over its used boxes (a
+    `_LossBoxes`, in their order): the camera, the upright and actual
+    heights, the reprojection of the tops with its derivatives, the
+    weighted L1 and prior terms and the total loss (`_evaluate`).
     """
 
-    arrays: SceneArrays
-    config: RefinementConfig
-    scene: SceneArrays
+    camera: CameraParams
     upright: np.ndarray
-    ratios: np.ndarray
     heights: np.ndarray
-    reprojection: ReprojectionResult
+    residuals: np.ndarray                  # detected minus reprojected top
+    tops: np.ndarray
+    d_cam: np.ndarray                      # d top / d camera height
+    d_height: np.ndarray                   # d top / d actual height
+    l_vt: float
     prior_loss: float
     total_loss: float
 
@@ -292,11 +279,6 @@ class SceneArrays:
     """Array form of a scene's detections, one read-only entry per box in
     input order: detected top and bottom, the height prior of the box's
     category and the box weight.  Built once per solve by `scene_arrays`.
-
-    `rays`, when set, are the boxes' `geometry.bottom_rays` under one
-    camera pitch and focal length: the form of the boxes a loss runs over
-    (`used_boxes`), which `reprojection_loss` projects through their rays
-    and excludes none of.
     """
 
     v_top: np.ndarray
@@ -304,28 +286,36 @@ class SceneArrays:
     mu: np.ndarray
     sigma: np.ndarray
     weight: np.ndarray
-    rays: geometry.BottomRays | None = None
 
     def __len__(self) -> int:
         return len(self.v_top)
 
-    def same_boxes(self, other: SceneArrays) -> bool:
-        """Whether `other` holds the same boxes and priors (rays aside)."""
-        return self is other or all(map(
-            np.array_equal,
-            (self.v_top, self.v_bottom, self.mu, self.sigma, self.weight),
-            (other.v_top, other.v_bottom, other.mu, other.sigma,
-             other.weight)))
+
+class _LossBoxes(NamedTuple):
+    """The boxes a loss runs over, in the order a solve uses them: their
+    detected tops and bottoms, height priors, weights and posture ratios,
+    and the `geometry.bottom_rays` of their bottoms under the solve's
+    camera pitch and focal length."""
+
+    v_top: np.ndarray
+    v_bottom: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    weight: np.ndarray
+    ratios: np.ndarray
+    rays: geometry.BottomRays
 
 
-def used_boxes(camera: CameraParams, arrays: SceneArrays, used) -> SceneArrays:
-    """The boxes of `arrays` at `used` (indices or a mask), with their
-    bottom rays under `camera`: the boxes a loss runs over, all of them,
-    as `total_loss` does over a state's active boxes."""
+def _loss_boxes(camera: CameraParams, arrays: SceneArrays, ratios,
+                used) -> _LossBoxes:
+    """The `_LossBoxes` of the boxes of `arrays` at `used` (indices or a
+    mask), `ratios` holding every box's posture ratio."""
     v_bottom = arrays.v_bottom[used]
-    return SceneArrays(arrays.v_top[used], v_bottom, arrays.mu[used],
-                       arrays.sigma[used], arrays.weight[used],
-                       geometry.bottom_rays(camera, v_bottom))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rays = geometry.bottom_rays(camera, v_bottom)
+    return _LossBoxes(arrays.v_top[used], v_bottom, arrays.mu[used],
+                      arrays.sigma[used], arrays.weight[used],
+                      np.asarray(ratios, dtype=float)[used], rays)
 
 
 def _v_columns(boxes) -> tuple[np.ndarray, np.ndarray]:
@@ -432,8 +422,7 @@ def reprojection_loss(camera: CameraParams, heights_m, boxes) -> ReprojectionRes
     heights_m are actual heights, one per box.  Excluded objects get NaN
     residuals and do not enter the mean; which objects are excluded is
     read off the depths the projection returns, by the rule of
-    `classify_boxes`.  Boxes with bottom rays (`used_boxes`) are the boxes
-    of a loss: they project through their rays and none is excluded.
+    `classify_boxes`.
     """
     v_top, v_bottom = _v_columns(boxes)
     if not len(v_top):
@@ -441,70 +430,71 @@ def reprojection_loss(camera: CameraParams, heights_m, boxes) -> ReprojectionRes
     heights_m = np.asarray(heights_m, dtype=float)
     if heights_m.shape != v_top.shape:
         raise ValueError("heights_m must have one entry per box")
-    rays = boxes.rays if isinstance(boxes, SceneArrays) else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        vt, d_hc, d_h, depth = geometry.project_tops_with_grads(
-            camera, v_bottom if rays is None else rays, heights_m)
-        if rays is None:
-            active, excluded = geometry.usable_boxes(
-                geometry.horizon_from_pitch(camera).v0, v_top, v_bottom,
-                depth)
-            residuals = np.where(active, v_top - vt, np.nan)
-            used = residuals[active]
-        else:
-            excluded = ()
-            residuals = used = v_top - vt
+        vt, _, _, depth = geometry.project_tops_with_grads(camera, v_bottom,
+                                                           heights_m)
+        active, excluded = geometry.usable_boxes(
+            geometry.horizon_from_pitch(camera).v0, v_top, v_bottom, depth)
+        residuals = np.where(active, v_top - vt, np.nan)
+    used = residuals[active]
     l_vt = float(np.mean(np.abs(used))) if len(used) else math.nan
-    return ReprojectionResult(residuals, l_vt, excluded, vt, d_hc, d_h, depth)
+    return ReprojectionResult(residuals, l_vt, excluded, vt)
+
+
+def _evaluate(boxes: _LossBoxes, camera: CameraParams, upright: np.ndarray,
+              config: RefinementConfig) -> Evaluation:
+    """The loss at this camera and these upright heights of `boxes`: the
+    L1 reprojection of the tops and the prior penalty, each a weighted
+    mean sum(w*x)/sum(w) over the boxes, summed with the config's weights.
+
+    The total is +inf when the heights push some top across the camera
+    plane, so line searches reject such candidates.
+    """
+    heights = upright * boxes.ratios
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tops, d_cam, d_height, depths = geometry.project_tops_with_grads(
+            camera, boxes.rays, heights)
+        residuals = boxes.v_top - tops
+    weight = boxes.weight
+    total_weight = np.sum(weight)
+    l_vt = float(np.sum(weight * np.abs(residuals)) / total_weight)
+    pen = float(np.sum(weight * priors.prior_penalty(
+        upright, boxes.mu, boxes.sigma, config.prior_mode)) / total_weight)
+    # Camera-frame z of the anchored tops must stay positive.
+    st, ct = math.sin(camera.pitch_rad), math.cos(camera.pitch_rad)
+    top_z = depths * ct + (heights - camera.cam_height_m) * st
+    if not np.all(np.isfinite(tops)) or np.any(top_z <= 0):
+        loss = math.inf
+    else:
+        loss = config.reprojection_weight * l_vt + config.prior_weight * pen
+    return Evaluation(camera, upright, heights, residuals, tops, d_cam,
+                      d_height, l_vt, pen, loss)
+
+
+def _at_state(state: SceneState, boxes, prior_map,
+              config: RefinementConfig) -> tuple[_LossBoxes, Evaluation]:
+    """The `_LossBoxes` of a state's active boxes and the state's
+    `Evaluation` over them."""
+    mask = state.active
+    loss_boxes = _loss_boxes(state.camera, scene_arrays(boxes, prior_map),
+                             state.ratios, mask)
+    return loss_boxes, _evaluate(loss_boxes, state.camera,
+                                 state.upright_heights[mask], config)
 
 
 def total_loss(state: SceneState, boxes,
                prior_map: dict[str, CategoryPrior] | None = None,
                config: RefinementConfig | None = None) -> float:
-    """Weighted sum of the L1 reprojection loss and the prior penalty.
+    """Weighted sum of the L1 reprojection loss and the prior penalty over
+    the state's active boxes (`_evaluate`).
 
     Returns +inf when the current heights push some object top across the
-    camera plane, so line searches reject such candidates.  Leaves the
-    whole evaluation in `state.evaluation`.
+    camera plane, so line searches reject such candidates.
     """
-    config = config or RefinementConfig()
-    arrays = scene_arrays(boxes, prior_map)
-    mask = state.active
-    if not mask.any():
+    if not state.active.any():
         raise ValueError("no active objects to evaluate")
-    scene = arrays
-    if arrays.rays is None or not mask.all():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scene = used_boxes(state.camera, arrays, mask)
-    upright, ratios = state.upright_heights[mask], state.ratios[mask]
-    actual = upright * ratios
-    rep = reprojection_loss(state.camera, actual, scene)
-    # Camera-frame z of the anchored tops must stay positive.
-    st, ct = math.sin(state.camera.pitch_rad), math.cos(state.camera.pitch_rad)
-    top_z = rep.depths * ct + (actual - state.camera.cam_height_m) * st
-    pen = float(np.mean(priors.prior_penalty(upright, scene.mu, scene.sigma,
-                                             config.prior_mode)))
-    if not np.all(np.isfinite(rep.v_tops)) or np.any(top_z <= 0):
-        loss = math.inf
-    else:
-        loss = (config.reprojection_weight * rep.l_vt
-                + config.prior_weight * pen)
-    object.__setattr__(state, "evaluation", Evaluation(
-        arrays, config, scene, upright, ratios, actual, rep, pen, loss))
-    return loss
-
-
-def _evaluation(state: SceneState, arrays: SceneArrays,
-                config: RefinementConfig) -> Evaluation:
-    """The state's evaluation under this scene and config: the one it
-    carries if that was made under the same boxes and an equal config,
-    else a new one from `total_loss`."""
-    ev = state.evaluation
-    if (ev is None or not ev.arrays.same_boxes(arrays)
-            or ev.config != config):
-        total_loss(state, arrays, config=config)
-        ev = state.evaluation
-    return ev
+    config = config or RefinementConfig()
+    return _at_state(state, boxes, prior_map, config)[1].total_loss
 
 
 def total_loss_gradient(state: SceneState, boxes,
@@ -515,21 +505,21 @@ def total_loss_gradient(state: SceneState, boxes,
     Entries of inactive objects are zero.  Assumes no residual sits
     exactly on the L1 kink.
     """
-    config = config or RefinementConfig()
-    arrays = scene_arrays(boxes, prior_map)
-    grad = np.zeros(len(arrays) + 1)
+    grad = np.zeros(len(state.active) + 1)
     if not state.active.any():
         return grad
-    ev = _evaluation(state, arrays, config)
-    rep = ev.reprojection
-    k = len(ev.upright)
-    sign = np.sign(rep.residuals)
-    coef = config.reprojection_weight / k
-    grad[0] = coef * np.sum(sign * (-rep.d_cam))
-    dr_dH = -rep.d_height * ev.ratios
-    pg = priors.prior_penalty_grad(ev.upright, ev.scene.mu, ev.scene.sigma,
+    config = config or RefinementConfig()
+    loss_boxes, ev = _at_state(state, boxes, prior_map, config)
+    weight = loss_boxes.weight
+    sign = np.sign(ev.residuals)
+    coef = config.reprojection_weight / np.sum(weight)
+    grad[0] = coef * np.sum(weight * sign * -ev.d_cam)
+    dr_dH = -ev.d_height * loss_boxes.ratios
+    pg = priors.prior_penalty_grad(ev.upright, loss_boxes.mu, loss_boxes.sigma,
                                    config.prior_mode)
-    grad[1:][state.active] = coef * sign * dr_dH + config.prior_weight / k * pg
+    grad[1:][state.active] = (coef * weight * sign * dr_dH
+                              + config.prior_weight / np.sum(weight) * weight
+                              * pg)
     return grad
 
 
@@ -541,46 +531,37 @@ def _clamp_vars(x: np.ndarray, config: RefinementConfig) -> np.ndarray:
     return out
 
 
-def _state_with(state: SceneState, x: np.ndarray, mask: np.ndarray) -> SceneState:
-    upright = state.upright_heights.copy()
-    upright[mask] = x[1:]
-    upright.flags.writeable = False
-    return SceneState(replace(state.camera, cam_height_m=float(x[0])),
-                      upright, state.ratios, state.active)
-
-
-def _arrow_system(state: SceneState, arrays: SceneArrays,
+def _arrow_system(boxes: _LossBoxes, ev: Evaluation,
                   config: RefinementConfig):
-    """Damped Gauss-Newton system of one layer, in arrow form, built from
-    the state's evaluation.
+    """Damped Gauss-Newton system of one layer at `ev`, in arrow form.
 
     The unknowns are the camera height and the upright height of each
-    active object.  Each object's residual depends on the camera height
-    and on its own height only, so the (k+1)x(k+1) normal matrix is a
-    diagonal block with one dense first row and column:
-    [[m00, off], [off, diag(d)]].  Returns (m00, off, d, g0, g1), g being
-    the gradient of the model, with the Levenberg damping already on m00
-    and on d.
+    box.  Each box's residual depends on the camera height and on its own
+    height only, so the (k+1)x(k+1) normal matrix is a diagonal block
+    with one dense first row and column: [[m00, off], [off, diag(d)]].
+    Returns (m00, off, d, g0, g1), g being the gradient of the model,
+    with the Levenberg damping already on m00 and on d.
     """
-    ev = _evaluation(state, arrays, config)
-    rep = ev.reprojection
-    k = len(ev.upright)
-    r = rep.residuals                      # detected minus reprojected top
+    r = ev.residuals                       # detected minus reprojected top
 
-    # IRLS quadratic model of the L1 term plus exact/nonnegative prior model.
-    w = 1.0 / np.maximum(np.abs(r), _IRLS_FLOOR)
-    coef = config.reprojection_weight / k
-    a = -rep.d_cam                         # d r / d cam height
-    b = -rep.d_height * ev.ratios          # d r / d upright height
-    mu, sigma = ev.scene.mu, ev.scene.sigma
-    pg = priors.prior_penalty_grad(ev.upright, mu, sigma, config.prior_mode)
-    pc = priors.prior_curvature(ev.upright, mu, sigma, config.prior_mode)
+    # IRLS quadratic model of the L1 term plus exact/nonnegative prior
+    # model; `w` is each box's IRLS weight times its box weight.
+    weight = boxes.weight
+    w = weight / np.maximum(np.abs(r), _IRLS_FLOOR)
+    coef = config.reprojection_weight / np.sum(weight)
+    prior_coef = config.prior_weight / np.sum(weight) * weight
+    a = -ev.d_cam                          # d r / d cam height
+    b = -ev.d_height * boxes.ratios        # d r / d upright height
+    pg = priors.prior_penalty_grad(ev.upright, boxes.mu, boxes.sigma,
+                                   config.prior_mode)
+    pc = priors.prior_curvature(ev.upright, boxes.mu, boxes.sigma,
+                                config.prior_mode)
 
     m00 = coef * np.sum(w * a * a)
     g0 = coef * np.sum(w * r * a)
-    diag = coef * w * b * b + config.prior_weight / k * pc
+    diag = coef * w * b * b + prior_coef * pc
     off = coef * w * a * b
-    g1 = coef * w * r * b + config.prior_weight / k * pg
+    g1 = coef * w * r * b + prior_coef * pg
     m00 += config.damping * max(m00, 1e-12)
     diag += config.damping * np.maximum(diag, 1e-12)
     return m00, off, diag, g0, g1
@@ -603,38 +584,53 @@ def _arrow_solve(m00: float, off: np.ndarray, diag: np.ndarray,
     return np.concatenate(([d0], d1))
 
 
-def refine_layer(state: SceneState, boxes,
-                 prior_map: dict[str, CategoryPrior] | None = None,
-                 config: RefinementConfig | None = None) -> SceneState:
-    """One damped Gauss-Newton step on the total loss with backtracking.
+def _step(boxes: _LossBoxes, ev: Evaluation,
+          config: RefinementConfig) -> Evaluation | None:
+    """One damped Gauss-Newton step from `ev` with backtracking.
 
-    The accepted state never has a larger total loss than the input and
-    carries the evaluation it was accepted on; when no decrease is found
-    within the backtracking budget, or the step is not finite, the input
-    state is returned unchanged.
+    Returns the evaluation of the first candidate whose total loss is
+    below `ev`'s, or None when `ev`'s loss is not finite, the step is not
+    finite, or no candidate within the backtracking budget lowers it.
     """
-    config = config or RefinementConfig()
-    arrays = scene_arrays(boxes, prior_map)
-    mask = state.active
-    if not mask.any():
-        return state
-    ev = _evaluation(state, arrays, config)
     if not math.isfinite(ev.total_loss):
-        return state
-
-    delta = _arrow_solve(*_arrow_system(state, arrays, config))
+        return None
+    delta = _arrow_solve(*_arrow_system(boxes, ev, config))
     if not np.all(np.isfinite(delta)):
-        return state
+        return None
 
-    x0 = np.concatenate(([state.camera.cam_height_m], ev.upright))
+    x0 = np.concatenate(([ev.camera.cam_height_m], ev.upright))
     step = 1.0
     for _ in range(config.max_backtracks + 1):
         cand = _clamp_vars(x0 + step * delta, config)
-        cand_state = _state_with(state, cand, mask)
-        if total_loss(cand_state, arrays, prior_map, config) < ev.total_loss:
-            return cand_state
+        cand_ev = _evaluate(
+            boxes, replace(ev.camera, cam_height_m=float(cand[0])), cand[1:],
+            config)
+        if cand_ev.total_loss < ev.total_loss:
+            return cand_ev
         step *= 0.5
-    return state
+    return None
+
+
+def refine_layer(state: SceneState, boxes,
+                 prior_map: dict[str, CategoryPrior] | None = None,
+                 config: RefinementConfig | None = None) -> SceneState:
+    """One damped Gauss-Newton step on the total loss with backtracking
+    (`_step`), over the state's active boxes.
+
+    The accepted state never has a larger total loss than the input; when
+    no decrease is found within the backtracking budget, or the step is
+    not finite, the input state is returned unchanged.
+    """
+    mask = state.active
+    if not mask.any():
+        return state
+    config = config or RefinementConfig()
+    moved = _step(*_at_state(state, boxes, prior_map, config), config)
+    if moved is None:
+        return state
+    upright = state.upright_heights.copy()
+    upright[mask] = moved.upright
+    return SceneState(moved.camera, upright, state.ratios, mask)
 
 
 def trace_rows(n: int, used, v_tops, v_bottoms, residuals
@@ -649,21 +645,20 @@ def trace_rows(n: int, used, v_tops, v_bottoms, residuals
     return tuple(spans), tuple(rows)
 
 
-def _layer_trace(layer: int, state: SceneState, used: np.ndarray,
-                 heights: np.ndarray) -> LayerTrace:
-    """Trace entry of a state of the used boxes: `heights` holds every
-    box's actual height, and the used boxes' are taken from the state."""
-    ev = state.evaluation
-    rep = ev.reprojection
+def _layer_trace(layer: int, ev: Evaluation, boxes: _LossBoxes,
+                 used: np.ndarray, heights: np.ndarray) -> LayerTrace:
+    """Trace entry of an evaluation of the used boxes, `boxes` at indices
+    `used`: `heights` holds every box's actual height, and the used
+    boxes' are taken from the evaluation."""
     heights = heights.copy()
     heights[used] = ev.heights
-    spans, residuals = trace_rows(len(heights), used, rep.v_tops,
-                                  ev.scene.v_bottom, rep.residuals)
+    spans, residuals = trace_rows(len(heights), used, ev.tops, boxes.v_bottom,
+                                  ev.residuals)
     return LayerTrace(
         layer=layer,
-        cam_height_m=state.camera.cam_height_m,
+        cam_height_m=ev.camera.cam_height_m,
         heights_m=tuple(heights.tolist()),
-        l_vt=rep.l_vt,
+        l_vt=ev.l_vt,
         prior_loss=ev.prior_loss,
         total_loss=ev.total_loss,
         spans=spans,
@@ -692,34 +687,30 @@ def solve_scene(v0: float, fov_rad: float, boxes,
     active, excluded = classify_boxes(camera, arrays)
     geometry.require_usable(excluded, len(arrays))
     used = np.flatnonzero(active)
-    scene = used_boxes(camera, arrays, used)
+    loss_boxes = _loss_boxes(camera, arrays, ratios, used)
     cam_height, upright = init_camera_height(camera, arrays, ratios, active,
                                              config)
-    ratio_array = np.array(ratios)
     # The layers solve for the used boxes alone; the others keep their
     # start.
-    heights = upright * ratio_array
-    state = SceneState(replace(camera, cam_height_m=cam_height),
-                       upright[used], ratio_array[used],
-                       np.ones(len(used), dtype=bool))
-    total_loss(state, scene, prior_map, config)
-    trace = [_layer_trace(0, state, used, heights)]
+    heights = upright * np.array(ratios)
+    ev = _evaluate(loss_boxes, replace(camera, cam_height_m=cam_height),
+                   upright[used], config)
+    trace = [_layer_trace(0, ev, loss_boxes, used, heights)]
 
     converged = False
     for j in range(1, config.num_layers + 1):
-        previous = state
-        if not converged:
-            state = refine_layer(state, scene, prior_map, config)
-        if state is previous:
+        moved = None if converged else _step(loss_boxes, ev, config)
+        if moved is None:
             entry = replace(trace[-1], layer=j)
         else:
-            entry = _layer_trace(j, state, used, heights)
+            ev = moved
+            entry = _layer_trace(j, ev, loss_boxes, used, heights)
         trace.append(entry)
         if trace[-2].total_loss - entry.total_loss < config.loss_tolerance:
             converged = True
 
     final = trace[-1]
-    upright[used] = state.upright_heights
+    upright[used] = ev.upright
     return SceneEstimate(
         method="cascade", cam_height_m=final.cam_height_m,
         heights_m=final.heights_m, upright_heights_m=tuple(upright.tolist()),

@@ -126,11 +126,12 @@ def _sample_height(rng: np.random.Generator, prior: priors.CategoryPrior) -> flo
     raise ValueError(f"could not draw a positive height for {prior.category}")
 
 
-def _fits(camera: CameraParams, obj: GroundObject, v0: float,
-          ranges: SceneRanges) -> bool:
-    """The placement test: fully inside the frame, bottom below the horizon."""
+def _fits(camera: CameraParams, matrix: np.ndarray, obj: GroundObject,
+          v0: float, ranges: SceneRanges) -> bool:
+    """The placement test: fully inside the frame, bottom below the
+    horizon; `matrix` is the camera's projection matrix."""
     try:
-        u_l, u_r, v_t, v_b = _corner_box(camera, obj)
+        u_l, u_r, v_t, v_b = _corner_box(camera, obj, matrix)
     except ValueError:
         return False
     return (0.0 <= v_t and v_b <= 1.0 and v_b > v0 + ranges.horizon_margin
@@ -164,10 +165,12 @@ def _screen(camera: CameraParams, v0: float, ranges: SceneRanges,
     return ~fails
 
 
-def _place_object(rng: np.random.Generator, camera: CameraParams, v0: float,
-                  ranges: SceneRanges, height: float, width: float, cat: str,
+def _place_object(rng: np.random.Generator, camera: CameraParams,
+                  matrix: np.ndarray, v0: float, ranges: SceneRanges,
+                  height: float, width: float, cat: str,
                   depth_attempts: int) -> GroundObject | None:
-    """First of `depth_attempts` (depth, lateral) draws that `_fits`.
+    """First of `depth_attempts` (depth, lateral) draws that `_fits`;
+    `matrix` is the camera's projection matrix.
 
     Leaves `rng` exactly where one draw per attempt, stopping at the
     accepted one, would leave it.  The first `_SCALAR_ATTEMPTS` go
@@ -186,7 +189,7 @@ def _place_object(rng: np.random.Generator, camera: CameraParams, v0: float,
         depth = rng.uniform(lo, hi)
         lateral = rng.uniform(-1.0, 1.0) * ranges.lateral_frac * depth
         obj = GroundObject(depth, height, lateral, width, cat)
-        if _fits(camera, obj, v0, ranges):
+        if _fits(camera, matrix, obj, v0, ranges):
             return obj
     done, block = scalar, _FIRST_BLOCK
     while done < depth_attempts:
@@ -199,7 +202,7 @@ def _place_object(rng: np.random.Generator, camera: CameraParams, v0: float,
                                         height, width)):
             obj = GroundObject(float(depths[j]), height, float(laterals[j]),
                                width, cat)
-            if _fits(camera, obj, v0, ranges):
+            if _fits(camera, matrix, obj, v0, ranges):
                 rng.bit_generator.state = state
                 rng.random(2 * (int(j) + 1))
                 return obj
@@ -248,11 +251,12 @@ def sample_scene(ranges: SceneRanges | None = None, n_objects: int = 5,
         cam_n = CameraParams.from_fov(camera.pitch_rad, camera.fov_rad,
                                       camera.cam_height_m, aspect, 1.0)
         v0 = geometry.horizon_from_pitch(cam_n).v0
+        matrix = geometry.projection_matrix(cam_n)
         objects: list[GroundObject] = []
         for _ in range(n_objects):
             cat = str(rng.choice(list(ranges.categories)))
             height = _sample_height(rng, prior_map[cat])
-            placed = _place_object(rng, cam_n, v0, ranges, height,
+            placed = _place_object(rng, cam_n, matrix, v0, ranges, height,
                                    DEFAULT_WIDTHS.get(cat, 0.5), cat,
                                    depth_attempts)
             if placed is None:

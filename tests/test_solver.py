@@ -339,8 +339,11 @@ def test_total_loss_infinite_when_top_crosses_camera_plane():
     assert total_loss(state, boxes) == math.inf
 
 
-@pytest.mark.parametrize("mode", ["density", "log_density"])
-def test_gradient_matches_finite_differences(mode):
+@pytest.mark.parametrize("mode, weighted", [
+    ("density", False), ("log_density", False),
+    ("density", True), ("log_density", True),
+], ids=["density", "log_density", "density-weighted", "log_density-weighted"])
+def test_gradient_matches_finite_differences(mode, weighted):
     rng = np.random.default_rng(5)
     config = RefinementConfig(prior_mode=mode)
     for trial in range(20):
@@ -350,6 +353,9 @@ def test_gradient_matches_finite_differences(mode):
             scene.camera.cam_height_m * rng.uniform(0.8, 1.2),
             scene.camera.image_w_px / scene.camera.image_h_px, 1.0)
         heights = [o.height_m * rng.uniform(0.9, 1.1) for o in scene.objects]
+        if weighted:
+            boxes = [dataclasses.replace(box, weight=w) for box, w in
+                     zip(boxes, rng.uniform(0.2, 4.0, len(boxes)))]
         state = _state_for(cam, boxes, heights)
         grad = total_loss_gradient(state, boxes, config=config)
 
@@ -396,7 +402,8 @@ def test_layer_reduces_overestimated_camera_height():
 
 def _arrow_case(rng, k: int, mode: str):
     """k objects seen by a random camera, a state away from the truth
-    (camera height, heights and posture ratios) and random loss weights."""
+    (camera height, heights and posture ratios), random loss weights and
+    random box weights."""
     cam_true = _camera(pitch_deg=rng.uniform(-3.0, 10.0),
                        fov_deg=rng.uniform(40.0, 90.0),
                        cam_height=rng.uniform(1.2, 5.0))
@@ -411,6 +418,8 @@ def _arrow_case(rng, k: int, mode: str):
                               reprojection_weight=rng.uniform(0.1, 5.0),
                               prior_weight=rng.uniform(0.01, 2.0),
                               damping=rng.uniform(1e-4, 1e-1))
+    boxes = [dataclasses.replace(box, weight=w)
+             for box, w in zip(boxes, rng.uniform(0.2, 4.0, k))]
     return config, state, scene_arrays(boxes)
 
 
@@ -418,34 +427,42 @@ def _dense_step(state, arrays, config):
     """The damped Gauss-Newton step from the dense (k+1)x(k+1) system,
     assembled entry by entry and solved by LU."""
     mask = np.asarray(state.active)
-    k = int(mask.sum())
     ratios = np.asarray(state.ratios)[mask]
     upright = np.asarray(state.upright_heights)[mask]
     vt, d_hc, d_h, _ = project_tops_with_grads(
         state.camera, arrays.v_bottom[mask], upright * ratios)
     r = arrays.v_top[mask] - vt
-    w = 1.0 / np.maximum(np.abs(r), 1e-6)
-    coef = config.reprojection_weight / k
+    weight = arrays.weight[mask]
+    w = weight / np.maximum(np.abs(r), 1e-6)
+    coef = config.reprojection_weight / weight.sum()
+    prior_coef = config.prior_weight / weight.sum() * weight
     a, b = -d_hc, -d_h * ratios
     mu, sigma = arrays.mu[mask], arrays.sigma[mask]
+    k = len(r)
     m = np.zeros((k + 1, k + 1))
     g = np.zeros(k + 1)
     m[0, 0] = coef * np.sum(w * a * a)
     g[0] = coef * np.sum(w * r * a)
     for i in range(k):
         m[0, i + 1] = m[i + 1, 0] = coef * w[i] * a[i] * b[i]
-        m[i + 1, i + 1] = (coef * w[i] * b[i] ** 2 + config.prior_weight / k
+        m[i + 1, i + 1] = (coef * w[i] * b[i] ** 2 + prior_coef[i]
                            * prior_curvature(upright[i], mu[i], sigma[i],
                                              config.prior_mode))
-        g[i + 1] = (coef * w[i] * r[i] * b[i] + config.prior_weight / k
+        g[i + 1] = (coef * w[i] * r[i] * b[i] + prior_coef[i]
                     * prior_penalty_grad(upright[i], mu[i], sigma[i],
                                          config.prior_mode))
     m[np.diag_indices_from(m)] += config.damping * np.maximum(np.diag(m), 1e-12)
     return np.linalg.solve(m, -g)
 
 
+def _arrow_system(state, arrays, config):
+    """The arrow system of the solver's own step at `state`."""
+    loss_boxes, ev = solver._at_state(state, arrays, None, config)
+    return solver._arrow_system(loss_boxes, ev, config)
+
+
 def _arrow_step(state, arrays, config):
-    return solver._arrow_solve(*solver._arrow_system(state, arrays, config))
+    return solver._arrow_solve(*_arrow_system(state, arrays, config))
 
 
 @pytest.mark.parametrize("mode", ["density", "log_density"])
@@ -472,18 +489,18 @@ def test_arrow_gradient_is_the_loss_gradient(k, mode):
             state.camera, arrays.v_bottom,
             np.asarray(state.upright_heights) * np.asarray(state.ratios))[0]
         assert np.all(np.abs(arrays.v_top - vt) >= 1e-6)
-        _, _, _, g0, g1 = solver._arrow_system(state, arrays, config)
+        _, _, _, g0, g1 = _arrow_system(state, arrays, config)
         np.testing.assert_allclose(
             np.concatenate(([g0], g1)),
             total_loss_gradient(state, arrays, config=config),
             rtol=1e-12, atol=1e-15)
 
 
-def _assert_finite_or_unchanged(state, out):
+def _assert_finite_or_unchanged(state, out, arrays, config):
     assert out is state or (
         math.isfinite(out.camera.cam_height_m)
         and np.all(np.isfinite(out.upright_heights))
-        and math.isfinite(out.loss))
+        and math.isfinite(total_loss(out, arrays, config=config)))
 
 
 @pytest.mark.parametrize("mode", ["density", "log_density"])
@@ -496,8 +513,8 @@ def test_arrow_step_without_reprojection_term_is_finite(mode, prior_weight):
     config = dataclasses.replace(config, reprojection_weight=0.0,
                                  prior_weight=prior_weight)
     assert np.all(np.isfinite(_arrow_step(state, arrays, config)))
-    _assert_finite_or_unchanged(state, refine_layer(state, arrays,
-                                                    config=config))
+    _assert_finite_or_unchanged(
+        state, refine_layer(state, arrays, config=config), arrays, config)
 
 
 def test_arrow_step_without_camera_sensitivity_is_finite(monkeypatch):
@@ -514,8 +531,8 @@ def test_arrow_step_without_camera_sensitivity_is_finite(monkeypatch):
     step = _arrow_step(state, arrays, config)
     assert np.all(np.isfinite(step))
     assert step[0] == 0.0
-    _assert_finite_or_unchanged(state, refine_layer(state, arrays,
-                                                    config=config))
+    _assert_finite_or_unchanged(
+        state, refine_layer(state, arrays, config=config), arrays, config)
 
 
 @pytest.mark.parametrize("m00", [1.0, math.inf], ids=["s=0", "s=inf"])
@@ -541,50 +558,6 @@ def test_refine_layer_memory_is_linear_in_k():
         tracemalloc.stop()
     assert out is not state
     assert peak < 4 * 2 ** 20
-
-
-def test_accepted_layer_carries_the_loss_it_was_accepted_on():
-    rng = np.random.default_rng(8)
-    config, state, arrays = _arrow_case(rng, 30, "log_density")
-    out = refine_layer(state, arrays, config=config)
-    assert out is not state
-    fresh = dataclasses.replace(out)
-    assert fresh.loss is None
-    assert out.loss == total_loss(fresh, arrays, config=config)
-
-
-def test_an_evaluation_is_reused_for_equal_inputs_and_is_not_compared(
-        monkeypatch):
-    # The state's evaluation is kept for a scene and config of the same
-    # values, such as a copy of the boxes and a fresh default config, and
-    # is not part of the state's value.
-    rng = np.random.default_rng(9)
-    _, state, arrays = _arrow_case(rng, 5, "log_density")
-    calls = []
-    project = geometry.project_tops_with_grads
-
-    def counting_project(*args, **kwargs):
-        calls.append(1)
-        return project(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "project_tops_with_grads", counting_project)
-    twin = dataclasses.replace(state)
-    loss = total_loss(state, arrays)
-    assert twin.loss is None and state.loss == loss
-    assert state == twin
-    copy = solver.SceneArrays(*(column.copy() for column in (
-        arrays.v_top, arrays.v_bottom, arrays.mu, arrays.sigma,
-        arrays.weight)))
-    assert copy.same_boxes(arrays) and copy is not arrays
-    total_loss_gradient(state, copy)
-    assert len(calls) == 1
-    other = RefinementConfig(prior_weight=1.0)
-    total_loss_gradient(state, copy, config=other)
-    assert len(calls) == 2
-    moved = solver.SceneArrays(arrays.v_top, arrays.v_bottom + 1e-3,
-                               arrays.mu, arrays.sigma, arrays.weight)
-    total_loss_gradient(state, moved, config=other)
-    assert len(calls) == 3
 
 
 def test_loss_non_increasing_over_layers_on_random_scenes():
@@ -698,66 +671,76 @@ def test_estimate_reports_exclusions_and_keeps_prior_height():
     assert est.heights_m[1] == pytest.approx(1.70, abs=1e-9)
 
 
-def test_solve_classifies_once_and_refines_from_the_trace_loss(monkeypatch):
-    # Eligibility does not depend on the camera height, so one
-    # classification serves the whole solve, and each layer's loss is
-    # evaluated once, by the trace, not again by the refinement.
-    calls = {"classify": 0, "loss_in_refine": 0}
-    classify, loss, refine = (solver.classify_boxes, solver.total_loss,
-                              solver.refine_layer)
-    in_refine = []
+def _spy_solve(monkeypatch, num_layers: int = 3):
+    """A solve of a noisy 6-object scene with `num_layers` layers, and the
+    calls it made: `classify_boxes` and `geometry.project_tops_with_grads`
+    counts, the evaluations `_evaluate` made outside a step (`start`) and
+    inside one (`candidates`), and each step's input and result."""
+    calls = {"classify": 0, "project": 0, "start": [], "candidates": [],
+             "steps": []}
+    classify, project = solver.classify_boxes, geometry.project_tops_with_grads
+    evaluate, step = solver._evaluate, solver._step
+    in_step = []
 
     def counting_classify(*args, **kwargs):
         calls["classify"] += 1
         return classify(*args, **kwargs)
 
-    def counting_loss(state, *args, **kwargs):
-        if in_refine and state is in_refine[-1]:
-            calls["loss_in_refine"] += 1
-        return loss(state, *args, **kwargs)
+    def counting_project(*args, **kwargs):
+        calls["project"] += 1
+        return project(*args, **kwargs)
 
-    def tracking_refine(state, *args, **kwargs):
-        in_refine.append(state)
+    def recording_evaluate(*args, **kwargs):
+        ev = evaluate(*args, **kwargs)
+        calls["candidates" if in_step else "start"].append(ev)
+        return ev
+
+    def recording_step(boxes, ev, config):
+        in_step.append(True)
         try:
-            return refine(state, *args, **kwargs)
+            out = step(boxes, ev, config)
         finally:
-            in_refine.pop()
+            in_step.pop()
+        calls["steps"].append((ev, out))
+        return out
 
     monkeypatch.setattr(solver, "classify_boxes", counting_classify)
-    monkeypatch.setattr(solver, "total_loss", counting_loss)
-    monkeypatch.setattr(solver, "refine_layer", tracking_refine)
+    monkeypatch.setattr(geometry, "project_tops_with_grads", counting_project)
+    monkeypatch.setattr(solver, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(solver, "_step", recording_step)
     scene, boxes, v0 = _scene_inputs(seed=21, n_objects=6,
                                      noise=synth.NoiseModel(box_sigma=0.003))
-    est = solve_scene(v0, scene.camera.fov_rad, boxes)
-    assert len(est.trace) == 4
-    assert calls == {"classify": 1, "loss_in_refine": 0}
+    est = solve_scene(v0, scene.camera.fov_rad, boxes,
+                      config=RefinementConfig(num_layers=num_layers))
+    assert len(est.trace) == num_layers + 1
+    return est, calls
+
+
+def test_solve_classifies_once_and_refines_from_the_trace_loss(monkeypatch):
+    # Eligibility does not depend on the camera height, so one
+    # classification serves the whole solve, and each layer steps from the
+    # evaluation the previous trace entry reports.
+    est, calls = _spy_solve(monkeypatch)
+    assert calls["classify"] == 1
+    assert len(calls["steps"]) == 3
+    for (ev, _), entry in zip(calls["steps"], est.trace):
+        assert (ev.camera.cam_height_m, ev.total_loss) == (
+            entry.cam_height_m, entry.total_loss)
 
 
 def test_solve_evaluates_the_loss_of_each_state_once(monkeypatch):
-    # The trace evaluates the initial state; every later state is either
-    # a candidate refine_layer evaluated or the unchanged input.
-    calls = {"in_refine": 0, "elsewhere": 0}
-    loss, refine = solver.total_loss, solver.refine_layer
-    in_refine = []
-
-    def counting_loss(*args, **kwargs):
-        calls["in_refine" if in_refine else "elsewhere"] += 1
-        return loss(*args, **kwargs)
-
-    def tracking_refine(*args, **kwargs):
-        in_refine.append(True)
-        try:
-            return refine(*args, **kwargs)
-        finally:
-            in_refine.pop()
-
-    monkeypatch.setattr(solver, "total_loss", counting_loss)
-    monkeypatch.setattr(solver, "refine_layer", tracking_refine)
-    scene, boxes, v0 = _scene_inputs(seed=21, n_objects=6,
-                                     noise=synth.NoiseModel(box_sigma=0.003))
-    est = solve_scene(v0, scene.camera.fov_rad, boxes)
-    assert calls["elsewhere"] == 1
-    assert calls["in_refine"] >= 3
+    # The start is evaluated once, outside the layers; every later entry
+    # is the evaluation of the candidate a step accepted, and the next
+    # step starts from that same evaluation.
+    est, calls = _spy_solve(monkeypatch)
+    assert len(calls["start"]) == 1
+    assert len(calls["candidates"]) >= 3
+    evaluations = calls["start"] + [out for _, out in calls["steps"]]
+    assert all(out is not None for out in evaluations)
+    for ev, (step_input, _) in zip(evaluations, calls["steps"]):
+        assert step_input is ev
+    assert [ev.total_loss for ev in evaluations] == [
+        t.total_loss for t in est.trace]
     assert len({t.total_loss for t in est.trace}) == 4
 
 
@@ -765,39 +748,32 @@ def test_solve_evaluates_the_loss_of_each_state_once(monkeypatch):
 def test_solve_projects_each_state_once(monkeypatch, num_layers):
     # One projection for the start and one for each candidate a layer
     # scores; the trace, the accept test and the next layer's system read
-    # the evaluation the state carries.
-    counts = {"project": 0, "candidates": 0, "other": 0}
-    project, loss, refine = (geometry.project_tops_with_grads,
-                             solver.total_loss, solver.refine_layer)
-    inputs = []
+    # the evaluation the step returned.
+    _, calls = _spy_solve(monkeypatch, num_layers)
+    assert len(calls["candidates"]) >= 3
+    assert calls["project"] == 1 + len(calls["candidates"])
 
-    def counting_project(*args, **kwargs):
-        counts["project"] += 1
-        return project(*args, **kwargs)
 
-    def counting_loss(state, *args, **kwargs):
-        counts["candidates" if inputs and state is not inputs[-1]
-               else "other"] += 1
-        return loss(state, *args, **kwargs)
-
-    def tracking_refine(state, *args, **kwargs):
-        inputs.append(state)
-        try:
-            return refine(state, *args, **kwargs)
-        finally:
-            inputs.pop()
-
-    monkeypatch.setattr(geometry, "project_tops_with_grads", counting_project)
-    monkeypatch.setattr(solver, "total_loss", counting_loss)
-    monkeypatch.setattr(solver, "refine_layer", tracking_refine)
-    scene, boxes, v0 = _scene_inputs(seed=21, n_objects=6,
+@pytest.mark.parametrize("config", [RefinementConfig(),
+                                    RefinementConfig(num_layers=10)],
+                         ids=["default", "10-layers"])
+def test_a_weight_two_box_solves_like_the_box_listed_twice(config):
+    scene, boxes, v0 = _scene_inputs(seed=64, n_objects=5,
                                      noise=synth.NoiseModel(box_sigma=0.003))
-    est = solve_scene(v0, scene.camera.fov_rad, boxes,
-                      config=RefinementConfig(num_layers=num_layers))
-    assert len(est.trace) == num_layers + 1
-    assert counts["other"] == 1
-    assert counts["candidates"] >= 3
-    assert counts["project"] == 1 + counts["candidates"]
+    heavy = [dataclasses.replace(boxes[0], weight=2.0), *boxes[1:]]
+    twice = [boxes[0], *boxes]
+    est_w = solve_scene(v0, scene.camera.fov_rad, heavy, config=config)
+    est_2 = solve_scene(v0, scene.camera.fov_rad, twice, config=config)
+    unit = solve_scene(v0, scene.camera.fov_rad, boxes, config=config)
+    assert est_w.cam_height_m == pytest.approx(est_2.cam_height_m, rel=1e-9)
+    assert est_w.cam_height_m != pytest.approx(unit.cam_height_m, rel=1e-6)
+    np.testing.assert_allclose(est_2.heights_m[:2], est_w.heights_m[0],
+                               rtol=1e-9)
+    np.testing.assert_allclose(est_2.heights_m[2:], est_w.heights_m[1:],
+                               rtol=1e-9)
+    # The layers move the camera from the closed-form start in both.
+    assert est_w.trace[-1].total_loss < est_w.trace[0].total_loss
+    assert est_2.trace[-1].total_loss < est_2.trace[0].total_loss
 
 
 def test_a_layer_traced_after_convergence_repeats_the_previous_entry():

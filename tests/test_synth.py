@@ -371,10 +371,10 @@ def _block_sample_scene(ranges, n_objects, seed, prior_map, camera_attempts,
 def _raise_on_some(corner_box):
     """`_corner_box` that also raises for a fixed subset of depths, as it
     does for an object crossing the camera plane."""
-    def wrapped(camera, obj):
+    def wrapped(camera, obj, matrix=None):
         if int(obj.depth_m * 1e6) % 3 == 0:
             raise ValueError("singular configuration")
-        return corner_box(camera, obj)
+        return corner_box(camera, obj, matrix)
     return wrapped
 
 
@@ -441,13 +441,14 @@ def test_one_placement_leaves_the_stream_where_the_loop_does(
     camera = CameraParams.from_fov(pitch, fov, cam_height, 4.0 / 3.0, 1.0)
     v0 = horizon_from_pitch(camera).v0
     ranges = synth.SceneRanges(depth_m=_range(*depth))
-    args = (camera, v0, ranges, height, width, "person", depth_attempts)
+    args = (v0, ranges, height, width, "person", depth_attempts)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if buffered:  # a bounded draw leaves half of a 64-bit output buffered
         assert rng.integers(0, 2) == ref_rng.integers(0, 2)
     with mock.patch.multiple(synth, **blocks):
-        placed = synth._place_object(rng, *args)
-    assert placed == _reference_place(ref_rng, *args)
+        placed = synth._place_object(rng, camera,
+                                     geometry.projection_matrix(camera), *args)
+    assert placed == _reference_place(ref_rng, camera, *args)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.array_equal(rng.integers(0, 3, size=5),
                           ref_rng.integers(0, 3, size=5))
@@ -504,10 +505,12 @@ def test_screen_keeps_candidates_on_the_edge_of_the_frame(
     v_mid = (v0 + ranges.horizon_margin + 1.0) / 2.0
     assume(v0 + ranges.horizon_margin < 1.0)
     depth = float(depths_from_bottoms(camera, v_mid))
+    matrix = geometry.projection_matrix(camera)
 
     def fits(depth, lateral):
-        return synth._fits(camera, GroundObject(depth, height, lateral,
-                                                width), v0, ranges)
+        return synth._fits(camera, matrix, GroundObject(depth, height,
+                                                        lateral, width),
+                           v0, ranges)
 
     assume(fits(depth, 0.0))
     edges = [(_last_accepted(lambda d: fits(d, 0.0), depth, far), 0.0)
@@ -525,10 +528,10 @@ def test_placement_checks_few_candidates_per_object(monkeypatch):
     calls = 0
     corner_box = synth._corner_box
 
-    def counted(camera, obj):
+    def counted(camera, obj, matrix=None):
         nonlocal calls
         calls += 1
-        return corner_box(camera, obj)
+        return corner_box(camera, obj, matrix)
 
     monkeypatch.setattr(synth, "_corner_box", counted)
     placed = sum(len(synth.sample_scene(_experiment_ranges(), n_objects=20,
@@ -561,3 +564,30 @@ def test_render_builds_one_projection_matrix_per_scene(monkeypatch):
     calls = 0
     assert synth.render_detections(scene, noise) == expected
     assert calls == 1 + len(scene.objects)
+
+
+def test_placement_builds_one_projection_matrix_per_camera_draw(monkeypatch):
+    # Every placement checked under one camera draw shares its 3x4 matrix,
+    # however many candidates the draw tries.
+    builds, draws = 0, []
+    build, place = geometry.projection_matrix, synth._place_object
+
+    def counted(camera):
+        nonlocal builds
+        builds += 1
+        return build(camera)
+
+    def spy(rng, camera, *args):
+        if not draws or draws[-1] is not camera:
+            draws.append(camera)
+        return place(rng, camera, *args)
+
+    monkeypatch.setattr(geometry, "projection_matrix", counted)
+    monkeypatch.setattr(synth, "_place_object", spy)
+    total_draws = 0
+    for seed in range(40):
+        builds, draws = 0, []
+        synth.sample_scene(_experiment_ranges(), n_objects=20, seed=seed)
+        assert builds <= len(draws)
+        total_draws += len(draws)
+    assert total_draws > 40  # some scenes redraw their camera
