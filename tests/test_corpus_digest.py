@@ -1,6 +1,7 @@
 """Byte guard: everything the CLI writes for the seeded corpora of
 `tools/corpus_digest.py` (synth, solve with each method, eval, overlay,
-and the committed fixture) hashes to one pinned total."""
+the committed fixture and a hand-written scene with a box on the
+horizon) hashes to one pinned total."""
 
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-PINNED_TOTAL = "9450d6b95355ffebb878060e7b0afa5a3d585dd6523c9ef3b65e881eff75b312"
+PINNED_TOTAL = "79489515b812e7f24ee4ec4471c1063baff042eba9bf32b555284e880165f814"
 
 
 def test_corpus_digest_total_is_pinned(tmp_path):

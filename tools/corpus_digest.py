@@ -7,7 +7,7 @@ this checkout's `src/`:
     noise over people and cars; and with wide fields of view and steep
     pitches;
   * the committed fixture `tests/fixtures/scene_0000.json` as a fourth
-    corpus;
+    corpus, and a hand-written scene (`HORIZON_SCENE`) as a fifth;
   * `solve` of each corpus with each method, then `eval` and one
     `overlay` of each solve;
   * the same for the noisy corpus under a `--config` that sets every
@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -52,6 +53,31 @@ refine: {num_layers: 2, prior_weight: 0.2, damping: 1e-2, prior_mode: density}
 filters: {aspect_range: {}, box_height_range: [0.02, 0.95]}
 overlay: {reference_height_m: 1.5}
 """
+# Three people seen by a level 1.6 m camera, and a car that the ingestion
+# filters keep but whose bottom lies 5e-7 below the horizon: every method
+# excludes it as `bottom-on-horizon`, so its results hold null `spans` and
+# `residuals` rows.
+HORIZON_SCENE = {
+    "schema_version": 1,
+    "image": {"width_px": 640, "height_px": 480},
+    "calibration": {"fov_rad": 1.0471975511965976, "v0": 0.5},
+    "detections": [
+        {"category": "person",
+         "box": {"u_left": 0.30, "u_right": 0.40,
+                 "v_top": 0.48268, "v_bottom": 0.77713}},
+        {"category": "person",
+         "box": {"u_left": 0.55, "u_right": 0.62,
+                 "v_top": 0.48917, "v_bottom": 0.67321}},
+        {"category": "person",
+         "box": {"u_left": 0.80, "u_right": 0.85,
+                 "v_top": 0.49278, "v_bottom": 0.61547}},
+        {"category": "car",
+         "box": {"u_left": 0.10, "u_right": 0.25,
+                 "v_top": 0.42, "v_bottom": 0.5000005}},
+    ],
+    "ground_truth": {"cam_height_m": 1.6,
+                     "object_heights_m": [1.7, 1.7, 1.7, 1.5]},
+}
 
 
 def _run(log: list, name: str, argv: list[str]) -> int:
@@ -96,6 +122,9 @@ def main(argv=None) -> int:
     shutil.copyfile(REPO / "tests" / "fixtures" / "scene_0000.json",
                     "fixture/docs/scene_0000.json")
     corpora.append("fixture")
+    Path("horizon/docs").mkdir(parents=True)
+    Path("horizon/docs/scene_0000.json").write_text(json.dumps(HORIZON_SCENE))
+    corpora.append("horizon")
 
     Path("config.yaml").write_text(CONFIG)
     solves = [(name, method, f"{name}/{method}", [])
