@@ -240,6 +240,7 @@ def parse_document(data: bytes | str) -> DetectionDocument:
 _DETECTION_KEYS = frozenset(("category", "box", "weight", "keypoints"))
 _REQUIRED_DETECTION_KEYS = frozenset(("category", "box"))
 _box_values = itemgetter("u_left", "u_right", "v_top", "v_bottom")
+_NUMBERS = frozenset((float, int))
 
 
 def _finite_floats(values) -> np.ndarray | None:
@@ -356,102 +357,219 @@ def canonical_json(payload) -> str:
     plus a trailing newline, byte for byte, with the same errors.
 
     With an indent, `json.dumps` cannot use its C encoder; this writer
-    renders the plain dicts, lists, strings, numbers, booleans and None a
-    payload is made of itself, and whole lists of numbers (a trace's
-    heights and residuals, its spans) through the C-level `repr` of the
-    list.  Any other value, and any value `json.dumps` refuses, goes to
-    `json.dumps`, which renders it or raises as it always has.
+    renders the plain dicts, lists, tuples, strings, numbers, booleans and
+    None a payload is made of itself.  A column is a list or tuple of
+    exact floats or ints, or of equal-length rows of exact floats, with
+    None entries anywhere: a trace's heights and residuals, its spans.  It
+    is rendered by parts, one `map(float.__repr__, ...)` each: the floats
+    themselves, or each place of the rows (a span's tops, its bottoms),
+    which one join interleaves.
+
+    Within one call, a float column reuses the texts of the last column
+    written under the same mapping key, or for a key's first column, of
+    the last written in the same mapping: all of a part's texts when it is
+    the very tuple (a copied trace layer, `pgm`'s one heights tuple), else
+    the text of each float whose bits equal those of the float in the same
+    place (the span bottoms every layer shares).  Bits, not `==`, so -0.0
+    never takes the text of 0.0.  A mapping writes its columns after its
+    other values, so `estimate.heights_m` follows the trace whose last
+    layer holds it, and `upright_heights_m` follows `heights_m`.  Only the
+    last column of each key is held.
+
+    Any other value, and any value `json.dumps` refuses (a non-finite
+    float, a float subclass), sends the payload to `json.dumps`, which
+    renders it or raises as it always has.
     """
+    writer = _Writer()
     try:
-        return _json_text(payload, "") + "\n"
+        writer.write(payload, "")
     except (_Deferred, TypeError, ValueError, RecursionError):
-        pass
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    chunks = writer.chunks
+    del writer              # and the texts it held for reuse, before the join
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 class _Deferred(Exception):
     """A value `canonical_json` leaves to `json.dumps`."""
 
 
-_NUMBERS = frozenset((float, int))
-_FLAT = frozenset((float, int, type(None)))
-_ROWS = frozenset((list, type(None)))
+_NONE = type(None)
+_FLOAT, _INT = frozenset((float,)), frozenset((int,))
+_ROW = frozenset((list, tuple))
 
 
-def _json_text(o, indent: str) -> str:
-    """One value as `json.dumps(..., sort_keys=True, indent=2)` renders it
-    on a line indented by `indent`.  Only exact types are rendered here;
-    subclasses, non-finite floats and everything else raise."""
-    t = type(o)
-    if t is float:
-        text = float.__repr__(o)
-        if "n" in text:                    # inf, nan
-            raise _Deferred
-        return text
-    if t is str:
-        return encode_basestring_ascii(o)
-    if t is int:
-        return int.__repr__(o)
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = indent + "  "
-        if t is list:
-            types = set(map(type, o))
-            if types <= _FLAT:
-                return _flat_list_text(o, indent, inner)
-            if types <= _ROWS:
-                text = _rows_text(o, indent, inner)
-                if text is not None:
-                    return text
-        sep = ",\n" + inner
-        return ("[\n" + inner + sep.join([_json_text(v, inner) for v in o])
-                + "\n" + indent + "]")
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        return ("{\n" + inner + sep.join([
-            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-            for k, v in sorted(o.items())]) + "\n" + indent + "}")
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    raise _Deferred
+class _Part(typing.NamedTuple):
+    """One part of a float column, rendered."""
+
+    values: list | tuple       # exact finite floats
+    bits: np.ndarray           # their bit patterns, as int64
+    texts: list[str]           # float.__repr__ of each
 
 
-def _flat_list_text(o: list, indent: str, inner: str) -> str:
-    """A non-empty list of floats, ints and None, from the list's repr."""
-    text = repr(o)[1:-1]
-    if "inf" in text or "nan" in text:
+def _part(values, prev: _Part | None) -> _Part:
+    """`values`, exact floats, rendered; each takes the text of the float
+    in the same place of `prev` when the two have the same bits."""
+    if prev is not None and values is prev.values:
+        return prev
+    bits = np.array(values).view(np.int64)
+    count = len(bits)                    # of the places whose bits differ
+    if prev is not None and len(bits) == len(prev.bits):
+        differ = bits != prev.bits
+        count = np.count_nonzero(differ)
+        if not count:
+            return _Part(values, bits, prev.texts)
+    if not math.isfinite(sum(values)):   # a finite sum has finite terms
         raise _Deferred
-    return ("[\n" + inner + text.replace("None", "null").replace(
-        ", ", ",\n" + inner) + "\n" + indent + "]")
+    if count == len(bits):
+        return _Part(values, bits, list(map(float.__repr__, values)))
+    texts = prev.texts.copy()
+    for i in np.flatnonzero(differ).tolist():
+        texts[i] = float.__repr__(values[i])
+    return _Part(values, bits, texts)
 
 
-def _rows_text(o: list, indent: str, inner: str) -> str | None:
-    """A list of None and non-empty lists of floats and ints, from the
-    list's repr; None when the rows hold anything else."""
-    rows = [row for row in o if row is not None]
-    if not all(rows) or not set(map(type, chain.from_iterable(rows))) <= _NUMBERS:
+def _column_parts(o) -> tuple[list | tuple, int] | None:
+    """A non-empty list or tuple as a column: its entries that are not
+    None, and the row length (0 for a column of floats or ints, which are
+    then those entries, else at least 1); None if it is no column."""
+    types = set(map(type, o))
+    present = o
+    if _NONE in types:
+        types.discard(_NONE)
+        present = list(filter(_NOT_NONE, o))
+    if types == _FLOAT or types == _INT:
+        return present, 0
+    if not types or not types <= _ROW:
         return None
-    text = repr(o)[1:-1]
-    if "inf" in text or "nan" in text:
-        raise _Deferred
-    # A separator between rows follows "]" or "null"; one inside a row
-    # follows a digit.  Mark the first kind before indenting the second.
-    row_inner = inner + "  "
-    text = (text.replace("None", "null")
-            .replace("], ", "]\0").replace("l, ", "l\0")
-            .replace(", ", ",\n" + row_inner)
-            .replace("[", "[\n" + row_inner)
-            .replace("]", "\n" + inner + "]")
-            .replace("\0", ",\n" + inner))
-    return "[\n" + inner + text + "\n" + indent + "]"
+    widths = set(map(len, present))
+    width = widths.pop()
+    if widths or not width or set(map(type, chain.from_iterable(present))
+                                  ) != _FLOAT:
+        return None
+    return present, width
+
+
+class _Writer:
+    """One `canonical_json` call: the chunks of text written so far, and
+    the parts of the last float column written under each mapping key."""
+
+    def __init__(self) -> None:
+        self.chunks: list[str] = []
+        self.last: dict[str, tuple[_Part, ...]] = {}
+
+    def write(self, o, indent: str) -> None:
+        """Append one value as `json.dumps(..., sort_keys=True, indent=2)`
+        renders it on a line indented by `indent`.  Only exact types are
+        rendered here; subclasses, non-finite floats and everything else
+        raise."""
+        out = self.chunks.append
+        t = type(o)
+        if t is float:
+            text = float.__repr__(o)
+            if "n" in text:                    # inf, nan
+                raise _Deferred
+            out(text)
+        elif t is str:
+            out(encode_basestring_ascii(o))
+        elif t is int:
+            out(int.__repr__(o))
+        elif t is dict:
+            self.mapping(o, indent)
+        elif t is list or t is tuple:
+            if not o:
+                out("[]")
+            elif (column := _column_parts(o)) is not None:
+                out(_column_text(o, *column, indent, ())[0])
+            else:
+                inner = indent + "  "
+                sep = ",\n" + inner
+                out("[\n" + inner)
+                for i, v in enumerate(o):
+                    if i:
+                        out(sep)
+                    self.write(v, inner)
+                out("\n" + indent + "]")
+        elif o is None:
+            out("null")
+        elif o is True:
+            out("true")
+        elif o is False:
+            out("false")
+        else:
+            raise _Deferred
+
+    def mapping(self, o: dict, indent: str) -> None:
+        """Append a dict; its columns are rendered after its other values,
+        into the places kept for them."""
+        out = self.chunks.append
+        if not o:
+            out("{}")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        lead = "{\n" + inner
+        columns = []
+        for k, v in sorted(o.items()):
+            head = lead + encode_basestring_ascii(k) + ": "
+            lead = sep
+            t = type(v)
+            # Floats and strings inline: a detection document is mostly these.
+            if t is float:
+                text = float.__repr__(v)
+                if "n" in text:
+                    raise _Deferred
+                out(head + text)
+            elif t is str:
+                out(head + encode_basestring_ascii(v))
+            elif (t is list or t is tuple) and v and (
+                    column := _column_parts(v)) is not None:
+                out(head)
+                columns.append((len(self.chunks), k, v, column))
+                out("")
+            else:
+                out(head)
+                self.write(v, inner)
+        out("\n" + indent + "}")
+        parts = ()
+        for i, k, v, (present, width) in columns:
+            self.chunks[i], parts = _column_text(v, present, width, inner,
+                                                 self.last.get(k, parts))
+            if parts:
+                self.last[k] = parts
+
+
+def _column_text(o, present, width: int, indent: str, prev: tuple[_Part, ...]
+                 ) -> tuple[str, tuple[_Part, ...]]:
+    """The text of column `o`, given its `_column_parts`, and the parts it
+    rendered, which reuse the texts of `prev` where they can."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if width == 0 and type(present[0]) is int:
+        parts, texts = (), list(map(int.__repr__, present))
+    elif width == 0:
+        parts = (_part(present, prev[0] if prev else None),)
+        texts = parts[0].texts
+    else:
+        prev = prev[:width] + (None,) * (width - len(prev))
+        parts = tuple(map(_part, zip(*present), prev))
+        row, end = "[\n" + inner + "  ", "\n" + inner + "]"
+        mid = ",\n" + inner + "  "
+        if len(present) == len(o):
+            # Each place's texts, interleaved with the separators.
+            pieces = ([mid] * (2 * width - 1) + [end + sep + row]) * len(o)
+            for i, part in enumerate(parts):
+                pieces[2 * i::2 * width] = part.texts
+            pieces[-1] = end
+            return f"[\n{inner}{row}{''.join(pieces)}\n{indent}]", parts
+        texts = [row + mid.join(text) + end
+                 for text in zip(*[p.texts for p in parts])]
+    if len(present) < len(o):
+        texts = iter(texts)
+        texts = ["null" if v is None else next(texts) for v in o]
+    return f"[\n{inner}{sep.join(texts)}\n{indent}]", parts
 
 
 def emit_document(doc: DetectionDocument) -> str:
@@ -669,29 +787,29 @@ class ResultsDocument:
 
 def emit_results(estimate: SceneEstimate, *, config_hash: str = "",
                  source_indices=None) -> str:
-    """Serialize an estimate (with its full trace) to canonical JSON text."""
-    trace = []
-    for t in estimate.trace:
-        trace.append({
-            "layer": t.layer,
-            "cam_height_m": t.cam_height_m,
-            "heights_m": list(t.heights_m),
-            "l_vt": t.l_vt,
-            "prior_loss": t.prior_loss,
-            "total_loss": t.total_loss,
-            "spans": [None if s is None else list(s) for s in t.spans],
-            "residuals": list(t.residuals),
-        })
+    """Serialize an estimate (with its full trace) to canonical JSON text.
+    The payload holds the estimate's own tuples, so `canonical_json` sees
+    which columns repeat."""
+    trace = [{
+        "layer": t.layer,
+        "cam_height_m": t.cam_height_m,
+        "heights_m": t.heights_m,
+        "l_vt": t.l_vt,
+        "prior_loss": t.prior_loss,
+        "total_loss": t.total_loss,
+        "spans": t.spans,
+        "residuals": t.residuals,
+    } for t in estimate.trace]
     payload: dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "method": estimate.method,
         "config_hash": config_hash,
         "estimate": {
             "cam_height_m": estimate.cam_height_m,
-            "heights_m": list(estimate.heights_m),
-            "upright_heights_m": list(estimate.upright_heights_m),
-            "upright_ratios": list(estimate.upright_ratios),
-            "excluded": [[i, reason] for i, reason in estimate.excluded],
+            "heights_m": estimate.heights_m,
+            "upright_heights_m": estimate.upright_heights_m,
+            "upright_ratios": estimate.upright_ratios,
+            "excluded": estimate.excluded,
             "converged": estimate.converged,
             "ill_posed": estimate.ill_posed,
             "trace": trace,

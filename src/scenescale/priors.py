@@ -104,14 +104,28 @@ class UprightRatio:
                 f"ratio must lie in [{_RATIO_MIN}, {_RATIO_MAX}], got {self.ratio}")
 
 
-def _midpoint(kps: KeypointSet, left: str, right: str) -> tuple[float, float] | None:
-    pts = [kps.coords(n) for n in (left, right) if kps.visible(n)]
+_HEAD = tuple(_KP_INDEX[name] for name in HEAD_KEYPOINT_NAMES)
+_SHOULDERS = (_KP_INDEX["left_shoulder"], _KP_INDEX["right_shoulder"])
+_HIPS = (_KP_INDEX["left_hip"], _KP_INDEX["right_hip"])
+_ANKLES = (_KP_INDEX["left_ankle"], _KP_INDEX["right_ankle"])
+_LEGS = ((_KP_INDEX["left_knee"], _KP_INDEX["left_ankle"]),
+         (_KP_INDEX["right_knee"], _KP_INDEX["right_ankle"]))
+
+
+def _visible(points, indices) -> list[tuple[float, float, float]]:
+    """The (u, v, visibility) points at `indices` whose visibility is not 0."""
+    return [points[i] for i in indices if points[i][2] != 0.0]
+
+
+def _midpoint(points, pair) -> tuple[float, float] | None:
+    pts = _visible(points, pair)
     if not pts:
         return None
     return (sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
 
 
-def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
+def _dist(a, b) -> float:
+    """Image distance of two points, (u, v) or (u, v, visibility)."""
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
@@ -128,27 +142,24 @@ def upright_ratio(kps: KeypointSet,
     translation of the keypoints; clamped to (0, 1.05].
     """
     missing: list[str] = []
+    points = kps.points
 
-    head_pts = [kps.coords(n) for n in HEAD_KEYPOINT_NAMES if kps.visible(n)]
+    head_pts = _visible(points, _HEAD)
     if not head_pts:
         missing.append("head (nose/eyes/ears)")
-    shoulder_mid = _midpoint(kps, "left_shoulder", "right_shoulder")
+    shoulder_mid = _midpoint(points, _SHOULDERS)
     if shoulder_mid is None:
         missing.append("shoulders")
-    hip_mid = _midpoint(kps, "left_hip", "right_hip")
+    hip_mid = _midpoint(points, _HIPS)
     if hip_mid is None:
         missing.append("hips")
 
-    ankles = [kps.coords(n) for n in ("left_ankle", "right_ankle")
-              if kps.visible(n)]
+    ankles = _visible(points, _ANKLES)
     if not ankles:
         missing.append("ankles")
 
-    legs = []
-    for side in ("left", "right"):
-        knee, ankle = f"{side}_knee", f"{side}_ankle"
-        if kps.visible(knee) and kps.visible(ankle):
-            legs.append((kps.coords(knee), kps.coords(ankle)))
+    legs = [(points[knee], points[ankle]) for knee, ankle in _LEGS
+            if points[knee][2] != 0.0 and points[ankle][2] != 0.0]
     if not legs:
         missing.append("knee+ankle pair")
 
@@ -165,7 +176,7 @@ def upright_ratio(kps: KeypointSet,
     extension = head_extension * chain
     upright = chain + extension
     head_top_v = head[1] - extension
-    lowest_ankle_v = max(v for _, v in ankles)
+    lowest_ankle_v = max(p[1] for p in ankles)
     actual = lowest_ankle_v - head_top_v
 
     ratio = min(max(actual / upright, _RATIO_MIN), _RATIO_MAX)

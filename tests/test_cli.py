@@ -574,11 +574,10 @@ def test_solve_builds_no_detection_box(tmp_path, capsys, monkeypatch, method):
     assert len(parse_document(doc.read_bytes()).detections) == len(built) == 6
 
 
-def test_cli_outputs_never_take_the_json_dumps_fallback(tmp_path, capsys,
-                                                        monkeypatch):
-    # canonical_json falls back to json.dumps(..., indent=2) for values it
-    # does not render itself, numpy scalars among them, at several times
-    # the cost.
+def _indented_dumps(monkeypatch) -> list:
+    """The payloads that reach json.dumps(..., indent=...) from now on.
+    canonical_json falls back to it for values it does not render itself,
+    numpy scalars among them, at several times the cost."""
     indented = []
     dumps = json.dumps
 
@@ -588,6 +587,12 @@ def test_cli_outputs_never_take_the_json_dumps_fallback(tmp_path, capsys,
         return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(json, "dumps", spy)
+    return indented
+
+
+def test_cli_outputs_never_take_the_json_dumps_fallback(tmp_path, capsys,
+                                                        monkeypatch):
+    indented = _indented_dumps(monkeypatch)
     data = _synth(tmp_path, "data", extra=["--box-noise", "0.002"])
     for method in VALID_METHODS:
         out = tmp_path / method
@@ -596,5 +601,42 @@ def test_cli_outputs_never_take_the_json_dumps_fallback(tmp_path, capsys,
         assert cli.main(["eval", "--results", str(out), "--truth", str(data),
                          "--out", str(tmp_path / f"{method}.report.json")]) == 0
     assert cli.main(["solve", str(_skeleton_document(tmp_path))]) == 0
+    capsys.readouterr()
+    assert indented == []
+
+
+def test_large_uneven_results_never_take_the_json_dumps_fallback(
+        tmp_path, capsys, monkeypatch):
+    # A 200-object scene with one box in the horizon band, refined for up
+    # to 30 layers: null trace rows, copied layers and long columns.
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--scenes", "1",
+                     "--objects", "200", "--seed", "5",
+                     "--depth-max", "15"]) == 0
+    doc = data / "scene_0000.json"
+    payload = json.loads(doc.read_text())
+    box = payload["detections"][0]["box"]
+    v0 = parse_document(doc.read_bytes()).calibration.horizon_v0()
+    box["v_bottom"] = v0 + 5e-7
+    box["v_top"] = box["v_bottom"] - 0.1
+    box["u_right"] = box["u_left"] + 0.05
+    doc.write_text(json.dumps(payload))
+    config = tmp_path / "config.yaml"
+    config.write_text("refine: {num_layers: 30}\n")
+    indented = _indented_dumps(monkeypatch)
+    for method in VALID_METHODS:
+        out = tmp_path / method
+        assert cli.main(["solve", str(doc), "--method", method,
+                         "--out", str(out), "--config", str(config)]) == 0
+        est = parse_results(
+            (out / "scene_0000.results.json").read_bytes()).estimate
+        assert len(est.heights_m) == 200
+        assert est.excluded == ((0, "bottom-on-horizon"),)
+        assert all(t.spans[0] is None and t.residuals[0] is None
+                   for t in est.trace)
+        if method == "cascade":
+            assert len(est.trace) == 31
+            assert any(a.heights_m == b.heights_m and a.spans == b.spans
+                       for a, b in zip(est.trace, est.trace[1:]))
     capsys.readouterr()
     assert indented == []

@@ -6,6 +6,7 @@ diff cleanly under version control.
 """
 
 import copy
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -26,8 +27,8 @@ from scenescale.baselines import CamHeightPrior
 from scenescale.metrics import GroundTruth
 from scenescale.priors import (COCO_KEYPOINT_NAMES, HEAD_KEYPOINT_NAMES,
                                CategoryPrior, KeypointSet)
-from scenescale.solver import (DetectionBox, RefinementConfig,
-                               detection_columns, solve_scene)
+from scenescale.solver import (DetectionBox, LayerTrace, RefinementConfig,
+                               SceneEstimate, detection_columns, solve_scene)
 
 
 def _raw_doc() -> dict:
@@ -186,6 +187,150 @@ def test_canonical_json_defers_other_types_to_json():
     assert canonical_json(value) == _json_dumps(value)
     with pytest.raises(TypeError, match="not JSON serializable"):
         canonical_json({"a": object()})
+
+
+# ---------------------------------------------------------------------------
+# `emit_results` against `json.dumps` of the same plain payload.
+
+def _plain_results(est: SceneEstimate, source_indices) -> dict:
+    """The payload `emit_results` writes, as unshared plain lists."""
+    return {
+        "schema_version": 1, "method": est.method, "config_hash": "abc",
+        "estimate": {
+            "cam_height_m": est.cam_height_m,
+            "heights_m": list(est.heights_m),
+            "upright_heights_m": list(est.upright_heights_m),
+            "upright_ratios": list(est.upright_ratios),
+            "excluded": [[i, reason] for i, reason in est.excluded],
+            "converged": est.converged, "ill_posed": est.ill_posed,
+            "trace": [{
+                "layer": t.layer, "cam_height_m": t.cam_height_m,
+                "heights_m": list(t.heights_m), "l_vt": t.l_vt,
+                "prior_loss": t.prior_loss, "total_loss": t.total_loss,
+                "spans": [None if s is None else list(s) for s in t.spans],
+                "residuals": list(t.residuals)} for t in est.trace],
+        },
+        "source_indices": list(source_indices),
+    }
+
+
+# Values at float repr's format switches (1e16 and 1e-5 take an exponent,
+# their neighbours do not), the smallest subnormal, and both zeros.
+_EDGE = st.sampled_from([1e16, 9999999999999998.0, 1e-5, 0.0001, 5e-324,
+                         -5e-324, 0.0, -0.0, 1.0, -1.5, 1e22,
+                         1.7976931348623157e308])
+_VALUE = st.one_of(_EDGE, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _same_bits(x: float) -> float:
+    """A new float object with the bits of `x`."""
+    return float.fromhex(x.hex())
+
+
+@st.composite
+def _estimates(draw):
+    """Estimates shaped as the solvers build them: excluded boxes with None
+    rows, copied layers that share their tuples, bottoms repeated (as new
+    objects) or moved from layer to layer, and upright heights that are the
+    heights tuple itself, its values, or its values with each zero's sign
+    flipped (a ratio of 1.0 keeps the bits, and -0.0 must not print 0.0)."""
+    n = draw(st.integers(1, 5))
+    values = st.lists(_VALUE, min_size=n, max_size=n)
+    used = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    used[draw(st.integers(0, n - 1))] = True
+    bottoms = draw(values)
+    trace = []
+    for j in range(draw(st.integers(1, 4))):
+        if trace and draw(st.booleans()):
+            trace.append(dataclasses.replace(trace[-1], layer=j))
+            continue
+        bottoms = (draw(values) if draw(st.booleans())
+                   else list(map(_same_bits, bottoms)))
+        tops, residuals = draw(values), draw(values)
+        trace.append(LayerTrace(
+            layer=j, cam_height_m=draw(_VALUE),
+            heights_m=tuple(draw(values)), l_vt=draw(_VALUE),
+            prior_loss=draw(_VALUE), total_loss=draw(_VALUE),
+            spans=tuple((t, b) if u else None
+                        for u, t, b in zip(used, tops, bottoms)),
+            residuals=tuple(r if u else None
+                            for u, r in zip(used, residuals))))
+    heights = (trace[-1].heights_m if draw(st.booleans())
+               else tuple(draw(values)))
+    upright = draw(st.sampled_from(["same", "bits", "zeros flipped", "own"]))
+    if upright == "zeros flipped":
+        heights = list(heights)
+        heights[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [0.0, -0.0]))
+        heights = tuple(heights)
+    upright = {"same": heights,
+               "bits": tuple(map(_same_bits, heights)),
+               "zeros flipped": tuple(-h if h == 0.0 else _same_bits(h)
+                                      for h in heights),
+               "own": tuple(draw(values))}[upright]
+    ratios = tuple(draw(st.lists(st.one_of(st.just(1.0), _VALUE),
+                                 min_size=n, max_size=n)))
+    return SceneEstimate(
+        method=draw(st.sampled_from(VALID_METHODS)),
+        cam_height_m=draw(_VALUE), heights_m=heights,
+        upright_heights_m=upright, upright_ratios=ratios,
+        excluded=tuple((i, "bottom-on-horizon")
+                       for i, u in enumerate(used) if not u),
+        converged=draw(st.booleans()), ill_posed=draw(st.booleans()),
+        trace=tuple(trace))
+
+
+@given(est=_estimates())
+@settings(deadline=None, max_examples=300)
+def test_emit_results_is_json_dumps_of_the_plain_payload(est):
+    indices = range(len(est.heights_m))
+    assert (emit_results(est, config_hash="abc", source_indices=indices)
+            == _json_dumps(_plain_results(est, indices)))
+
+
+def _in_last_layer(est, **change):
+    return dataclasses.replace(est, trace=est.trace[:-1] + (
+        dataclasses.replace(est.trace[-1], **change),))
+
+
+def _first_span(spans, x, place):
+    i = next(i for i, s in enumerate(spans) if s is not None)
+    span = list(spans[i])
+    span[place] = x
+    return spans[:i] + (tuple(span),) + spans[i + 1:]
+
+
+_SPOIL = {
+    "cam_height_m": lambda e, x: dataclasses.replace(e, cam_height_m=x),
+    "heights_m": lambda e, x: dataclasses.replace(
+        e, heights_m=(x,) + e.heights_m[1:]),
+    "upright_heights_m": lambda e, x: dataclasses.replace(
+        e, upright_heights_m=e.upright_heights_m[:-1] + (x,)),
+    "upright_ratios": lambda e, x: dataclasses.replace(
+        e, upright_ratios=(x,) + e.upright_ratios[1:]),
+    "trace heights_m": lambda e, x: _in_last_layer(
+        e, heights_m=e.trace[-1].heights_m[:-1] + (x,)),
+    "trace l_vt": lambda e, x: _in_last_layer(e, l_vt=x),
+    "span top": lambda e, x: _in_last_layer(
+        e, spans=_first_span(e.trace[-1].spans, x, 0)),
+    "span bottom": lambda e, x: _in_last_layer(
+        e, spans=_first_span(e.trace[-1].spans, x, 1)),
+    "residual": lambda e, x: _in_last_layer(e, residuals=tuple(
+        x if r is not None else None for r in e.trace[-1].residuals)),
+}
+
+
+@given(est=_estimates(), place=st.sampled_from(sorted(_SPOIL)),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+@settings(deadline=None, max_examples=150)
+def test_emit_results_refuses_non_finite_values_as_json_does(est, place, bad):
+    est = _SPOIL[place](est, bad)
+    indices = range(len(est.heights_m))
+    with pytest.raises(ValueError) as expected:
+        _json_dumps(_plain_results(est, indices))
+    with pytest.raises(ValueError) as got:
+        emit_results(est, config_hash="abc", source_indices=indices)
+    assert str(got.value) == str(expected.value)
 
 
 def test_parse_results_rejects_unknown_key():

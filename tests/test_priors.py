@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scenescale.priors import (COCO_KEYPOINT_NAMES, CategoryPrior,
-                               DEFAULT_PRIORS, KeypointSet,
-                               MissingKeypointsError, _gaussian_pdf,
+                               DEFAULT_PRIORS, HEAD_KEYPOINT_NAMES,
+                               KeypointSet, MissingKeypointsError,
+                               UprightRatio, _gaussian_pdf,
                                prior_curvature, prior_penalty,
                                prior_penalty_grad, scale_map, upright_ratio)
 
@@ -219,6 +220,80 @@ def test_single_visible_shoulder_suffices():
     del pose["right_shoulder"]
     pose["left_shoulder"] = (0.5, 0.20)
     assert upright_ratio(_kps(pose)).ratio == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_upright_ratio(kps, head_extension=0.08):
+    """`upright_ratio` as it was written through `KeypointSet.coords` and
+    `visible`, kept to check that indexing the points changes no bit."""
+    def midpoint(left, right):
+        pts = [kps.coords(n) for n in (left, right) if kps.visible(n)]
+        if not pts:
+            return None
+        return (sum(p[0] for p in pts) / len(pts),
+                sum(p[1] for p in pts) / len(pts))
+
+    def dist(a, b):
+        return math.hypot(a[0] - b[0], a[1] - b[1])
+
+    missing = []
+    head_pts = [kps.coords(n) for n in HEAD_KEYPOINT_NAMES if kps.visible(n)]
+    if not head_pts:
+        missing.append("head (nose/eyes/ears)")
+    shoulder_mid = midpoint("left_shoulder", "right_shoulder")
+    if shoulder_mid is None:
+        missing.append("shoulders")
+    hip_mid = midpoint("left_hip", "right_hip")
+    if hip_mid is None:
+        missing.append("hips")
+    ankles = [kps.coords(n) for n in ("left_ankle", "right_ankle")
+              if kps.visible(n)]
+    if not ankles:
+        missing.append("ankles")
+    legs = []
+    for side in ("left", "right"):
+        knee, ankle = f"{side}_knee", f"{side}_ankle"
+        if kps.visible(knee) and kps.visible(ankle):
+            legs.append((kps.coords(knee), kps.coords(ankle)))
+    if not legs:
+        missing.append("knee+ankle pair")
+    if missing:
+        raise MissingKeypointsError(tuple(missing))
+    head = min(head_pts, key=lambda p: p[1])
+    torso = dist(head, shoulder_mid) + dist(shoulder_mid, hip_mid)
+    chain = max(torso + dist(hip_mid, knee) + dist(knee, ankle)
+                for knee, ankle in legs)
+    if chain <= 0.0:
+        raise ValueError("degenerate skeleton: zero chain length")
+    extension = head_extension * chain
+    upright = chain + extension
+    head_top_v = head[1] - extension
+    lowest_ankle_v = max(v for _, v in ankles)
+    actual = lowest_ankle_v - head_top_v
+    return UprightRatio(min(max(actual / upright, 1e-6), 1.05))
+
+
+def _outcome(ratio, kps, head_extension):
+    try:
+        return ratio(kps, head_extension).ratio.hex()
+    except ValueError as exc:        # MissingKeypointsError among them
+        return type(exc), str(exc)
+
+
+# Coordinates with repeats (zero-length segments, ties for the highest
+# head point), both zeros, and visibilities that are often 0.
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-300]),
+                   st.floats(-2.0, 3.0))
+_POINT = st.tuples(_COORD, _COORD, st.sampled_from([0.0, 0.0, 1.0, 2.0]))
+
+
+@given(points=st.lists(_POINT, min_size=17, max_size=17),
+       head_extension=st.one_of(st.just(0.08), st.floats(0.0, 1.0)))
+@settings(deadline=None, max_examples=400)
+def test_ratio_keeps_every_bit_of_the_per_keypoint_version(points,
+                                                           head_extension):
+    kps = KeypointSet(tuple(points))
+    assert (_outcome(upright_ratio, kps, head_extension)
+            == _outcome(_reference_upright_ratio, kps, head_extension))
 
 
 def test_keypoint_set_requires_seventeen_points():
