@@ -158,6 +158,9 @@ def _number(value, where: str) -> float:
     return value
 
 
+_TOO_DEEP = "nesting too deep: lists and objects nest past the parser's limit"
+
+
 def parse_document(data: bytes | str) -> DetectionDocument:
     """Parse and validate a detection document; SchemaError on any violation."""
     if isinstance(data, bytes):
@@ -166,6 +169,8 @@ def parse_document(data: bytes | str) -> DetectionDocument:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(_TOO_DEEP) from None
     if not isinstance(raw, dict):
         raise SchemaError("document root must be an object")
     _check_keys(raw, {"schema_version", "image", "calibration", "detections",
@@ -828,6 +833,8 @@ def parse_results(data: bytes | str) -> ResultsDocument:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(_TOO_DEEP) from None
     if not isinstance(raw, dict):
         raise SchemaError("results root must be an object")
     _check_keys(raw, {"schema_version", "method", "config_hash", "estimate",
@@ -1018,6 +1025,8 @@ def config_from_yaml(text: str) -> ToolkitConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise SchemaError(f"not valid YAML: {exc}") from None
+    except RecursionError:
+        raise SchemaError(_TOO_DEEP) from None
     if raw is None:
         raw = {}
     return config_from_dict(raw)

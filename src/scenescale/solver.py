@@ -13,26 +13,30 @@ absolute scale comes from category size priors.  The pipeline:
      camera's pitch and focal length, and so do the bottoms' rays
      (`geometry.bottom_rays`: depth per unit camera height and the
      derivatives a projection needs).  Both are computed here once, into
-     the used boxes' `_LossBoxes`, and the layers solve for those boxes
-     alone.  Start from the closed form (`init_camera_height`): with each
-     used object's top on its detected top, the height priors fix the
-     camera height (`priors.scale_map`), and each object starts at the
-     height that camera height implies for it.
+     the used boxes' `LossBoxes` (`loss_boxes`, which also sums their
+     weights once), and the layers solve for those boxes alone.  Start
+     from the closed form (`init_camera_height`): with each used
+     object's top on its detected top, the height priors fix the camera
+     height (`priors.scale_map`), and each object starts at the height
+     that camera height implies for it.
   2. Run a fixed number of refinement layers.  The total loss is the L1
-     reprojection of the box tops plus a Gaussian prior penalty on the
-     upright heights, each a mean weighted by the boxes' `weight`, so a
-     box of weight 2 pulls like the same box listed twice.  `_evaluate`
-     scores one point (camera height, upright heights) and returns an
-     `Evaluation`: the tops, their derivatives and the loss terms.  Each
-     layer (`_step`) takes one damped Gauss-Newton step from the last
-     accepted evaluation, with backtracking, so the loss never
-     increases, and returns the evaluation of the candidate it accepts;
-     the loop hands it to the trace and to the next layer.  Each
-     object's residual depends only on the camera height and its own
-     height, so the step's normal matrix is arrow-shaped; the Schur
-     complement of its diagonal block solves it in O(k) time and memory
-     for k objects.  Once the loss stops falling, a layer's entry is the
-     previous one with its own layer number.
+     reprojection of the box tops (`reprojection_loss`) plus a Gaussian
+     prior penalty on the upright heights, each a mean weighted by the
+     boxes' `weight`, so a box of weight 2 pulls like the same box listed
+     twice.  `total_loss` scores one point (camera height, upright
+     heights) and returns an `Evaluation`: the tops, their derivatives
+     and the loss terms.  Each layer (`refine_layer`) takes one damped
+     Gauss-Newton step from the last accepted evaluation, with
+     backtracking, so the loss never increases, and returns the
+     evaluation of the candidate it accepts, or its input when it finds
+     no descent; the loop hands it to the trace and to the next layer.
+     `total_loss_gradient` is the loss's analytic gradient at an
+     evaluation.  Each object's residual depends only on the camera
+     height and its own height, so the step's normal matrix is
+     arrow-shaped; the Schur complement of its diagonal block solves it
+     in O(k) time and memory for k objects.  Once the loss stops
+     falling, a layer's entry is the previous one with its own layer
+     number.
 
 Object depths are anchored to the detected bottom coordinate throughout:
 depth is always the ground intersection of the bottom ray under the
@@ -175,46 +179,6 @@ class RefinementConfig:
             raise ValueError(f"bad object height bounds {self.object_height_bounds}")
 
 
-@dataclass(frozen=True, eq=False)
-class SceneState:
-    """Current iterate of the solver.
-
-    upright_heights are the optimization variables; the actual heights
-    used in reprojection are upright * ratio.  `active` marks objects
-    that participate in the loss (those `classify_boxes` keeps).  The
-    three are kept as read-only float (bool) arrays, whatever sequence
-    they are given as.  States compare by value.
-    """
-
-    camera: CameraParams
-    upright_heights: np.ndarray
-    ratios: np.ndarray
-    active: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, dtype in (("upright_heights", float), ("ratios", float),
-                            ("active", bool)):
-            value = np.asarray(getattr(self, name), dtype=dtype)
-            if value.flags.writeable:
-                value = value.copy()
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SceneState):
-            return NotImplemented
-        return (self.camera == other.camera
-                and all(map(np.array_equal,
-                            (self.upright_heights, self.ratios, self.active),
-                            (other.upright_heights, other.ratios,
-                             other.active))))
-
-    __hash__ = None
-
-    def actual_heights(self) -> np.ndarray:
-        return self.upright_heights * self.ratios
-
-
 @dataclass(frozen=True)
 class LayerTrace:
     """Losses and reprojections after one layer (layer 0 = initialization)."""
@@ -248,18 +212,11 @@ class SceneEstimate:
             raise ValueError("trace must hold at least one layer")
 
 
-class ReprojectionResult(NamedTuple):
-    residuals: np.ndarray                  # signed v_top residual, NaN = excluded
-    l_vt: float
-    excluded: tuple[tuple[int, str], ...]
-    v_tops: np.ndarray                     # reprojected tops, meaningless if excluded
-
-
 class Evaluation(NamedTuple):
     """The loss at one point of a solve, over its used boxes (a
-    `_LossBoxes`, in their order): the camera, the upright and actual
+    `LossBoxes`, in their order): the camera, the upright and actual
     heights, the reprojection of the tops with its derivatives, the
-    weighted L1 and prior terms and the total loss (`_evaluate`).
+    weighted L1 and prior terms and the total loss (`total_loss`).
     """
 
     camera: CameraParams
@@ -291,11 +248,11 @@ class SceneArrays:
         return len(self.v_top)
 
 
-class _LossBoxes(NamedTuple):
+class LossBoxes(NamedTuple):
     """The boxes a loss runs over, in the order a solve uses them: their
     detected tops and bottoms, height priors, weights and posture ratios,
-    and the `geometry.bottom_rays` of their bottoms under the solve's
-    camera pitch and focal length."""
+    the `geometry.bottom_rays` of their bottoms under the solve's camera
+    pitch and focal length, and the sum of their weights."""
 
     v_top: np.ndarray
     v_bottom: np.ndarray
@@ -304,37 +261,29 @@ class _LossBoxes(NamedTuple):
     weight: np.ndarray
     ratios: np.ndarray
     rays: geometry.BottomRays
+    total_weight: float
 
 
-def _loss_boxes(camera: CameraParams, arrays: SceneArrays, ratios,
-                used) -> _LossBoxes:
-    """The `_LossBoxes` of the boxes of `arrays` at `used` (indices or a
+def loss_boxes(camera: CameraParams, arrays: SceneArrays, ratios,
+               used) -> LossBoxes:
+    """The `LossBoxes` of the boxes of `arrays` at `used` (indices or a
     mask), `ratios` holding every box's posture ratio."""
     v_bottom = arrays.v_bottom[used]
+    weight = arrays.weight[used]
     with np.errstate(divide="ignore", invalid="ignore"):
         rays = geometry.bottom_rays(camera, v_bottom)
-    return _LossBoxes(arrays.v_top[used], v_bottom, arrays.mu[used],
-                      arrays.sigma[used], arrays.weight[used],
-                      np.asarray(ratios, dtype=float)[used], rays)
-
-
-def _v_columns(boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(v_top, v_bottom) arrays of a box list, a DetectionColumns or a
-    SceneArrays."""
-    if not isinstance(boxes, SceneArrays):
-        boxes = detection_columns(boxes)
-    return boxes.v_top, boxes.v_bottom
+    return LossBoxes(arrays.v_top[used], v_bottom, arrays.mu[used],
+                     arrays.sigma[used], weight,
+                     np.asarray(ratios, dtype=float)[used], rays,
+                     np.sum(weight))
 
 
 def scene_arrays(boxes, prior_map: dict[str, CategoryPrior] | None = None
                  ) -> SceneArrays:
-    """Array form of a box list or a DetectionColumns; a SceneArrays
-    passes through unchanged.
+    """Array form of a box list or a DetectionColumns.
 
     Raises ValueError naming the first category without a height prior.
     """
-    if isinstance(boxes, SceneArrays):
-        return boxes
     columns = detection_columns(boxes)
     prior_map = prior_map or priors.DEFAULT_PRIORS
     try:
@@ -399,8 +348,8 @@ def init_camera_height(camera: CameraParams, arrays: SceneArrays, ratios,
     return h_cam, np.clip(upright, *config.object_height_bounds)
 
 
-def classify_boxes(camera: CameraParams, boxes) -> tuple[tuple[bool, ...],
-                                                         tuple[tuple[int, str], ...]]:
+def classify_boxes(camera: CameraParams, arrays: SceneArrays
+                   ) -> tuple[tuple[bool, ...], tuple[tuple[int, str], ...]]:
     """Static reprojection eligibility of each box under this camera: the
     rule of `geometry.usable_boxes` at the camera's horizon, given the
     ground depth of each bottom.
@@ -408,58 +357,45 @@ def classify_boxes(camera: CameraParams, boxes) -> tuple[tuple[bool, ...],
     Depends only on pitch/focal and the detected box, never on the
     camera height, so it stays fixed across the whole solve.
     """
-    v_top, v_bottom = _v_columns(boxes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        depth = geometry.depths_from_bottoms(camera, v_bottom)
+        depth = geometry.depths_from_bottoms(camera, arrays.v_bottom)
     active, excluded = geometry.usable_boxes(
-        geometry.horizon_from_pitch(camera).v0, v_top, v_bottom, depth)
+        geometry.horizon_from_pitch(camera).v0, arrays.v_top, arrays.v_bottom,
+        depth)
     return tuple(active.tolist()), excluded
 
 
-def reprojection_loss(camera: CameraParams, heights_m, boxes) -> ReprojectionResult:
-    """Signed v_top residuals of bottom-anchored objects and their L1 mean.
-
-    heights_m are actual heights, one per box.  Excluded objects get NaN
-    residuals and do not enter the mean; which objects are excluded is
-    read off the depths the projection returns, by the rule of
-    `classify_boxes`.
-    """
-    v_top, v_bottom = _v_columns(boxes)
-    if not len(v_top):
-        raise ValueError("no detections to reproject")
-    heights_m = np.asarray(heights_m, dtype=float)
-    if heights_m.shape != v_top.shape:
-        raise ValueError("heights_m must have one entry per box")
+def reprojection_loss(boxes: LossBoxes, camera: CameraParams,
+                      heights: np.ndarray) -> tuple:
+    """The reprojection of `boxes`' tops at this camera and these actual
+    heights: (tops, d top / d camera height, d top / d actual height,
+    depths, residuals, l_vt).  The residuals are the detected minus the
+    reprojected tops, and l_vt is their weighted L1 mean
+    sum(w*|r|)/sum(w)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        vt, _, _, depth = geometry.project_tops_with_grads(camera, v_bottom,
-                                                           heights_m)
-        active, excluded = geometry.usable_boxes(
-            geometry.horizon_from_pitch(camera).v0, v_top, v_bottom, depth)
-        residuals = np.where(active, v_top - vt, np.nan)
-    used = residuals[active]
-    l_vt = float(np.mean(np.abs(used))) if len(used) else math.nan
-    return ReprojectionResult(residuals, l_vt, excluded, vt)
+        tops, d_cam, d_height, depths = geometry.project_tops_with_grads(
+            camera, boxes.rays, heights)
+        residuals = boxes.v_top - tops
+    l_vt = float(np.sum(boxes.weight * np.abs(residuals)) / boxes.total_weight)
+    return tops, d_cam, d_height, depths, residuals, l_vt
 
 
-def _evaluate(boxes: _LossBoxes, camera: CameraParams, upright: np.ndarray,
-              config: RefinementConfig) -> Evaluation:
+def total_loss(boxes: LossBoxes, camera: CameraParams, upright: np.ndarray,
+               config: RefinementConfig) -> Evaluation:
     """The loss at this camera and these upright heights of `boxes`: the
-    L1 reprojection of the tops and the prior penalty, each a weighted
-    mean sum(w*x)/sum(w) over the boxes, summed with the config's weights.
+    L1 reprojection of the tops (`reprojection_loss`) and the prior
+    penalty, each a weighted mean sum(w*x)/sum(w) over the boxes, summed
+    with the config's weights.
 
     The total is +inf when the heights push some top across the camera
     plane, so line searches reject such candidates.
     """
     heights = upright * boxes.ratios
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tops, d_cam, d_height, depths = geometry.project_tops_with_grads(
-            camera, boxes.rays, heights)
-        residuals = boxes.v_top - tops
-    weight = boxes.weight
-    total_weight = np.sum(weight)
-    l_vt = float(np.sum(weight * np.abs(residuals)) / total_weight)
-    pen = float(np.sum(weight * priors.prior_penalty(
-        upright, boxes.mu, boxes.sigma, config.prior_mode)) / total_weight)
+    tops, d_cam, d_height, depths, residuals, l_vt = reprojection_loss(
+        boxes, camera, heights)
+    pen = float(np.sum(boxes.weight * priors.prior_penalty(
+        upright, boxes.mu, boxes.sigma, config.prior_mode))
+        / boxes.total_weight)
     # Camera-frame z of the anchored tops must stay positive.
     st, ct = math.sin(camera.pitch_rad), math.cos(camera.pitch_rad)
     top_z = depths * ct + (heights - camera.cam_height_m) * st
@@ -471,56 +407,23 @@ def _evaluate(boxes: _LossBoxes, camera: CameraParams, upright: np.ndarray,
                       d_height, l_vt, pen, loss)
 
 
-def _at_state(state: SceneState, boxes, prior_map,
-              config: RefinementConfig) -> tuple[_LossBoxes, Evaluation]:
-    """The `_LossBoxes` of a state's active boxes and the state's
-    `Evaluation` over them."""
-    mask = state.active
-    loss_boxes = _loss_boxes(state.camera, scene_arrays(boxes, prior_map),
-                             state.ratios, mask)
-    return loss_boxes, _evaluate(loss_boxes, state.camera,
-                                 state.upright_heights[mask], config)
+def total_loss_gradient(boxes: LossBoxes, ev: Evaluation,
+                        config: RefinementConfig) -> np.ndarray:
+    """Analytic gradient of `total_loss` at `ev` w.r.t. [cam_height,
+    *upright_heights] of `boxes`.
 
-
-def total_loss(state: SceneState, boxes,
-               prior_map: dict[str, CategoryPrior] | None = None,
-               config: RefinementConfig | None = None) -> float:
-    """Weighted sum of the L1 reprojection loss and the prior penalty over
-    the state's active boxes (`_evaluate`).
-
-    Returns +inf when the current heights push some object top across the
-    camera plane, so line searches reject such candidates.
+    Assumes no residual sits exactly on the L1 kink.
     """
-    if not state.active.any():
-        raise ValueError("no active objects to evaluate")
-    config = config or RefinementConfig()
-    return _at_state(state, boxes, prior_map, config)[1].total_loss
-
-
-def total_loss_gradient(state: SceneState, boxes,
-                        prior_map: dict[str, CategoryPrior] | None = None,
-                        config: RefinementConfig | None = None) -> np.ndarray:
-    """Analytic gradient of `total_loss` w.r.t. [cam_height, *upright_heights].
-
-    Entries of inactive objects are zero.  Assumes no residual sits
-    exactly on the L1 kink.
-    """
-    grad = np.zeros(len(state.active) + 1)
-    if not state.active.any():
-        return grad
-    config = config or RefinementConfig()
-    loss_boxes, ev = _at_state(state, boxes, prior_map, config)
-    weight = loss_boxes.weight
+    weight = boxes.weight
     sign = np.sign(ev.residuals)
-    coef = config.reprojection_weight / np.sum(weight)
-    grad[0] = coef * np.sum(weight * sign * -ev.d_cam)
-    dr_dH = -ev.d_height * loss_boxes.ratios
-    pg = priors.prior_penalty_grad(ev.upright, loss_boxes.mu, loss_boxes.sigma,
+    coef = config.reprojection_weight / boxes.total_weight
+    dr_dH = -ev.d_height * boxes.ratios
+    pg = priors.prior_penalty_grad(ev.upright, boxes.mu, boxes.sigma,
                                    config.prior_mode)
-    grad[1:][state.active] = (coef * weight * sign * dr_dH
-                              + config.prior_weight / np.sum(weight) * weight
-                              * pg)
-    return grad
+    return np.concatenate((
+        [coef * np.sum(weight * sign * -ev.d_cam)],
+        coef * weight * sign * dr_dH
+        + config.prior_weight / boxes.total_weight * weight * pg))
 
 
 def _clamp_vars(x: np.ndarray, config: RefinementConfig) -> np.ndarray:
@@ -531,7 +434,7 @@ def _clamp_vars(x: np.ndarray, config: RefinementConfig) -> np.ndarray:
     return out
 
 
-def _arrow_system(boxes: _LossBoxes, ev: Evaluation,
+def _arrow_system(boxes: LossBoxes, ev: Evaluation,
                   config: RefinementConfig):
     """Damped Gauss-Newton system of one layer at `ev`, in arrow form.
 
@@ -548,8 +451,8 @@ def _arrow_system(boxes: _LossBoxes, ev: Evaluation,
     # model; `w` is each box's IRLS weight times its box weight.
     weight = boxes.weight
     w = weight / np.maximum(np.abs(r), _IRLS_FLOOR)
-    coef = config.reprojection_weight / np.sum(weight)
-    prior_coef = config.prior_weight / np.sum(weight) * weight
+    coef = config.reprojection_weight / boxes.total_weight
+    prior_coef = config.prior_weight / boxes.total_weight * weight
     a = -ev.d_cam                          # d r / d cam height
     b = -ev.d_height * boxes.ratios        # d r / d upright height
     pg = priors.prior_penalty_grad(ev.upright, boxes.mu, boxes.sigma,
@@ -584,53 +487,32 @@ def _arrow_solve(m00: float, off: np.ndarray, diag: np.ndarray,
     return np.concatenate(([d0], d1))
 
 
-def _step(boxes: _LossBoxes, ev: Evaluation,
-          config: RefinementConfig) -> Evaluation | None:
+def refine_layer(ev: Evaluation, boxes: LossBoxes,
+                 config: RefinementConfig) -> Evaluation:
     """One damped Gauss-Newton step from `ev` with backtracking.
 
     Returns the evaluation of the first candidate whose total loss is
-    below `ev`'s, or None when `ev`'s loss is not finite, the step is not
-    finite, or no candidate within the backtracking budget lowers it.
+    below `ev`'s, or `ev` itself when `ev`'s loss is not finite, the step
+    is not finite, or no candidate within the backtracking budget lowers
+    it.
     """
     if not math.isfinite(ev.total_loss):
-        return None
+        return ev
     delta = _arrow_solve(*_arrow_system(boxes, ev, config))
     if not np.all(np.isfinite(delta)):
-        return None
+        return ev
 
     x0 = np.concatenate(([ev.camera.cam_height_m], ev.upright))
     step = 1.0
     for _ in range(config.max_backtracks + 1):
         cand = _clamp_vars(x0 + step * delta, config)
-        cand_ev = _evaluate(
+        cand_ev = total_loss(
             boxes, replace(ev.camera, cam_height_m=float(cand[0])), cand[1:],
             config)
         if cand_ev.total_loss < ev.total_loss:
             return cand_ev
         step *= 0.5
-    return None
-
-
-def refine_layer(state: SceneState, boxes,
-                 prior_map: dict[str, CategoryPrior] | None = None,
-                 config: RefinementConfig | None = None) -> SceneState:
-    """One damped Gauss-Newton step on the total loss with backtracking
-    (`_step`), over the state's active boxes.
-
-    The accepted state never has a larger total loss than the input; when
-    no decrease is found within the backtracking budget, or the step is
-    not finite, the input state is returned unchanged.
-    """
-    mask = state.active
-    if not mask.any():
-        return state
-    config = config or RefinementConfig()
-    moved = _step(*_at_state(state, boxes, prior_map, config), config)
-    if moved is None:
-        return state
-    upright = state.upright_heights.copy()
-    upright[mask] = moved.upright
-    return SceneState(moved.camera, upright, state.ratios, mask)
+    return ev
 
 
 def trace_rows(n: int, used, v_tops, v_bottoms, residuals
@@ -645,7 +527,7 @@ def trace_rows(n: int, used, v_tops, v_bottoms, residuals
     return tuple(spans), tuple(rows)
 
 
-def _layer_trace(layer: int, ev: Evaluation, boxes: _LossBoxes,
+def _layer_trace(layer: int, ev: Evaluation, boxes: LossBoxes,
                  used: np.ndarray, heights: np.ndarray) -> LayerTrace:
     """Trace entry of an evaluation of the used boxes, `boxes` at indices
     `used`: `heights` holds every box's actual height, and the used
@@ -687,24 +569,24 @@ def solve_scene(v0: float, fov_rad: float, boxes,
     active, excluded = classify_boxes(camera, arrays)
     geometry.require_usable(excluded, len(arrays))
     used = np.flatnonzero(active)
-    loss_boxes = _loss_boxes(camera, arrays, ratios, used)
+    used_boxes = loss_boxes(camera, arrays, ratios, used)
     cam_height, upright = init_camera_height(camera, arrays, ratios, active,
                                              config)
     # The layers solve for the used boxes alone; the others keep their
     # start.
     heights = upright * np.array(ratios)
-    ev = _evaluate(loss_boxes, replace(camera, cam_height_m=cam_height),
-                   upright[used], config)
-    trace = [_layer_trace(0, ev, loss_boxes, used, heights)]
+    ev = total_loss(used_boxes, replace(camera, cam_height_m=cam_height),
+                    upright[used], config)
+    trace = [_layer_trace(0, ev, used_boxes, used, heights)]
 
     converged = False
     for j in range(1, config.num_layers + 1):
-        moved = None if converged else _step(loss_boxes, ev, config)
-        if moved is None:
+        moved = ev if converged else refine_layer(ev, used_boxes, config)
+        if moved is ev:
             entry = replace(trace[-1], layer=j)
         else:
             ev = moved
-            entry = _layer_trace(j, ev, loss_boxes, used, heights)
+            entry = _layer_trace(j, ev, used_boxes, used, heights)
         trace.append(entry)
         if trace[-2].total_loss - entry.total_loss < config.loss_tolerance:
             converged = True

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from scenescale import cli, solver
+from scenescale import baselines, cli, solver
 from scenescale.documents import (ToolkitConfig, VALID_METHODS,
                                   config_digest, config_from_yaml,
+                                  emit_results, filter_detections,
                                   parse_document, parse_results)
 from scenescale.priors import COCO_KEYPOINT_NAMES
 
@@ -464,6 +465,41 @@ def test_malformed_values_exit_one_naming_the_fault(tmp_path, capsys, path,
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "solve-jobs2", "eval",
+                                     "overlay", "config"])
+def test_deeply_nested_input_exits_one(tmp_path, capsys, command):
+    # Past the parsers' recursion limit, JSON and YAML both raise
+    # RecursionError, which must read as an input error.
+    deep = tmp_path / "scene_0000.json"
+    deep.write_text("[" * 100_000)
+    deep_results = tmp_path / "scene_0000.results.json"
+    deep_results.write_text("[" * 100_000)
+    config = tmp_path / "config.yaml"
+    config.write_text("[" * 5_000)
+    good = tmp_path / "good" / "scene_0000.json"
+    good.parent.mkdir()
+    good.write_bytes((_FIXTURES / "scene_0000.json").read_bytes())
+    argv = {
+        "solve": ["solve", str(deep), "--jobs", "1"],
+        "solve-jobs2": ["solve", str(deep), str(good), "--jobs", "2"],
+        "eval": ["eval", "--results", str(deep_results), "--truth",
+                 str(_FIXTURES)],
+        "overlay": ["overlay", str(deep),
+                    str(_FIXTURES / "scene_0000.results.json"),
+                    "--out", str(tmp_path / "out.svg")],
+        "config": ["solve", "--config", str(config), "--print-config"],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "nesting too deep" in captured.err
+    assert "internal error" not in captured.err
+    assert captured.out == ""
+    if command == "solve-jobs2":
+        assert "1 of 2 documents failed" in captured.err
+        assert (good.parent / "scene_0000.results.json").exists()
+
+
 # A steep, very wide view (fov 163 deg, pitch -21 deg).  The linear
 # model's camera height with every object at its prior mean puts a top
 # behind the camera plane here; the closed-form start puts the usable
@@ -572,6 +608,58 @@ def test_solve_builds_no_detection_box(tmp_path, capsys, monkeypatch, method):
     assert built == []
     # The counter sees boxes wherever they are built.
     assert len(parse_document(doc.read_bytes()).detections) == len(built) == 6
+
+
+def _horizon_band_document(tmp_path) -> Path:
+    """The fixture scene with its first box's bottom just below the
+    horizon: the box passes the filters and `usable_boxes` excludes it as
+    bottom-on-horizon."""
+    payload = json.loads((_FIXTURES / "scene_0000.json").read_text())
+    box = payload["detections"][0]["box"]
+    box["v_bottom"] = payload["calibration"]["v0"] + 5e-7
+    box["v_top"] = box["v_bottom"] - 0.1
+    box["u_right"] = box["u_left"] + 0.05
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+_ESTIMATORS = {"cascade": solver.solve_scene, "pgm": baselines.pgm_full,
+               "pgm-fixed": baselines.pgm_fixed_height}
+
+
+@pytest.mark.parametrize("document", ["fixture", "skeleton", "horizon-band"])
+@pytest.mark.parametrize("method", VALID_METHODS)
+def test_the_readme_api_path_matches_the_cli_path(tmp_path, capsys, method,
+                                                  document):
+    # The README solves `kept.kept`, a tuple of boxes; the CLI passes
+    # `kept.columns`.  Both give the same estimate and the same bytes.
+    path = {"fixture": lambda: _FIXTURES / "scene_0000.json",
+            "skeleton": lambda: _skeleton_document(tmp_path),
+            "horizon-band": lambda: _horizon_band_document(tmp_path),
+            }[document]()
+    doc = parse_document(path.read_bytes())
+    kept = filter_detections(doc)
+    cal = doc.calibration
+    from_boxes, from_columns = (
+        _ESTIMATORS[method](cal.horizon_v0(), cal.fov_rad, detections,
+                            principal_v=cal.principal_v)
+        for detections in (kept.kept, kept.columns))
+    assert from_boxes == from_columns
+    if document == "skeleton":
+        assert len(kept.rejected) == 1
+        assert any(box.keypoints is not None for box in kept.kept)
+    if document == "horizon-band":
+        assert from_boxes.excluded == ((0, "bottom-on-horizon"),)
+    texts = [emit_results(est, config_hash=config_digest(
+        ToolkitConfig(method=method)), source_indices=kept.kept_indices)
+        for est in (from_boxes, from_columns)]
+    assert texts[0] == texts[1]
+    out = tmp_path / "cli.results.json"
+    assert cli.main(["solve", str(path), "--method", method,
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8") == texts[0]
 
 
 def _indented_dumps(monkeypatch) -> list:

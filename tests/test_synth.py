@@ -18,13 +18,25 @@ from scenescale import cli, geometry, synth
 from scenescale.geometry import (CameraParams, GroundObject,
                                  depths_from_bottoms, horizon_from_pitch)
 from scenescale.priors import DEFAULT_PRIORS, CategoryPrior
-from scenescale.solver import reprojection_loss
+from scenescale.solver import (classify_boxes, loss_boxes, reprojection_loss,
+                               scene_arrays)
 
 
 def _normalized_camera(scene: synth.SceneSpec) -> CameraParams:
     cam = scene.camera
     return CameraParams.from_fov(cam.pitch_rad, cam.fov_rad, cam.cam_height_m,
                                  cam.image_w_px / cam.image_h_px, 1.0)
+
+
+def _l_vt(camera: CameraParams, heights, boxes) -> float:
+    """The L1 reprojection loss of `boxes`, every one of them usable, at
+    `camera` and these actual heights."""
+    arrays = scene_arrays(boxes)
+    active, _ = classify_boxes(camera, arrays)
+    assert all(active)
+    used = loss_boxes(camera, arrays, [1.0] * len(arrays),
+                      np.flatnonzero(active))
+    return reprojection_loss(used, camera, np.asarray(heights, float))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +138,8 @@ def test_noiseless_render_has_zero_reprojection():
     for seed in range(10):
         scene = synth.sample_scene(n_objects=5, seed=200 + seed)
         boxes = synth.render_detections(scene)
-        res = reprojection_loss(_normalized_camera(scene), scene.heights(),
-                                boxes)
-        assert res.l_vt <= 1e-12
+        assert _l_vt(_normalized_camera(scene), scene.heights(),
+                     boxes) <= 1e-12
 
 
 def test_noiseless_calibration_is_exact():
@@ -168,9 +179,8 @@ def test_outlier_heights_follow_uniform_construction():
     assert all(0.5 * mu <= h <= 1.5 * mu for h in heights)
     assert heights != scene.heights()
     # Rendering must use the substituted heights.
-    res = reprojection_loss(_normalized_camera(scene), heights,
-                            synth.render_detections(scene, noise))
-    assert res.l_vt <= 1e-12
+    assert _l_vt(_normalized_camera(scene), heights,
+                 synth.render_detections(scene, noise)) <= 1e-12
     assert synth.effective_heights(scene) == scene.heights()
 
 

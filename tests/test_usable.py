@@ -16,7 +16,7 @@ from scenescale.documents import parse_document
 from scenescale.geometry import (CameraParams, GroundObject,
                                  horizon_from_pitch, project_vertical)
 from scenescale.solver import (DetectionBox, RefinementConfig,
-                               classify_boxes, solve_scene)
+                               classify_boxes, scene_arrays, solve_scene)
 
 _FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -152,7 +152,8 @@ def test_the_cascade_excludes_bottoms_behind_the_camera():
         geometry.pitch_from_horizon(-50.0, geometry.focal_from_fov(
             doc.calibration.fov_rad, 1.0), 1.0), doc.calibration.fov_rad,
         1.6, 1.0, 1.0)
-    active, excluded = classify_boxes(camera, doc.columns)
+    active, excluded = classify_boxes(camera,
+                                      scene_arrays(doc.columns))
     assert not any(active)
     assert excluded == tuple((i, "bottom-behind-camera") for i in range(n))
     with pytest.raises(ValueError,
