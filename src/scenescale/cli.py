@@ -58,15 +58,15 @@ def _run_method(doc: DetectionDocument, config: ToolkitConfig):
     priors = config.prior_map()
     if config.method == "cascade":
         estimate = solver.solve_scene(
-            v0, doc.calibration.fov_rad, kept.columns, priors, config.refine,
+            v0, doc.calibration.fov_rad, kept.kept, priors, config.refine,
             principal_v=doc.calibration.principal_v)
     elif config.method == "pgm":
         estimate = baselines.pgm_full(
-            v0, doc.calibration.fov_rad, kept.columns, priors,
+            v0, doc.calibration.fov_rad, kept.kept, priors,
             config.cam_height_prior, principal_v=doc.calibration.principal_v)
     else:
         estimate = baselines.pgm_fixed_height(
-            v0, doc.calibration.fov_rad, kept.columns, config.canonical_map(),
+            v0, doc.calibration.fov_rad, kept.kept, config.canonical_map(),
             priors, principal_v=doc.calibration.principal_v)
     return estimate, kept
 
@@ -95,7 +95,7 @@ def _solve_one(input_str: str, out_str: str | None, config: ToolkitConfig,
         _write_atomic(target, text)
     except (OSError, ValueError) as exc:
         return False, f"{input_path}: {exc}"
-    skipped = len(doc.columns) - len(kept.kept_indices)
+    skipped = len(kept.rejected)
     note = f", {skipped} filtered out" if skipped else ""
     return True, (f"{input_path} -> {target}: cam {estimate.cam_height_m:.3f} m, "
                   f"{len(estimate.heights_m)} objects{note}")
@@ -122,11 +122,20 @@ def _cmd_solve(args) -> int:
         return 0
     if not args.inputs:
         raise SchemaError("no input documents given")
+    if args.jobs < 1:
+        raise SchemaError("--jobs must be >= 1")
     inputs = [p for arg in args.inputs for p in _discover_inputs(Path(arg))]
+    # An `--out` naming one file would take each result in turn.
+    if (len(inputs) > 1 and args.out
+            and _result_path(inputs[0], args.out) == Path(args.out)):
+        raise SchemaError(f"--out {args.out} names one file for "
+                          f"{len(inputs)} input documents; give a directory")
     config_hash = config_digest(config)
     failures = 0
-    if args.jobs > 1 and len(inputs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A fork-started pool starts all its workers at once.
+    workers = min(args.jobs, len(inputs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 _solve_one, [str(p) for p in inputs],
                 [args.out] * len(inputs), [config] * len(inputs),

@@ -17,7 +17,6 @@ import math
 import operator
 import typing
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -68,68 +67,33 @@ class CalibrationInput:
         return self.principal_v + focal * math.tan(self.pitch_rad)
 
 
+@dataclass(frozen=True)
 class DetectionDocument:
     """A detection document: image size, calibration, detections, and
     optional ground truth and metadata.  Immutable; compares by value.
 
-    The detections come in two forms, each built from the other on first
-    access: `columns`, a `DetectionColumns`, which `parse_document`
-    produces and the filter and the estimators read, and `detections`, a
-    tuple of `DetectionBox`.  The constructor takes either form as
-    `detections`.
+    `detections` is a `DetectionColumns`, the form `parse_document`
+    produces; the constructor also takes a sequence of `DetectionBox`
+    and converts it once.
     """
 
-    def __init__(self, image_w_px: float, image_h_px: float,
-                 calibration: CalibrationInput,
-                 detections: tuple[DetectionBox, ...] | DetectionColumns,
-                 ground_truth: GroundTruth | None = None,
-                 meta: tuple[tuple[str, object], ...] = ()) -> None:
-        if isinstance(detections, DetectionColumns):
-            form = "columns"
-        else:
-            form, detections = "detections", tuple(detections)
-        if image_w_px <= 0 or image_h_px <= 0:
+    image_w_px: float
+    image_h_px: float
+    calibration: CalibrationInput
+    detections: DetectionColumns
+    ground_truth: GroundTruth | None = None
+    meta: tuple[tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "detections",
+                           detection_columns(self.detections))
+        if self.image_w_px <= 0 or self.image_h_px <= 0:
             raise SchemaError("image dimensions must be positive")
-        if (ground_truth is not None
-                and len(ground_truth.object_heights_m) != len(detections)):
+        if (self.ground_truth is not None
+                and len(self.ground_truth.object_heights_m)
+                != len(self.detections)):
             raise SchemaError(
                 "ground_truth.object_heights_m must match the detection count")
-        # cached_property stores into __dict__ too, past __setattr__.
-        self.__dict__.update({
-            "image_w_px": image_w_px, "image_h_px": image_h_px,
-            "calibration": calibration, form: detections,
-            "ground_truth": ground_truth, "meta": meta})
-
-    @cached_property
-    def columns(self) -> DetectionColumns:
-        return detection_columns(self.detections)
-
-    @cached_property
-    def detections(self) -> tuple[DetectionBox, ...]:
-        return self.columns.boxes()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: "
-                             "DetectionDocument is immutable")
-
-    def _fields(self) -> tuple:
-        return (self.image_w_px, self.image_h_px, self.calibration,
-                self.detections, self.ground_truth, self.meta)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"DetectionDocument(image_w_px={self.image_w_px!r}, "
-                f"image_h_px={self.image_h_px!r}, "
-                f"calibration={self.calibration!r}, "
-                f"detections={self.detections!r}, "
-                f"ground_truth={self.ground_truth!r}, meta={self.meta!r})")
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -233,13 +197,10 @@ def parse_document(data: bytes | str) -> DetectionDocument:
     if not isinstance(meta, dict):
         raise SchemaError("meta must be an object")
 
-    try:
-        return DetectionDocument(
-            image_w_px=width, image_h_px=height, calibration=calibration,
-            detections=detections, ground_truth=ground_truth,
-            meta=tuple(sorted(meta.items())))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return DetectionDocument(
+        image_w_px=width, image_h_px=height, calibration=calibration,
+        detections=detections, ground_truth=ground_truth,
+        meta=tuple(sorted(meta.items())))
 
 
 _DETECTION_KEYS = frozenset(("category", "box", "weight", "keypoints"))
@@ -585,16 +546,21 @@ def emit_document(doc: DetectionDocument) -> str:
         cal["v0"] = doc.calibration.v0
     else:
         cal["pitch_rad"] = doc.calibration.pitch_rad
+    columns = doc.detections
     dets = []
-    for det in doc.detections:
+    for category, u_left, u_right, v_top, v_bottom, weight, kps in zip(
+            columns.category, columns.u_left.tolist(),
+            columns.u_right.tolist(), columns.v_top.tolist(),
+            columns.v_bottom.tolist(), columns.weight.tolist(),
+            columns.keypoints):
         entry: dict[str, object] = {
-            "category": det.category,
-            "box": {"u_left": det.u_left, "u_right": det.u_right,
-                    "v_top": det.v_top, "v_bottom": det.v_bottom},
-            "weight": det.weight,
+            "category": category,
+            "box": {"u_left": u_left, "u_right": u_right,
+                    "v_top": v_top, "v_bottom": v_bottom},
+            "weight": weight,
         }
-        if det.keypoints is not None:
-            entry["keypoints"] = [list(p) for p in det.keypoints.points]
+        if kps is not None:
+            entry["keypoints"] = [list(p) for p in kps.points]
         dets.append(entry)
     payload: dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
@@ -627,19 +593,21 @@ def flip_vertical_convention(doc: DetectionDocument) -> DetectionDocument:
         pitch_rad=None if cal.pitch_rad is None else -cal.pitch_rad,
         principal_v=1.0 - cal.principal_v,
     )
-    dets = []
-    for det in doc.detections:
-        kps = None
-        if det.keypoints is not None:
-            kps = KeypointSet(tuple((u, 1.0 - v if vis != 0 else v, vis)
-                                    for u, v, vis in det.keypoints.points))
-        dets.append(DetectionBox(
-            u_left=det.u_left, u_right=det.u_right,
-            v_top=1.0 - det.v_bottom, v_bottom=1.0 - det.v_top,
-            category=det.category, keypoints=kps, weight=det.weight))
+    dets = doc.detections
+    v_top, v_bottom = 1.0 - dets.v_bottom, 1.0 - dets.v_top
+    if not (v_top < v_bottom).all():  # rounding made a top meet its bottom
+        raise ValueError("v_top must be < v_bottom after the flip")
+    keypoints = tuple(
+        None if kps is None
+        else KeypointSet(tuple((u, 1.0 - v if vis != 0 else v, vis)
+                               for u, v, vis in kps.points))
+        for kps in dets.keypoints)
     return DetectionDocument(
         image_w_px=doc.image_w_px, image_h_px=doc.image_h_px,
-        calibration=flipped_cal, detections=tuple(dets),
+        calibration=flipped_cal,
+        detections=DetectionColumns(dets.u_left, dets.u_right, v_top,
+                                    v_bottom, dets.weight, dets.category,
+                                    keypoints),
         ground_truth=doc.ground_truth, meta=doc.meta)
 
 
@@ -873,52 +841,24 @@ class FilterConfig:
                 raise ValueError(f"{name}: low {low} is above high {high}")
 
 
-@dataclass(frozen=True)
-class Rejection:
-    index: int
-    box: DetectionBox
-    reason: str
-
-
-class FilterResult:
+class FilterResult(typing.NamedTuple):
     """Detections split into solvable and rejected-with-reason, each in
-    input order.
+    input order: the kept detections' indices in the document, the kept
+    detections, and an (index, reason) pair per rejected detection."""
 
-    `kept_indices` and `columns` (the kept detections as a
-    `DetectionColumns`) are what the estimators read; `kept` and
-    `rejected` hold the document's `DetectionBox` objects, built on first
-    access.
-    """
-
-    def __init__(self, doc: DetectionDocument, kept_indices: tuple[int, ...],
-                 rejected_reasons: tuple[tuple[int, str], ...]) -> None:
-        self._doc = doc
-        self.kept_indices = kept_indices
-        self._rejected_reasons = rejected_reasons
-
-    @cached_property
-    def columns(self) -> DetectionColumns:
-        return self._doc.columns.take(self.kept_indices)
-
-    @cached_property
-    def kept(self) -> tuple[DetectionBox, ...]:
-        boxes = self._doc.detections
-        return tuple(boxes[i] for i in self.kept_indices)
-
-    @cached_property
-    def rejected(self) -> tuple[Rejection, ...]:
-        boxes = self._doc.detections
-        return tuple(Rejection(i, boxes[i], reason)
-                     for i, reason in self._rejected_reasons)
+    kept_indices: tuple[int, ...]
+    kept: DetectionColumns
+    rejected: tuple[tuple[int, str], ...]
 
 
-# Rejection reasons by gate, in the order the gates are applied.
+# Filter reasons by gate, in the order the gates are applied.
 _REASONS = ("amodal", "aspect", "box-height", "above-horizon")
 
 
 def filter_detections(doc: DetectionDocument,
                       filters: FilterConfig | None = None) -> FilterResult:
-    """Split detections into solvable and rejected-with-reason.
+    """Split detections into those kept, `doc.detections.take(kept_indices)`,
+    and the rejected, as (index, reason) pairs like `SceneEstimate.excluded`.
 
     Reasons: "amodal" (keypointed person missing head or ankle),
     "aspect" (h/w outside the category range), "box-height" (normalized
@@ -927,7 +867,7 @@ def filter_detections(doc: DetectionDocument,
     Order is preserved and kept + rejected partition the input.
     """
     filters = filters or FilterConfig()
-    columns = doc.columns
+    columns = doc.detections
     v0 = doc.calibration.horizon_v0()
     # gate[i] is the 1-based _REASONS index of the first gate detection i
     # fails, 0 when it passes them all; later gates are written first so
@@ -951,9 +891,10 @@ def filter_detections(doc: DetectionDocument,
                              and (kps.visible("left_ankle")
                                   or kps.visible("right_ankle")))):
                 gate[i] = 1
+    kept = np.flatnonzero(gate == 0)
     rejected = np.flatnonzero(gate)
     return FilterResult(
-        doc, tuple(np.flatnonzero(gate == 0).tolist()),
+        tuple(kept.tolist()), columns.take(kept),
         tuple((i, _REASONS[g - 1])
               for i, g in zip(rejected.tolist(), gate[rejected].tolist())))
 

@@ -81,12 +81,14 @@ def render_overlay(doc: DetectionDocument, estimate: SceneEstimate,
 
     excluded = {i for i, _ in estimate.excluded}
     spans = estimate.trace[-1].spans
-    for slot, det_idx in enumerate(source_indices):
-        det = doc.detections[det_idx]
-        x = det.u_left * height
-        w = (det.u_right - det.u_left) * height
-        y = det.v_top * height
-        h = (det.v_bottom - det.v_top) * height
+    dets = doc.detections.take(source_indices)
+    for slot, (u_left, u_right, v_top, v_bottom) in enumerate(zip(
+            dets.u_left.tolist(), dets.u_right.tolist(), dets.v_top.tolist(),
+            dets.v_bottom.tolist())):
+        x = u_left * height
+        w = (u_right - u_left) * height
+        y = v_top * height
+        h = (v_bottom - v_top) * height
         lines.append(_rect(x, y, w, h, _DETECTED_COLOR, stroke))
 
         if slot < len(spans) and spans[slot] is not None:
@@ -97,7 +99,7 @@ def render_overlay(doc: DetectionDocument, estimate: SceneEstimate,
 
         if slot not in excluded:
             try:
-                depth = depth_from_bottom(camera, det.v_bottom)
+                depth = depth_from_bottom(camera, v_bottom)
                 ref_span = project_vertical(camera, GroundObject(
                     depth_m=depth, height_m=config.reference_height_m))
             except ValueError:
@@ -105,7 +107,7 @@ def render_overlay(doc: DetectionDocument, estimate: SceneEstimate,
             if ref_span is not None:
                 ref_h = (ref_span.v_bottom - ref_span.v_top) * height
                 ref_w = _REFERENCE_WIDTH_FRAC * abs(ref_h)
-                lines.append(_rect(det.u_right * height + _REFERENCE_GAP_PX,
+                lines.append(_rect(u_right * height + _REFERENCE_GAP_PX,
                                    ref_span.v_top * height, ref_w, ref_h,
                                    _REFERENCE_COLOR, stroke))
 

@@ -5,8 +5,9 @@ absolute scale comes from category size priors.  The pipeline:
 
   0. Build the scene's array form once (`SceneArrays`: detected tops and
      bottoms, the height prior of each box and its weight) from the
-     detections' columns (`DetectionColumns`, the form a parsed document
-     holds); every later stage reads it.
+     detections' columns (`DetectionColumns`, the one form a document and
+     a filter result hold; `detection_columns` converts a `DetectionBox`
+     sequence, the one-box input form); every later stage reads it.
   1. Decide once which objects are used (`classify_boxes`): the boxes
      `geometry.usable_boxes` keeps at the camera's horizon whose bottoms
      meet the ground in front of the camera.  This depends only on the
@@ -91,10 +92,10 @@ class DetectionColumns:
     coordinates and weights as read-only float64 arrays, the categories
     and the keypoints (None for a box without) as tuples.
 
-    This is the form a parsed document holds and the filter and the
-    estimators read.  The values are those of valid `DetectionBox`
-    objects: `parse_document` checks them, `detection_columns` takes them
-    from boxes, and `boxes` turns them back into boxes.
+    The one in-memory form of detections: documents and filter results
+    hold it and the estimators read it.  Its values are those of valid
+    `DetectionBox` objects (`parse_document` checks them), and it compares
+    and hashes by value, its floats as the boxes' do (-0.0 equals 0.0).
     """
 
     u_left: np.ndarray
@@ -113,11 +114,19 @@ class DetectionColumns:
     def __len__(self) -> int:
         return len(self.category)
 
-    def boxes(self) -> tuple[DetectionBox, ...]:
-        return tuple(map(DetectionBox, self.u_left.tolist(),
-                         self.u_right.tolist(), self.v_top.tolist(),
-                         self.v_bottom.tolist(), self.category,
-                         self.keypoints, self.weight.tolist()))
+    def _values(self) -> tuple:
+        return (self.category, self.keypoints,
+                *(tuple(column.tolist()) for column in (
+                    self.u_left, self.u_right, self.v_top, self.v_bottom,
+                    self.weight)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def take(self, indices) -> "DetectionColumns":
         """The entries at `indices`, in that order."""
@@ -305,8 +314,7 @@ def box_ratios(boxes, config: RefinementConfig | None = None) -> tuple[float, ..
     from keypoints when present and enabled, 1.0 otherwise (including
     skeletons too sparse to score)."""
     config = config or RefinementConfig()
-    keypoints = (boxes.keypoints if isinstance(boxes, DetectionColumns)
-                 else [box.keypoints for box in boxes])
+    keypoints = detection_columns(boxes).keypoints
     out = [1.0] * len(keypoints)
     if config.use_upright_ratio:
         for i, kps in enumerate(keypoints):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from scenescale import baselines, cli, solver
+from scenescale import baselines, cli, documents, solver
 from scenescale.documents import (ToolkitConfig, VALID_METHODS,
                                   config_digest, config_from_yaml,
                                   emit_results, filter_detections,
@@ -100,6 +100,58 @@ def test_parallel_solve_matches_serial(tmp_path, capsys):
     assert cli.main(["solve", str(a), "--jobs", "1"]) == 0
     assert cli.main(["solve", str(b), "--jobs", "2"]) == 0
     assert _read_tree(a) == _read_tree(b)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs, sizes", [("64", [2]), ("2", [2]), ("1", [])])
+def test_the_pool_never_outnumbers_the_inputs(tmp_path, capsys, monkeypatch,
+                                              jobs, sizes):
+    # A fork-started pool forks all its workers at the first submit; a
+    # stand-in records the size asked for and maps in this process.
+    data = _synth(tmp_path, "data")
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert cli.main(["solve", str(data), "--jobs", jobs]) == 0
+    assert asked == sizes
+    assert len(list(data.glob("*.results.json"))) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_an_input_error(tmp_path, capsys, jobs):
+    data = _synth(tmp_path, "data")
+    assert cli.main(["solve", str(data), "--jobs", jobs]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not list(data.glob("*.results.json"))
+
+
+def test_one_out_file_for_several_inputs_is_an_input_error(tmp_path, capsys):
+    data = _synth(tmp_path, "data")
+    out = tmp_path / "r.json"
+    inputs = [str(data / "scene_0000.json"), str(data / "scene_0001.json")]
+    for argv in (inputs, [str(data)]):
+        assert cli.main(["solve", *argv, "--out", str(out)]) == 1
+        assert ("names one file for 2 input documents"
+                in capsys.readouterr().err)
+        assert not out.exists()
+    assert cli.main(["solve", inputs[1], "--out", str(out)]) == 0
+    assert parse_results(out.read_bytes()).source_indices == (0, 1, 2)
+    assert cli.main(["solve", *inputs, "--out", str(tmp_path / "dir")]) == 0
+    assert len(list((tmp_path / "dir").glob("*.results.json"))) == 2
     capsys.readouterr()
 
 
@@ -538,7 +590,7 @@ def test_cascade_solves_a_document_the_old_start_refused(tmp_path, capsys):
 def test_cascade_start_of_a_document_the_old_start_refused_is_exact():
     doc = parse_document(json.dumps(_STEEP_WIDE))
     est = solver.solve_scene(doc.calibration.horizon_v0(),
-                             doc.calibration.fov_rad, doc.columns,
+                             doc.calibration.fov_rad, doc.detections,
                              principal_v=doc.calibration.principal_v)
     start = est.trace[0]
     assert all(map(math.isfinite, [start.total_loss, est.cam_height_m,
@@ -592,6 +644,19 @@ def _skeleton_document(tmp_path) -> Path:
     return path
 
 
+_ESTIMATORS = {"cascade": solver.solve_scene, "pgm": baselines.pgm_full,
+               "pgm-fixed": baselines.pgm_fixed_height}
+
+
+def _readme_api_path(path: Path, method: str):
+    """The README's Python API path: (filter result, estimate)."""
+    doc = parse_document(path.read_bytes())
+    kept = filter_detections(doc)
+    cal = doc.calibration
+    return kept, _ESTIMATORS[method](cal.horizon_v0(), cal.fov_rad,
+                                     kept.kept, principal_v=cal.principal_v)
+
+
 @pytest.mark.parametrize("method", VALID_METHODS)
 def test_solve_builds_no_detection_box(tmp_path, capsys, monkeypatch, method):
     doc = _skeleton_document(tmp_path)
@@ -603,11 +668,17 @@ def test_solve_builds_no_detection_box(tmp_path, capsys, monkeypatch, method):
         post_init(box)
 
     monkeypatch.setattr(solver.DetectionBox, "__post_init__", counted)
-    assert cli.main(["solve", str(doc), "--method", method]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["solve", str(doc), "--method", method,
+                     "--out", str(out)]) == 0
     assert "1 filtered out" in capsys.readouterr().err
+    assert cli.main(["overlay", str(doc), str(out / "skeleton.results.json"),
+                     "--out", str(tmp_path / "skeleton.svg")]) == 0
+    _readme_api_path(doc, method)
     assert built == []
     # The counter sees boxes wherever they are built.
-    assert len(parse_document(doc.read_bytes()).detections) == len(built) == 6
+    documents._detection_boxes(json.loads(doc.read_text())["detections"])
+    assert len(built) == 6
 
 
 def _horizon_band_document(tmp_path) -> Path:
@@ -624,31 +695,28 @@ def _horizon_band_document(tmp_path) -> Path:
     return path
 
 
-_ESTIMATORS = {"cascade": solver.solve_scene, "pgm": baselines.pgm_full,
-               "pgm-fixed": baselines.pgm_fixed_height}
-
-
 @pytest.mark.parametrize("document", ["fixture", "skeleton", "horizon-band"])
 @pytest.mark.parametrize("method", VALID_METHODS)
 def test_the_readme_api_path_matches_the_cli_path(tmp_path, capsys, method,
                                                   document):
-    # The README solves `kept.kept`, a tuple of boxes; the CLI passes
-    # `kept.columns`.  Both give the same estimate and the same bytes.
+    # The README solves `kept.kept`, the kept detections' columns; the
+    # same detections as `DetectionBox` objects, the one-box input form,
+    # give the same estimate, and the CLI writes the same bytes.
     path = {"fixture": lambda: _FIXTURES / "scene_0000.json",
             "skeleton": lambda: _skeleton_document(tmp_path),
             "horizon-band": lambda: _horizon_band_document(tmp_path),
             }[document]()
-    doc = parse_document(path.read_bytes())
-    kept = filter_detections(doc)
-    cal = doc.calibration
-    from_boxes, from_columns = (
-        _ESTIMATORS[method](cal.horizon_v0(), cal.fov_rad, detections,
-                            principal_v=cal.principal_v)
-        for detections in (kept.kept, kept.columns))
+    kept, from_columns = _readme_api_path(path, method)
+    boxes = documents._detection_boxes(
+        json.loads(path.read_text())["detections"])
+    cal = parse_document(path.read_bytes()).calibration
+    from_boxes = _ESTIMATORS[method](
+        cal.horizon_v0(), cal.fov_rad, [boxes[i] for i in kept.kept_indices],
+        principal_v=cal.principal_v)
     assert from_boxes == from_columns
     if document == "skeleton":
-        assert len(kept.rejected) == 1
-        assert any(box.keypoints is not None for box in kept.kept)
+        assert kept.rejected == ((5, "above-horizon"),)
+        assert any(kps is not None for kps in kept.kept.keypoints)
     if document == "horizon-band":
         assert from_boxes.excluded == ((0, "bottom-on-horizon"),)
     texts = [emit_results(est, config_hash=config_digest(

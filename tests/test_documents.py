@@ -96,7 +96,7 @@ def test_keypoints_and_meta_round_trip():
         {"nose": (0.45, 0.57), "left_ankle": (0.46, 0.81)})
     doc = _parse(raw)
     again = parse_document(emit_document(doc))
-    assert again.detections[0].keypoints == doc.detections[0].keypoints
+    assert again.detections.keypoints == doc.detections.keypoints
     assert dict(again.meta) == {"source": "unit-test"}
 
 
@@ -607,10 +607,15 @@ def _assert_parses_agree(raw) -> None:
     except Exception:  # noqa: BLE001 - the column parse must refuse it too
         assert columns is None
     else:
-        assert columns is not None
-        assert columns.boxes() == boxes
-        assert ([repr(b) for b in columns.boxes()]
-                == [repr(b) for b in boxes])  # -0.0 stays -0.0
+        assert columns == detection_columns(boxes)
+        # -0.0 stays -0.0, which == does not tell from 0.0.
+        assert _float_texts(columns) == _float_texts(detection_columns(boxes))
+
+
+def _float_texts(columns) -> list[str]:
+    return [repr(column.tolist()) for column in (
+        columns.u_left, columns.u_right, columns.v_top, columns.v_bottom,
+        columns.weight)]
 
 
 @given(raw=_raw_documents())
@@ -722,32 +727,50 @@ def test_malformed_values_raise_a_schema_error_naming_the_place(name, where):
 
 
 def test_document_forms_agree_and_are_immutable():
-    parsed = _parse(_skeleton_raw_doc())
+    raw = _skeleton_raw_doc()
+    parsed = _parse(raw)
     from_boxes = DetectionDocument(
         parsed.image_w_px, parsed.image_h_px, parsed.calibration,
-        parsed.detections, parsed.ground_truth, parsed.meta)
-    from_columns = DetectionDocument(
-        parsed.image_w_px, parsed.image_h_px, parsed.calibration,
-        detection_columns(parsed.detections), parsed.ground_truth,
+        documents._detection_boxes(raw["detections"]), parsed.ground_truth,
         parsed.meta)
-    assert parsed == from_boxes == from_columns
+    assert parsed == from_boxes
     assert hash(parsed) == hash(from_boxes)
-    assert emit_document(from_columns) == emit_document(parsed)
-    assert parsed.detections is parsed.detections
-    assert from_boxes.columns.category == ("person", "car")
+    assert emit_document(from_boxes) == emit_document(parsed)
+    assert from_boxes.detections.category == ("person", "car")
     with pytest.raises(AttributeError):
         parsed.image_w_px = 1.0
     with pytest.raises(SchemaError, match="match the detection count"):
-        DetectionDocument(1.0, 1.0, parsed.calibration, parsed.columns,
+        DetectionDocument(1.0, 1.0, parsed.calibration, parsed.detections,
                           GroundTruth(1.6, (1.7,)))
 
 
-def _filter_reference(doc, filters):
-    """Per-box filter: (kept indices, [(index, reason)])."""
+def _columns(*boxes):
+    return detection_columns(DetectionBox(*box) for box in boxes)
+
+
+def test_detection_columns_compare_and_hash_by_value():
+    person = (0.1, 0.2, 0.3, 0.9, "person")
+    car = (-0.0, 0.4, 0.5, 0.8, "car")
+    base = _columns(person, car)
+    zero = _columns(person, (0.0, *car[1:]))
+    assert base == zero and hash(base) == hash(zero)  # -0.0 == 0.0
+    assert base != base.take([0])
+    skeleton = KeypointSet(((0.15, 0.3, 2.0),) * 17)
+    for other in (_columns((*person, skeleton), car),
+                  _columns(car, person),
+                  _columns(person, (*car, None, 2.0))):
+        assert base != other
+        assert hash(base) != hash(other)
+    assert base.take([1, 0]) == _columns(car, person)
+    assert base != object()
+
+
+def _filter_reference(boxes, v0, filters):
+    """Per-box filter of `DetectionBox` objects: (kept indices,
+    [(index, reason)])."""
     aspect_map = dict(filters.aspect_range)
-    v0 = doc.calibration.horizon_v0()
     kept, rejected = [], []
-    for i, box in enumerate(doc.detections):
+    for i, box in enumerate(boxes):
         reason = None
         if (filters.require_keypoint_visibility and box.category == "person"
                 and box.keypoints is not None):
@@ -821,16 +844,16 @@ def _filter_cases(draw):
 @settings(deadline=None, max_examples=300)
 def test_column_filter_matches_the_per_box_filter(case):
     doc, filters = case
-    kept_indices, rejected = _filter_reference(doc, filters)
-    for source in (doc, parse_document(emit_document(doc))):
+    text = emit_document(doc)
+    boxes = documents._detection_boxes(json.loads(text)["detections"])
+    kept_indices, rejected = _filter_reference(
+        boxes, doc.calibration.horizon_v0(), filters)
+    for source in (doc, parse_document(text)):
         result = filter_detections(source, filters)
         assert result.kept_indices == kept_indices
-        assert [(r.index, r.reason) for r in result.rejected] == rejected
-        assert result.kept == tuple(source.detections[i]
-                                    for i in kept_indices)
-        assert all(r.box is source.detections[r.index]
-                   for r in result.rejected)
-        assert result.columns.boxes() == result.kept
+        assert list(result.rejected) == rejected
+        assert result.kept == detection_columns(boxes[i]
+                                                for i in kept_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -843,10 +866,19 @@ def test_flip_maps_coordinates_and_pitch():
     flipped = flip_vertical_convention(doc)
     assert flipped.calibration.pitch_rad == -0.2
     assert flipped.calibration.principal_v == 0.5
-    box, orig = flipped.detections[0], doc.detections[0]
-    assert box.v_top == pytest.approx(1.0 - orig.v_bottom, abs=1e-15)
-    assert box.v_bottom == pytest.approx(1.0 - orig.v_top, abs=1e-15)
-    assert (box.u_left, box.u_right) == (orig.u_left, orig.u_right)
+    box, orig = flipped.detections, doc.detections
+    assert box.v_top[0] == pytest.approx(1.0 - orig.v_bottom[0], abs=1e-15)
+    assert box.v_bottom[0] == pytest.approx(1.0 - orig.v_top[0], abs=1e-15)
+    assert (box.u_left[0], box.u_right[0]) == (orig.u_left[0],
+                                               orig.u_right[0])
+
+
+def test_flip_refuses_a_box_whose_top_would_meet_its_bottom():
+    raw = _raw_doc()
+    box = raw["detections"][0]["box"]
+    box["v_top"], box["v_bottom"] = 0.1, math.nextafter(0.1, 1.0)
+    with pytest.raises(ValueError, match="after the flip"):
+        flip_vertical_convention(_parse(raw))
 
 
 def test_flip_is_involution():
@@ -856,12 +888,12 @@ def test_flip_is_involution():
     doc = _parse(raw)
     twice = flip_vertical_convention(flip_vertical_convention(doc))
     assert twice.calibration.v0 == pytest.approx(doc.calibration.v0, abs=1e-15)
-    for a, b in zip(twice.detections, doc.detections):
-        assert a.v_top == pytest.approx(b.v_top, abs=1e-15)
-        assert a.v_bottom == pytest.approx(b.v_bottom, abs=1e-15)
-        assert a.category == b.category
-    kp_a = twice.detections[0].keypoints.points
-    kp_b = doc.detections[0].keypoints.points
+    a, b = twice.detections, doc.detections
+    assert a.v_top == pytest.approx(b.v_top, abs=1e-15)
+    assert a.v_bottom == pytest.approx(b.v_bottom, abs=1e-15)
+    assert a.category == b.category
+    kp_a = a.keypoints[0].points
+    kp_b = b.keypoints[0].points
     for (ua, va, sa), (ub, vb, sb) in zip(kp_a, kp_b):
         assert (ua, sa) == (ub, sb)
         assert va == pytest.approx(vb, abs=1e-15)
@@ -916,10 +948,10 @@ def test_filter_reasons_cover_each_gate():
     ]
     result = filter_detections(_parse(raw))
     assert result.kept_indices == (0, 5)
-    assert [(r.index, r.reason) for r in result.rejected] == [
-        (1, "amodal"), (2, "aspect"), (3, "box-height"), (4, "above-horizon")]
+    assert result.rejected == (
+        (1, "amodal"), (2, "aspect"), (3, "box-height"), (4, "above-horizon"))
     assert len(result.kept) + len(result.rejected) == 6
-    assert result.kept[1].category == "car"
+    assert result.kept.category[1] == "car"
 
 
 def test_filter_keypoint_gate_can_be_disabled():
@@ -933,7 +965,7 @@ def test_filter_keypoint_gate_can_be_disabled():
     ]
     doc = _parse(raw)
     strict = filter_detections(doc)
-    assert strict.rejected[0].reason == "amodal"
+    assert strict.rejected == ((0, "amodal"),)
     lax = filter_detections(doc,
                             FilterConfig(require_keypoint_visibility=False))
     assert lax.kept_indices == (0,)

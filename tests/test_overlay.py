@@ -82,12 +82,12 @@ def test_overlay_detected_rect_matches_document():
     doc, est = _doc_and_estimate()
     svg = render_overlay(doc, est)
     x, y, w, h = _rects(svg, _DETECTED)[0]
-    det = doc.detections[0]
+    det = doc.detections
     # x in pixels is u * image height (shared normalization unit).
-    assert x == pytest.approx(det.u_left * 480, abs=1e-3)
-    assert y == pytest.approx(det.v_top * 480, abs=1e-3)
-    assert w == pytest.approx((det.u_right - det.u_left) * 480, abs=1e-3)
-    assert h == pytest.approx((det.v_bottom - det.v_top) * 480, abs=1e-3)
+    assert x == pytest.approx(det.u_left[0] * 480, abs=1e-3)
+    assert y == pytest.approx(det.v_top[0] * 480, abs=1e-3)
+    assert w == pytest.approx((det.u_right[0] - det.u_left[0]) * 480, abs=1e-3)
+    assert h == pytest.approx((det.v_bottom[0] - det.v_top[0]) * 480, abs=1e-3)
 
 
 def test_reference_bar_scales_with_configured_height():
@@ -100,10 +100,10 @@ def test_reference_bar_scales_with_configured_height():
     ref = _rects(svg, _REFERENCE)[0]
     assert ref[3] == pytest.approx(det_h / 1.70, rel=1e-3)
     # Bar sits in the gap right of the box, bottom-aligned on the ground.
-    assert ref[0] == pytest.approx(doc.detections[0].u_right * 480 + 6.0,
+    assert ref[0] == pytest.approx(doc.detections.u_right[0] * 480 + 6.0,
                                    abs=1e-3)
     assert ref[1] + ref[3] == pytest.approx(
-        doc.detections[0].v_bottom * 480, abs=1e-2)
+        doc.detections.v_bottom[0] * 480, abs=1e-2)
     taller = render_overlay(doc, est, config=OverlayConfig(reference_height_m=2.0))
     ref2 = _rects(taller, _REFERENCE)[0]
     assert ref2[3] == pytest.approx(2.0 * ref[3], rel=1e-3)
@@ -111,11 +111,11 @@ def test_reference_bar_scales_with_configured_height():
 
 def test_source_indices_select_detections():
     doc, _ = _doc_and_estimate(n=2)
-    est = solve_scene(0.5, math.radians(60.0), doc.detections[1:])
+    est = solve_scene(0.5, math.radians(60.0), doc.detections.take([1]))
     svg = render_overlay(doc, est, source_indices=(1,))
     rects = _rects(svg, _DETECTED)
     assert len(rects) == 1
-    assert rects[0][0] == pytest.approx(doc.detections[1].u_left * 480,
+    assert rects[0][0] == pytest.approx(doc.detections.u_left[1] * 480,
                                         abs=1e-3)
 
 
@@ -131,8 +131,8 @@ def test_excluded_slots_get_no_reference_bar():
     trace = LayerTrace(layer=0, cam_height_m=1.6, heights_m=heights,
                        l_vt=0.0, prior_loss=0.0, total_loss=0.0,
                        spans=(None,
-                              (doc.detections[1].v_top,
-                               doc.detections[1].v_bottom)),
+                              (doc.detections.v_top[1],
+                               doc.detections.v_bottom[1])),
                        residuals=(None, 0.0))
     est = SceneEstimate(method="cascade", cam_height_m=1.6,
                         heights_m=heights, upright_heights_m=heights,

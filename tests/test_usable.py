@@ -147,18 +147,18 @@ def test_the_cascade_excludes_bottoms_behind_the_camera():
     payload["calibration"] = {"fov_rad": payload["calibration"]["fov_rad"],
                               "v0": -50.0}
     doc = parse_document(json.dumps(payload))
-    n = len(doc.columns)
+    n = len(doc.detections)
     camera = CameraParams.from_fov(
         geometry.pitch_from_horizon(-50.0, geometry.focal_from_fov(
             doc.calibration.fov_rad, 1.0), 1.0), doc.calibration.fov_rad,
         1.6, 1.0, 1.0)
     active, excluded = classify_boxes(camera,
-                                      scene_arrays(doc.columns))
+                                      scene_arrays(doc.detections))
     assert not any(active)
     assert excluded == tuple((i, "bottom-behind-camera") for i in range(n))
     with pytest.raises(ValueError,
                        match=f"^no usable detections: {n} bottom-behind-camera$"):
-        solve_scene(-50.0, doc.calibration.fov_rad, doc.columns)
+        solve_scene(-50.0, doc.calibration.fov_rad, doc.detections)
 
 
 def test_usable_boxes_names_the_first_reason_each_box_meets():
