@@ -11,11 +11,11 @@ from .geometry import (CameraParams, GroundObject, HorizonEstimate,
                        height_from_box_exact, height_from_box_linear,
                        horizon_from_pitch, pitch_from_horizon,
                        project_vertical, depth_from_bottom)
-from .priors import (CategoryPrior, KeypointSet, DEFAULT_PRIORS,
+from .priors import (HeightPrior, KeypointSet, DEFAULT_PRIORS,
                      MissingKeypointsError, upright_ratio)
 from .solver import (DetectionBox, RefinementConfig, SceneEstimate,
                      LayerTrace, solve_scene)
-from .baselines import CamHeightPrior, pgm_fixed_height, pgm_full
+from .baselines import CAM_HEIGHT_PRIOR, pgm_fixed_height, pgm_full
 from .synth import SceneRanges, NoiseModel, SceneSpec, sample_scene, \
     render_detections, observe_calibration, effective_heights
 from .metrics import (GroundTruth, MetricReport, compute_metrics,
@@ -35,11 +35,11 @@ __all__ = [
     "focal_from_fov", "fov_from_focal", "height_from_box_exact",
     "height_from_box_linear", "horizon_from_pitch", "pitch_from_horizon",
     "project_vertical", "depth_from_bottom",
-    "CategoryPrior", "KeypointSet", "DEFAULT_PRIORS",
+    "HeightPrior", "KeypointSet", "DEFAULT_PRIORS",
     "MissingKeypointsError", "upright_ratio",
     "DetectionBox", "RefinementConfig", "SceneEstimate", "LayerTrace",
     "solve_scene",
-    "CamHeightPrior", "pgm_fixed_height", "pgm_full",
+    "CAM_HEIGHT_PRIOR", "pgm_fixed_height", "pgm_full",
     "SceneRanges", "NoiseModel", "SceneSpec", "sample_scene",
     "render_detections", "observe_calibration", "effective_heights",
     "GroundTruth", "MetricReport", "compute_metrics", "aggregate_reports",

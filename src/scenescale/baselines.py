@@ -13,45 +13,31 @@ camera-height prior) over the remaining scale variable in closed form.
 Its reported reprojection loss is zero by construction, which is why it
 is not a meaningful fit metric for this method.
 
-Both take a box list or a `DetectionColumns` and read the scene's
-`SceneArrays`, so every box needs a height prior.  Both use the boxes
-`geometry.usable_boxes` keeps, the rule the cascade shares, and report
-each other box in `excluded` with its reason; a scene with no usable box
-raises ValueError.  Like `solver.solve_scene`, both take the vertical
-field of view (and principal row), which the rule needs to exclude the
-boxes whose bottom meets the ground behind the camera; it enters
-nothing else, so both stay linear-model estimators.  A box's weight
-counts its vote in the median of `pgm_fixed_height` and its height
-prior in `pgm_full`.
+Both take a box list or a `DetectionColumns` and start as the cascade
+does, from `solver.prepare_scene`: the scene's `SceneArrays`, so every
+box needs a height prior, and the boxes `solver.classify_boxes` keeps;
+each other box is reported in `excluded` with its reason, and a scene
+with no usable box raises ValueError.  Like `solver.solve_scene`, both
+take the vertical field of view (and principal row), which the
+classification needs to exclude the boxes whose bottom meets the ground
+behind the camera; it enters nothing else, so both stay linear-model
+estimators.  A box's weight counts its vote in the median of
+`pgm_fixed_height` and its height prior in `pgm_full`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import geometry, priors
-from .priors import CategoryPrior
+from . import priors
+from .priors import HeightPrior
 from .solver import (LayerTrace, SceneArrays, SceneEstimate,
-                     detection_columns, scene_arrays, trace_rows)
+                     detection_columns, prepare_scene, trace_rows)
 
 _INFO_EPS = 1e-12  # below this the posterior carries no object information
 
 CANONICAL_HEIGHTS = {"person": 1.70, "car": 1.59}
-
-
-@dataclass(frozen=True)
-class CamHeightPrior:
-    """Gaussian prior over the camera height used by `pgm_full`."""
-
-    mean_m: float = 1.6
-    sigma_m: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (0 < self.mean_m < np.inf and 0 < self.sigma_m < np.inf):
-            raise ValueError(
-                "camera height prior must have positive, finite mean/sigma")
+CAM_HEIGHT_PRIOR = HeightPrior(1.6, 0.5)  # `pgm_full`'s camera height prior
 
 
 def weighted_median(values, weights) -> float:
@@ -69,25 +55,11 @@ def weighted_median(values, weights) -> float:
     return float(v[idx])
 
 
-def _ratio_votes(v0: float, fov_rad: float, arrays: SceneArrays,
-                 principal_v: float):
-    """(ratios, keep, excluded): the (v_top - v_bottom) / (v0 - v_bottom)
-    of each box `geometry.usable_boxes` keeps; ValueError if none.
-
-    Under the camera whose horizon lies at v0, a bottom's ground depth per
-    unit camera height is (f^2 + w*w0) / (f*(v_bottom - v0)), w and w0
-    the offsets of the bottom and of the horizon from the principal row.
-    The rule reads only whether the depth of a bottom below the horizon
-    is finite and positive, so it is given the numerator, which is
-    exactly when the depth is.
-    """
-    f = geometry.focal_from_fov(fov_rad, 1.0)
-    v_top, v_bottom = arrays.v_top, arrays.v_bottom
-    depth_signs = f * f + (v_bottom - principal_v) * (v0 - principal_v)
-    keep, excluded = geometry.usable_boxes(v0, v_top, v_bottom, depth_signs)
-    geometry.require_usable(excluded, len(arrays))
-    return ((v_top[keep] - v_bottom[keep]) / (v0 - v_bottom[keep]), keep,
-            excluded)
+def _ratio_votes(v0: float, arrays: SceneArrays, keep) -> np.ndarray:
+    """The linear-model ratio (v_top - v_bottom) / (v0 - v_bottom) of
+    each box at `keep`."""
+    v_bottom = arrays.v_bottom[keep]
+    return (arrays.v_top[keep] - v_bottom) / (v0 - v_bottom)
 
 
 def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
@@ -129,7 +101,7 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
 
 def pgm_fixed_height(v0: float, fov_rad: float, boxes,
                      canonical_heights: dict[str, float] | None = None,
-                     prior_map: dict[str, CategoryPrior] | None = None,
+                     prior_map: dict[str, HeightPrior] | None = None,
                      principal_v: float = 0.5) -> SceneEstimate:
     """Camera height from fixed canonical object heights.
 
@@ -140,8 +112,6 @@ def pgm_fixed_height(v0: float, fov_rad: float, boxes,
     """
     canonical_heights = canonical_heights or CANONICAL_HEIGHTS
     columns = detection_columns(boxes)
-    if not len(columns):
-        raise ValueError("no detections to estimate from")
     try:
         heights = np.array(
             list(map(canonical_heights.__getitem__, columns.category)),
@@ -150,16 +120,17 @@ def pgm_fixed_height(v0: float, fov_rad: float, boxes,
         raise ValueError(
             f"no canonical height for category {exc.args[0]!r}; "
             f"known: {sorted(canonical_heights)}") from None
-    arrays = scene_arrays(columns, prior_map)
-    qs, keep, excluded = _ratio_votes(v0, fov_rad, arrays, principal_v)
-    h_cam = weighted_median(heights[keep] / qs, arrays.weight[keep])
+    _, arrays, _, keep, excluded = prepare_scene(v0, fov_rad, columns,
+                                                 prior_map, principal_v)
+    h_cam = weighted_median(heights[keep] / _ratio_votes(v0, arrays, keep),
+                            arrays.weight[keep])
     return _finish("pgm-fixed", v0, arrays, keep, excluded, heights, h_cam,
                    ill_posed=False)
 
 
 def pgm_full(v0: float, fov_rad: float, boxes,
-             prior_map: dict[str, CategoryPrior] | None = None,
-             cam_height_prior: CamHeightPrior | None = None,
+             prior_map: dict[str, HeightPrior] | None = None,
+             cam_height_prior: HeightPrior = CAM_HEIGHT_PRIOR,
              principal_v: float = 0.5) -> SceneEstimate:
     """Joint MAP under the linear model with free object heights.
 
@@ -173,12 +144,9 @@ def pgm_full(v0: float, fov_rad: float, boxes,
     identically zero by construction.  `fov_rad` and `principal_v` serve
     only the usable rule (see the module notes).
     """
-    cam_height_prior = cam_height_prior or CamHeightPrior()
-    columns = detection_columns(boxes)
-    if not len(columns):
-        raise ValueError("no detections to estimate from")
-    arrays = scene_arrays(columns, prior_map)
-    qs, keep, excluded = _ratio_votes(v0, fov_rad, arrays, principal_v)
+    _, arrays, _, keep, excluded = prepare_scene(v0, fov_rad, boxes,
+                                                 prior_map, principal_v)
+    qs = _ratio_votes(v0, arrays, keep)
     h_cam, info = priors.scale_map(qs, arrays.mu[keep], arrays.sigma[keep],
                                    arrays.weight[keep], cam_height_prior)
     heights = arrays.mu.copy()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -81,17 +82,15 @@ def _result_path(input_path: Path, out: str | None) -> Path:
     return out_path / name
 
 
-def _solve_one(input_str: str, out_str: str | None, config: ToolkitConfig,
+def _solve_one(input_path: Path, target: Path, config: ToolkitConfig,
                config_hash: str) -> tuple[bool, str]:
     """(ok, message) so batch workers never raise across the pool boundary.
-    `config_hash` is `config_digest(config)`."""
-    input_path = Path(input_str)
+    The result goes to `target`; `config_hash` is `config_digest(config)`."""
     try:
         doc = parse_document(input_path.read_bytes())
         estimate, kept = _run_method(doc, config)
         text = emit_results(estimate, config_hash=config_hash,
                             source_indices=kept.kept_indices)
-        target = _result_path(input_path, out_str)
         _write_atomic(target, text)
     except (OSError, ValueError) as exc:
         return False, f"{input_path}: {exc}"
@@ -125,24 +124,28 @@ def _cmd_solve(args) -> int:
     if args.jobs < 1:
         raise SchemaError("--jobs must be >= 1")
     inputs = [p for arg in args.inputs for p in _discover_inputs(Path(arg))]
-    # An `--out` naming one file would take each result in turn.
-    if (len(inputs) > 1 and args.out
-            and _result_path(inputs[0], args.out) == Path(args.out)):
-        raise SchemaError(f"--out {args.out} names one file for "
-                          f"{len(inputs)} input documents; give a directory")
+    targets = [_result_path(p, args.out) for p in inputs]
+    # A result replaces the entry of its name in its directory, so two
+    # inputs with one such entry would overwrite each other's result.
+    resolved = functools.cache(Path.resolve)
+    writers: dict[Path, Path] = {}
+    for path, target in zip(inputs, targets):
+        entry = resolved(target.parent) / target.name
+        if writers.setdefault(entry, path) is not path:
+            raise SchemaError(f"{writers[entry]} and {path} would both "
+                              f"write {entry}")
     config_hash = config_digest(config)
     failures = 0
     # A fork-started pool starts all its workers at once.
     workers = min(args.jobs, len(inputs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _solve_one, [str(p) for p in inputs],
-                [args.out] * len(inputs), [config] * len(inputs),
-                [config_hash] * len(inputs)))
+            results = list(pool.map(_solve_one, inputs, targets,
+                                    [config] * len(inputs),
+                                    [config_hash] * len(inputs)))
     else:
-        results = [_solve_one(str(p), args.out, config, config_hash)
-                   for p in inputs]
+        results = list(map(_solve_one, inputs, targets, [config] * len(inputs),
+                           [config_hash] * len(inputs)))
     for ok, message in results:
         print(message, file=sys.stderr)
         failures += 0 if ok else 1

@@ -24,9 +24,9 @@ from operator import itemgetter
 import numpy as np
 import yaml
 
-from .baselines import CamHeightPrior, CANONICAL_HEIGHTS
+from .baselines import CAM_HEIGHT_PRIOR, CANONICAL_HEIGHTS
 from .metrics import GroundTruth
-from .priors import (CategoryPrior, KeypointSet, DEFAULT_PRIORS,
+from .priors import (HeightPrior, KeypointSet, DEFAULT_PRIORS,
                      HEAD_KEYPOINT_NAMES)
 from .solver import (DetectionBox, DetectionColumns, SceneEstimate,
                      RefinementConfig, detection_columns)
@@ -617,16 +617,16 @@ def flip_vertical_convention(doc: DetectionDocument) -> DetectionDocument:
 # `_to_plain` and `_from_plain` map a value to the mappings, lists and
 # scalars of YAML and JSON, and back, by its type:
 #   a dataclass                 a mapping of its fields; a field left out
-#                               keeps its default, or is missing if it has none
-#   tuple[tuple[str, X], ...]   a mapping keyed by name, in key order; a
-#                               dataclass X takes its `category` from the key
+#                               keeps its default, or is missing if it has
+#                               none; a field whose default is a dataclass
+#                               fills the fields it leaves out from it
+#   tuple[tuple[str, X], ...]   a mapping keyed by name, in key order
 #   tuple[X, ...], tuple[X, Y]  a list, of any length or of that length
 #   X | None                    null or an X
 #   bool, int, str              exactly that type
 #   float                       an int, a float or a numeric string (YAML
 #                               1.1 reads `1e-3` as a string), but not NaN
 
-_KEY_FIELD = "category"
 _NOT_NONE = functools.partial(operator.is_not, None)
 _EXPECTED = {bool: "true or false", int: "an integer", str: "a string",
              float: "a number"}
@@ -634,15 +634,13 @@ _EXPECTED = {bool: "true or false", int: "an integer", str: "a string",
 
 @functools.cache
 def _form(hint) -> tuple[str, object]:
-    """(kind, argument) of a type, in the terms of the table above:
-    mapping ((name, type, required) of each field), keyed (X), list (X),
+    """(kind, argument) of a type, in the terms of the table above: mapping
+    ((name, type, default or MISSING) of each field), keyed (X), list (X),
     row (the item types), optional (X) or scalar (the type)."""
     if dataclasses.is_dataclass(hint):
-        hints, missing = typing.get_type_hints(hint), dataclasses.MISSING
-        return "mapping", tuple(
-            (f.name, hints[f.name],
-             f.default is missing and f.default_factory is missing)
-            for f in dataclasses.fields(hint))
+        hints = typing.get_type_hints(hint)
+        return "mapping", tuple((f.name, hints[f.name], f.default)
+                                for f in dataclasses.fields(hint))
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if args[-1] is not Ellipsis:
@@ -656,13 +654,12 @@ def _form(hint) -> tuple[str, object]:
     return "scalar", hint
 
 
-def _to_plain(value, hint, keyed: bool = False):
+def _to_plain(value, hint):
     kind, arg = _form(hint)
     if kind == "mapping":
-        return {name: _to_plain(getattr(value, name), t)
-                for name, t, _ in arg if not (keyed and name == _KEY_FIELD)}
+        return {name: _to_plain(getattr(value, name), t) for name, t, _ in arg}
     if kind == "keyed":
-        return {key: _to_plain(item, arg, True) for key, item in value}
+        return {key: _to_plain(item, arg) for key, item in value}
     if kind in ("row", "list"):
         items = arg if kind == "row" else [arg] * len(value)
         return [_to_plain(v, t) for v, t in zip(value, items)]
@@ -671,10 +668,11 @@ def _to_plain(value, hint, keyed: bool = False):
     return value
 
 
-def _from_plain(raw, hint, path: str, key: str | None = None):
+def _from_plain(raw, hint, path: str, default=None):
     """`raw` read as a value of type `hint`; SchemaError naming the path of
-    the first fault, from `path` down.  `key` is the name a keyed mapping
-    holds the value under."""
+    the first fault, from `path` down.  A mapping takes each field it
+    leaves out from `default`, the default of the field it is read for,
+    when that is a dataclass."""
     kind, arg = _form(hint)
     if kind == "scalar":
         value = raw
@@ -702,15 +700,17 @@ def _from_plain(raw, hint, path: str, key: str | None = None):
         raise SchemaError(f"{path}: expected a mapping, got {raw!r}")
     if kind == "keyed":
         names = sorted(_from_plain(name, str, path) for name in raw)
-        return tuple((name, _from_plain(raw[name], arg, f"{path}.{name}",
-                                        name)) for name in names)
-    fields = [f for f in arg if key is None or f[0] != _KEY_FIELD]
-    _check_keys(raw, {name for name, _, _ in fields}, path)
-    kwargs = {} if key is None else {_KEY_FIELD: key}
-    for name, t, required in fields:
+        return tuple((name, _from_plain(raw[name], arg, f"{path}.{name}"))
+                     for name in names)
+    _check_keys(raw, {name for name, _, _ in arg}, path)
+    kwargs = {}
+    for name, t, field_default in arg:
         if name in raw:
-            kwargs[name] = _from_plain(raw[name], t, f"{path}.{name}")
-        elif required:
+            kwargs[name] = _from_plain(raw[name], t, f"{path}.{name}",
+                                       field_default)
+        elif hasattr(default, name):
+            kwargs[name] = getattr(default, name)
+        elif field_default is dataclasses.MISSING:
             raise SchemaError(f"{path}: missing required key '{name}'")
     try:
         return hint(**kwargs)
@@ -920,11 +920,11 @@ class ToolkitConfig:
     types of its fields and of its sections' fields define the YAML form."""
 
     method: str = "cascade"
-    priors: tuple[tuple[str, CategoryPrior], ...] = tuple(
+    priors: tuple[tuple[str, HeightPrior], ...] = tuple(
         sorted(DEFAULT_PRIORS.items()))
     canonical_heights: tuple[tuple[str, float], ...] = tuple(
         sorted(CANONICAL_HEIGHTS.items()))
-    cam_height_prior: CamHeightPrior = CamHeightPrior()
+    cam_height_prior: HeightPrior = CAM_HEIGHT_PRIOR
     refine: RefinementConfig = RefinementConfig()
     filters: FilterConfig = FilterConfig()
     overlay: OverlayConfig = OverlayConfig()
@@ -938,7 +938,7 @@ class ToolkitConfig:
                 raise ValueError(f"canonical height of {category!r} must be "
                                  f"positive and finite, got {height}")
 
-    def prior_map(self) -> dict[str, CategoryPrior]:
+    def prior_map(self) -> dict[str, HeightPrior]:
         return dict(self.priors)
 
     def canonical_map(self) -> dict[str, float]:

@@ -286,18 +286,17 @@ _USABLE_SPAN_EPS = 1e-9  # shorter boxes carry no height
 _USABLE_BAND_EPS = 1e-6  # bottoms this close to the horizon carry no depth
 
 
-def usable_boxes(v0: float, v_tops, v_bottoms, depths=None):
+def usable_boxes(v0: float, v_tops, v_bottoms, depth_signs):
     """(mask, excluded) of the boxes an estimator can use, the rule all
     methods share; `excluded` gives each other box's index and the first
     reason it meets: "zero-span" (span under 1e-9), "bottom-on-horizon"
-    (within 1e-6 of v0), "bottom-above-horizon" and, given the bottoms'
-    ground depths, "bottom-behind-camera" (depth not finite and positive).
-    """
+    (within 1e-6 of v0), "bottom-above-horizon" and "bottom-behind-camera"
+    (its `depth_signs` entry, of the sign of its ground depth, is not
+    finite and positive)."""
     spans = np.subtract(v_bottoms, v_tops)
     below = np.subtract(v_bottoms, v0)
-    mask = (below > _USABLE_BAND_EPS) & (np.abs(spans) >= _USABLE_SPAN_EPS)
-    if depths is not None:
-        mask &= (depths > 0) & (depths < np.inf)
+    mask = ((below > _USABLE_BAND_EPS) & (np.abs(spans) >= _USABLE_SPAN_EPS)
+            & (depth_signs > 0) & (depth_signs < np.inf))
     return mask, tuple(
         (i, "zero-span" if abs(spans[i]) < _USABLE_SPAN_EPS
          else "bottom-on-horizon" if abs(below[i]) <= _USABLE_BAND_EPS

@@ -33,10 +33,9 @@ _RATIO_MIN = 1e-6
 
 
 @dataclass(frozen=True)
-class CategoryPrior:
-    """Gaussian prior over the upright metric height of a category."""
+class HeightPrior:
+    """Gaussian prior over an upright object height or the camera height."""
 
-    category: str
     mean_m: float
     sigma_m: float
 
@@ -47,8 +46,8 @@ class CategoryPrior:
 
 
 DEFAULT_PRIORS = {
-    "person": CategoryPrior("person", 1.70, 0.09),
-    "car": CategoryPrior("car", 1.59, 0.21),
+    "person": HeightPrior(1.70, 0.09),
+    "car": HeightPrior(1.59, 0.21),
 }
 
 
@@ -236,8 +235,8 @@ def prior_curvature(heights_m, mu, sigma, mode: str):
 
 def scale_map(q, mu, sigma, weight, prior=None) -> tuple[float, float]:
     """(h, info): the MAP scale of heights q_i * h under the priors
-    N(mu_i, sigma_i^2), each counted weight_i times, and under the Gaussian
-    `prior` over h (`mean_m`, `sigma_m`) if given.  In closed form,
+    N(mu_i, sigma_i^2), each counted weight_i times, and under the
+    `HeightPrior` `prior` over h if given.  In closed form,
     h = (sum w q mu / sigma^2 + mu_c / sigma_c^2)
         / (sum w q^2 / sigma^2 + 1 / sigma_c^2), the camera terms only
     with a prior; info = sum w q^2 / sigma^2.  Unit weights change no bit.

@@ -9,13 +9,14 @@ absolute scale comes from category size priors.  The pipeline:
      a filter result hold; `detection_columns` converts a `DetectionBox`
      sequence, the one-box input form); every later stage reads it.
   1. Decide once which objects are used (`classify_boxes`): the boxes
-     `geometry.usable_boxes` keeps at the camera's horizon whose bottoms
-     meet the ground in front of the camera.  This depends only on the
-     camera's pitch and focal length, and so do the bottoms' rays
-     (`geometry.bottom_rays`: depth per unit camera height and the
-     derivatives a projection needs).  Both are computed here once, into
-     the used boxes' `LossBoxes` (`loss_boxes`, which also sums their
-     weights once), and the layers solve for those boxes alone.  Start
+     `geometry.usable_boxes` keeps at the horizon of the camera built
+     from v0, whose bottoms meet the ground in front of it (steps 0 and
+     1 are `prepare_scene`, which all three methods share).  This
+     depends only on the camera's pitch and focal length, and so do the
+     bottoms' rays (`geometry.bottom_rays`: depth per unit camera height
+     and the derivatives a projection needs), computed once into the
+     used boxes' `LossBoxes` (`loss_boxes`, which also sums their
+     weights once); the layers solve for those boxes alone.  Start
      from the closed form (`init_camera_height`): with each used
      object's top on its detected top, the height priors fix the camera
      height (`priors.scale_map`), and each object starts at the height
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import geometry, priors
 from .geometry import CameraParams
-from .priors import CategoryPrior, KeypointSet
+from .priors import HeightPrior, KeypointSet
 
 _IRLS_FLOOR = 1e-6        # residual magnitude floor for the L1 weights
 MAX_LAYERS = 1000         # cap on refine.num_layers: each layer is traced
@@ -287,7 +288,7 @@ def loss_boxes(camera: CameraParams, arrays: SceneArrays, ratios,
                      np.sum(weight))
 
 
-def scene_arrays(boxes, prior_map: dict[str, CategoryPrior] | None = None
+def scene_arrays(boxes, prior_map: dict[str, HeightPrior] | None = None
                  ) -> SceneArrays:
     """Array form of a box list or a DetectionColumns.
 
@@ -357,20 +358,37 @@ def init_camera_height(camera: CameraParams, arrays: SceneArrays, ratios,
 
 
 def classify_boxes(camera: CameraParams, arrays: SceneArrays
-                   ) -> tuple[tuple[bool, ...], tuple[tuple[int, str], ...]]:
-    """Static reprojection eligibility of each box under this camera: the
-    rule of `geometry.usable_boxes` at the camera's horizon, given the
-    ground depth of each bottom.
-
-    Depends only on pitch/focal and the detected box, never on the
-    camera height, so it stays fixed across the whole solve.
+                   ) -> tuple[np.ndarray, tuple[tuple[int, str], ...]]:
+    """`geometry.usable_boxes` at the camera's horizon v0.  A bottom's
+    ground depth is (f^2 + w*w0) / (f*(v_bottom - v0)) per unit camera
+    height, f the focal length and w, w0 the offsets of the bottom and of
+    v0 from the principal row, over the image height; the rule keeps only
+    bottoms below v0, so the numerator gives the depth's sign.  Never
+    depends on the camera height, so it holds for a whole solve.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        depth = geometry.depths_from_bottoms(camera, arrays.v_bottom)
-    active, excluded = geometry.usable_boxes(
-        geometry.horizon_from_pitch(camera).v0, arrays.v_top, arrays.v_bottom,
-        depth)
-    return tuple(active.tolist()), excluded
+    f = camera.focal_px / camera.image_h_px
+    vc = camera.principal_v_px / camera.image_h_px
+    v0 = geometry.horizon_from_pitch(camera).v0
+    depth_signs = f * f + (arrays.v_bottom - vc) * (v0 - vc)
+    return geometry.usable_boxes(v0, arrays.v_top, arrays.v_bottom,
+                                 depth_signs)
+
+
+def prepare_scene(v0: float, fov_rad: float, boxes,
+                  prior_map: dict[str, HeightPrior] | None = None,
+                  principal_v: float = 0.5) -> tuple:
+    """(columns, arrays, camera, active, excluded), the start of all three
+    estimators: the camera is `geometry.camera_from_horizon`'s, and
+    ValueError means no detection, a category without a height prior or
+    no usable box."""
+    columns = detection_columns(boxes)
+    if not len(columns):
+        raise ValueError("no detections to estimate from")
+    arrays = scene_arrays(columns, prior_map)
+    camera = geometry.camera_from_horizon(v0, fov_rad, principal_v)
+    active, excluded = classify_boxes(camera, arrays)
+    geometry.require_usable(excluded, len(arrays))
+    return columns, arrays, camera, active, excluded
 
 
 def reprojection_loss(boxes: LossBoxes, camera: CameraParams,
@@ -557,7 +575,7 @@ def _layer_trace(layer: int, ev: Evaluation, boxes: LossBoxes,
 
 
 def solve_scene(v0: float, fov_rad: float, boxes,
-                prior_map: dict[str, CategoryPrior] | None = None,
+                prior_map: dict[str, HeightPrior] | None = None,
                 config: RefinementConfig | None = None,
                 principal_v: float = 0.5) -> SceneEstimate:
     """Estimate camera height and per-object heights for one scene.
@@ -565,17 +583,10 @@ def solve_scene(v0: float, fov_rad: float, boxes,
     v0 is the normalized horizon height, fov_rad the vertical field of
     view.  All geometry runs in image-height units internally.
     """
-    prior_map = prior_map or priors.DEFAULT_PRIORS
     config = config or RefinementConfig()
-    columns = detection_columns(boxes)
-    if not len(columns):
-        raise ValueError("no detections to solve from")
-
+    columns, arrays, camera, active, excluded = prepare_scene(
+        v0, fov_rad, boxes, prior_map, principal_v)
     ratios = box_ratios(columns, config)
-    arrays = scene_arrays(columns, prior_map)
-    camera = geometry.camera_from_horizon(v0, fov_rad, principal_v)
-    active, excluded = classify_boxes(camera, arrays)
-    geometry.require_usable(excluded, len(arrays))
     used = np.flatnonzero(active)
     used_boxes = loss_boxes(camera, arrays, ratios, used)
     cam_height, upright = init_camera_height(camera, arrays, ratios, active,

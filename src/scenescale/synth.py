@@ -118,12 +118,12 @@ def _corner_box(camera: CameraParams, obj: GroundObject,
     return float(uv[:, 0].min()), float(uv[:, 0].max()), span.v_top, span.v_bottom
 
 
-def _sample_height(rng: np.random.Generator, prior: priors.CategoryPrior) -> float:
+def _sample_height(rng: np.random.Generator, prior: priors.HeightPrior) -> float:
     for _ in range(100):
         h = rng.normal(prior.mean_m, prior.sigma_m)
         if h > _MIN_HEIGHT:
             return float(h)
-    raise ValueError(f"could not draw a positive height for {prior.category}")
+    raise ValueError(f"could not draw a positive height from {prior}")
 
 
 def _fits(camera: CameraParams, matrix: np.ndarray, obj: GroundObject,
@@ -213,7 +213,7 @@ def _place_object(rng: np.random.Generator, camera: CameraParams,
 
 def sample_scene(ranges: SceneRanges | None = None, n_objects: int = 5,
                  seed: int = 0,
-                 prior_map: dict[str, priors.CategoryPrior] | None = None,
+                 prior_map: dict[str, priors.HeightPrior] | None = None,
                  camera_attempts: int = 50,
                  depth_attempts: int = 1000) -> SceneSpec:
     """Sample a camera and fully-visible ground objects.

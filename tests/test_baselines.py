@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from scenescale import synth
-from scenescale.baselines import (CANONICAL_HEIGHTS, CamHeightPrior,
+from scenescale.baselines import (CAM_HEIGHT_PRIOR, CANONICAL_HEIGHTS,
                                   pgm_fixed_height, pgm_full)
 from scenescale.geometry import (CameraParams, GroundObject,
                                  horizon_from_pitch, project_vertical)
-from scenescale.priors import DEFAULT_PRIORS, CategoryPrior
+from scenescale.priors import DEFAULT_PRIORS, HeightPrior
 from scenescale.solver import DetectionBox, RefinementConfig, solve_scene
 
 
@@ -48,16 +48,14 @@ def test_canonical_heights_values():
 
 
 def test_cam_height_prior_defaults():
-    prior = CamHeightPrior()
-    assert prior.mean_m == 1.6
-    assert prior.sigma_m == 0.5
+    assert CAM_HEIGHT_PRIOR == HeightPrior(1.6, 0.5)
 
 
 def test_cam_height_prior_rejects_nonpositive():
     with pytest.raises(ValueError):
-        CamHeightPrior(mean_m=0.0)
+        HeightPrior(0.0, 0.5)
     with pytest.raises(ValueError):
-        CamHeightPrior(sigma_m=-1.0)
+        HeightPrior(1.6, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +154,7 @@ def test_pgm_full_single_box_closed_form():
                        category="person")
     q = _q(v0, box)
     prior = DEFAULT_PRIORS["person"]
-    cam_prior = CamHeightPrior()
+    cam_prior = CAM_HEIGHT_PRIOR
     expect = ((q * prior.mean_m / prior.sigma_m ** 2
                + cam_prior.mean_m / cam_prior.sigma_m ** 2)
               / (q ** 2 / prior.sigma_m ** 2 + 1.0 / cam_prior.sigma_m ** 2))
@@ -177,7 +175,7 @@ def test_pgm_full_matches_grid_search():
     qs = np.array([_q(v0, b) for b in boxes])
     mu = np.array([DEFAULT_PRIORS[b.category].mean_m for b in boxes])
     var = np.array([DEFAULT_PRIORS[b.category].sigma_m ** 2 for b in boxes])
-    cam_prior = CamHeightPrior()
+    cam_prior = CAM_HEIGHT_PRIOR
 
     grid = np.arange(0.2, 8.0, 1e-4)
     post = (-0.5 * np.sum((np.outer(grid, qs) - mu) ** 2 / var, axis=1)
@@ -210,7 +208,7 @@ def test_pgm_full_flat_priors_flag_ill_posed():
     v0 = 0.5
     box = DetectionBox(u_left=0.4, u_right=0.5, v_top=0.7, v_bottom=0.9,
                        category="person")
-    flat = {"person": CategoryPrior("person", 1.70, 1e9)}
+    flat = {"person": HeightPrior(1.70, 1e9)}
     est = pgm_full(v0, _FOV, [box], prior_map=flat)
     assert est.ill_posed
     assert est.cam_height_m == pytest.approx(1.6, rel=1e-9)
@@ -246,9 +244,9 @@ def test_pgm_full_custom_camera_prior_shifts_estimate():
     box = DetectionBox(u_left=0.4, u_right=0.5, v_top=0.7, v_bottom=0.9,
                        category="person")
     lo = pgm_full(v0, _FOV, [box],
-                  cam_height_prior=CamHeightPrior(1.0, 0.1))
+                  cam_height_prior=HeightPrior(1.0, 0.1))
     hi = pgm_full(v0, _FOV, [box],
-                  cam_height_prior=CamHeightPrior(5.0, 0.1))
+                  cam_height_prior=HeightPrior(5.0, 0.1))
     assert lo.cam_height_m < hi.cam_height_m
 
 
@@ -274,7 +272,7 @@ def test_pgm_full_and_the_cascade_start_share_the_closed_form():
     boxes = [_box_for(camera, d, h, c, w) for d, h, c, w in
              [(5.0, 1.78, "person", 1.0), (8.0, 1.52, "car", 0.5),
               (12.0, 1.66, "person", 3.0)]]
-    flat = CamHeightPrior(sigma_m=1e12)
+    flat = HeightPrior(1.6, 1e12)
     start = solve_scene(v0, camera.fov_rad, boxes,
                         config=RefinementConfig(num_layers=0))
     est = pgm_full(v0, camera.fov_rad, boxes, cam_height_prior=flat)

@@ -145,9 +145,20 @@ def test_one_out_file_for_several_inputs_is_an_input_error(tmp_path, capsys):
     inputs = [str(data / "scene_0000.json"), str(data / "scene_0001.json")]
     for argv in (inputs, [str(data)]):
         assert cli.main(["solve", *argv, "--out", str(out)]) == 1
-        assert ("names one file for 2 input documents"
-                in capsys.readouterr().err)
+        assert (f"{inputs[0]} and {inputs[1]} would both write "
+                f"{out.resolve()}" in capsys.readouterr().err)
         assert not out.exists()
+    # Two inputs of one file stem share one result path in a directory.
+    same = [tmp_path / "a" / "x.json", tmp_path / "b" / "x.json"]
+    for path, source in zip(same, inputs):
+        path.parent.mkdir()
+        path.write_bytes(Path(source).read_bytes())
+    out_dir = tmp_path / "out"
+    assert cli.main(["solve", *map(str, same), "--out", str(out_dir)]) == 1
+    assert (f"{same[0]} and {same[1]} would both write "
+            f"{(out_dir / 'x.results.json').resolve()}"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
     assert cli.main(["solve", inputs[1], "--out", str(out)]) == 0
     assert parse_results(out.read_bytes()).source_indices == (0, 1, 2)
     assert cli.main(["solve", *inputs, "--out", str(tmp_path / "dir")]) == 0
@@ -376,7 +387,7 @@ def test_print_config_of_every_section_is_pinned(tmp_path, capsys):
     ("refine: {num_layers: 100000000}",
      "config.refine: num_layers must be at most 1000, got 100000000"),
     ("cam_height_prior: {sigma_m: .inf}",
-     "config.cam_height_prior: camera height prior must have positive"),
+     "config.cam_height_prior: prior mean and sigma must be positive"),
     ("refine: {1: 2, foo: 3}", "config.refine: unknown keys [1, 'foo']"),
     ("filters: {box_height_range: [0.9, 0.1]}",
      "config.filters: box_height_range: low 0.9 is above high 0.1"),

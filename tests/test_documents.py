@@ -23,10 +23,9 @@ from scenescale.documents import (CalibrationInput, DetectionDocument,
                                   config_to_yaml, emit_document, emit_results,
                                   filter_detections, flip_vertical_convention,
                                   parse_document, parse_results)
-from scenescale.baselines import CamHeightPrior
 from scenescale.metrics import GroundTruth
 from scenescale.priors import (COCO_KEYPOINT_NAMES, HEAD_KEYPOINT_NAMES,
-                               CategoryPrior, KeypointSet)
+                               HeightPrior, KeypointSet)
 from scenescale.solver import (DetectionBox, LayerTrace, RefinementConfig,
                                SceneEstimate, detection_columns, solve_scene)
 
@@ -1043,9 +1042,9 @@ _CONFIGS = st.builds(
     ToolkitConfig,
     method=st.sampled_from(VALID_METHODS),
     priors=_keyed(st.tuples(_POSITIVE, _POSITIVE),
-                  lambda name, ms: CategoryPrior(name, *ms)),
+                  lambda name, ms: HeightPrior(*ms)),
     canonical_heights=_keyed(_POSITIVE),
-    cam_height_prior=st.builds(CamHeightPrior, _POSITIVE, _POSITIVE),
+    cam_height_prior=st.builds(HeightPrior, _POSITIVE, _POSITIVE),
     refine=st.builds(
         RefinementConfig, num_layers=st.integers(0, 10),
         reprojection_weight=_NONNEGATIVE, prior_weight=_NONNEGATIVE,
@@ -1113,10 +1112,10 @@ def test_config_errors_name_the_path(raw, where):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: CategoryPrior("person", math.nan, 0.1),
-    lambda: CategoryPrior("person", 1.7, math.inf),
-    lambda: CamHeightPrior(mean_m=math.inf),
-    lambda: CamHeightPrior(sigma_m=math.nan),
+    lambda: HeightPrior(math.nan, 0.1),
+    lambda: HeightPrior(1.7, math.inf),
+    lambda: HeightPrior(math.inf, 0.5),
+    lambda: HeightPrior(1.6, math.nan),
     lambda: RefinementConfig(damping=math.nan),
     lambda: RefinementConfig(prior_weight=math.inf),
     lambda: RefinementConfig(loss_tolerance=-1e-3),

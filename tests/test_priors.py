@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scenescale.priors import (COCO_KEYPOINT_NAMES, CategoryPrior,
+from scenescale.priors import (COCO_KEYPOINT_NAMES, HeightPrior,
                                DEFAULT_PRIORS, HEAD_KEYPOINT_NAMES,
                                KeypointSet, MissingKeypointsError,
                                UprightRatio, _gaussian_pdf,
@@ -50,7 +50,7 @@ def test_default_prior_values():
 
 def test_prior_rejects_nonpositive_sigma():
     with pytest.raises(ValueError):
-        CategoryPrior("person", 1.7, 0.0)
+        HeightPrior(1.7, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +310,8 @@ _SCALE_BOXES = dict(q=np.array([0.9, 1.3, 0.45, 2.2]),
                     weight=np.array([1.0, 0.5, 2.0, 1.5]))
 
 
-@pytest.mark.parametrize("prior", [None, CategoryPrior("camera", 1.6, 0.5),
-                                   CategoryPrior("camera", 4.0, 0.05)])
+@pytest.mark.parametrize("prior", [None, HeightPrior(1.6, 0.5),
+                                   HeightPrior(4.0, 0.05)])
 def test_scale_map_matches_a_grid_search(prior):
     q, mu, sigma, w = _SCALE_BOXES.values()
     grid = np.arange(0.2, 8.0, 1e-4)
@@ -327,7 +327,7 @@ def test_scale_map_matches_a_grid_search(prior):
 def test_scale_map_unit_weights_keep_every_bit():
     # pgm's bytes rest on this: the weight multiplies first, and by 1 exactly.
     q, mu, sigma, _ = _SCALE_BOXES.values()
-    prior = CategoryPrior("camera", 1.6, 0.5)
+    prior = HeightPrior(1.6, 0.5)
     var = sigma ** 2
     info = float(np.sum(q * q / var))
     expect = float((np.sum(q * mu / var) + prior.mean_m / prior.sigma_m ** 2)

@@ -267,7 +267,7 @@ def test_classify_boxes_reports_reasons():
     sky = DetectionBox(u_left=0.1, u_right=0.2, v_top=0.3, v_bottom=0.42,
                        category="person")
     active, excluded = classify_boxes(cam, scene_arrays([good, sky]))
-    assert active == (True, False)
+    assert active.tolist() == [True, False]
     assert len(excluded) == 1 and excluded[0][0] == 1
 
 

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scenescale import cli, geometry, synth
 from scenescale.geometry import (CameraParams, GroundObject,
                                  depths_from_bottoms, horizon_from_pitch)
-from scenescale.priors import DEFAULT_PRIORS, CategoryPrior
+from scenescale.priors import DEFAULT_PRIORS, HeightPrior
 from scenescale.solver import (classify_boxes, loss_boxes, reprojection_loss,
                                scene_arrays)
 
@@ -219,7 +219,7 @@ def test_sampling_statistics_match_priors():
 # same document bytes; these digests were computed from the one-attempt-
 # at-a-time placement loop (`_reference_sample_scene` below).
 
-_THREE_PRIORS = {**DEFAULT_PRIORS, "bike": CategoryPrior("bike", 1.1, 0.1)}
+_THREE_PRIORS = {**DEFAULT_PRIORS, "bike": HeightPrior(1.1, 0.1)}
 
 # `synth` arguments of perfbench's experiment workload.
 _EXPERIMENT_ARGS = ("--objects", "20", "--outlier-rate", "0.1",

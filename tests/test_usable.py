@@ -1,5 +1,6 @@
 """Which detections an estimator can use: one rule, `geometry.usable_boxes`,
-shared by the cascade's initialization and layers and by both baselines.
+applied by `solver.classify_boxes` for the cascade's initialization and
+layers and for both baselines.
 """
 
 import json
@@ -8,23 +9,32 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scenescale import geometry
 from scenescale.baselines import pgm_fixed_height, pgm_full
 from scenescale.documents import parse_document
 from scenescale.geometry import (CameraParams, GroundObject,
                                  horizon_from_pitch, project_vertical)
-from scenescale.solver import (DetectionBox, RefinementConfig,
+from scenescale.solver import (DetectionBox, RefinementConfig, SceneArrays,
                                classify_boxes, scene_arrays, solve_scene)
 
 _FIXTURES = Path(__file__).parent / "fixtures"
 
 # Bottom offsets from the horizon (v grows downward: negative is above
-# it).  Each one stays at least 1e-7 from the 1e-6 band edge, because the
-# cascade reads the horizon back from the pitch it derives from v0.
-_OFFSETS = (-0.2, -1e-3, -5e-7, 5e-7, 2e-6, 1e-3, 0.2, 0.45)
+# it), each with a step of 0; and v0 + 1e-6, the edge of the horizon
+# band, with a step of one float down, none or one float up.
+_BOTTOMS = st.one_of(
+    st.tuples(st.sampled_from((-0.2, -1e-3, -5e-7, 5e-7, 2e-6, 1e-3, 0.2,
+                               0.45)), st.just(0)),
+    st.tuples(st.just(1e-6), st.sampled_from((-1, 0, 1))))
 _SPANS = st.one_of(st.sampled_from((1e-12, 1e-4)), st.floats(0.05, 0.5))
+
+
+def _bottom(v0: float, offset: float, step: int) -> float:
+    """v0 + offset, or its float neighbour below (step -1) or above (1)."""
+    v = v0 + offset
+    return math.nextafter(v, step * math.inf) if step else v
 
 
 def _outcome(estimate):
@@ -47,7 +57,7 @@ def _numbers(est) -> list[float]:
 
 
 @given(pitch_deg=st.floats(-40.0, 40.0), fov_deg=st.floats(20.0, 120.0),
-       boxes=st.lists(st.tuples(st.sampled_from(_OFFSETS), _SPANS,
+       boxes=st.lists(st.tuples(_BOTTOMS, _SPANS,
                                 st.sampled_from(("person", "car")),
                                 st.sampled_from((0.5, 1.0, 2.0))),
                       min_size=1, max_size=8))
@@ -56,9 +66,10 @@ def test_every_method_uses_the_same_detections(pitch_deg, fov_deg, boxes):
     fov = math.radians(fov_deg)
     v0 = 0.5 + (geometry.focal_from_fov(fov, 1.0)
                 * math.tan(math.radians(pitch_deg)))
-    dets = [DetectionBox(u_left=0.1, u_right=0.2, v_top=v0 + off - span,
-                         v_bottom=v0 + off, category=category, weight=weight)
-            for off, span, category, weight in boxes]
+    bottoms = [_bottom(v0, *at) for at, _, _, _ in boxes]
+    dets = [DetectionBox(u_left=0.1, u_right=0.2, v_top=bottom - span,
+                         v_bottom=bottom, category=category, weight=weight)
+            for bottom, (_, span, category, weight) in zip(bottoms, boxes)]
     full = _outcome(lambda: pgm_full(v0, fov, dets))
     fixed = _outcome(lambda: pgm_fixed_height(v0, fov, dets))
     start = _outcome(lambda: _start(v0, fov, dets))
@@ -140,6 +151,58 @@ def test_nothing_usable_gives_one_message_naming_the_reasons():
         assert str(info.value) == message
 
 
+def test_a_bottom_at_the_band_edge_gets_one_answer_from_every_method():
+    # Box 1's bottom lies within a few floats of v0 + 1e-6, so which side
+    # of the band edge it falls on rests on the last bits of the horizon.
+    # Every method reads it from the camera built from v0 and the field
+    # of view, so all three agree.
+    fov, v0, vb = 0.4655576382979115, 0.20991658131711746, 0.20991758131711744
+    boxes = [DetectionBox(0.1, 0.2, v0 + 0.1, v0 + 0.3),
+             DetectionBox(0.3, 0.35, vb - 0.1, vb)]
+    _, excluded = classify_boxes(geometry.camera_from_horizon(v0, fov),
+                                 scene_arrays(boxes))
+    for estimate in (solve_scene, pgm_full, pgm_fixed_height):
+        assert estimate(v0, fov, boxes).excluded == excluded
+
+
+def _depth_classification(camera, arrays):
+    """The reference for `classify_boxes`: the rule given each bottom's
+    full ground depth in place of the depth's numerator."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        depth = geometry.depths_from_bottoms(camera, arrays.v_bottom)
+    return geometry.usable_boxes(horizon_from_pitch(camera).v0, arrays.v_top,
+                                 arrays.v_bottom, depth)
+
+
+@given(pitch_deg=st.floats(-80.0, 80.0), fov_deg=st.floats(10.0, 150.0),
+       principal_v=st.floats(0.0, 1.0), image_h_px=st.sampled_from((1, 480)),
+       boxes=st.lists(st.tuples(st.floats(-0.5, 2.0), _SPANS), min_size=1,
+                      max_size=8))
+@settings(deadline=None, max_examples=300)
+def test_classify_boxes_keeps_the_boxes_with_a_ground_depth_in_front(
+        pitch_deg, fov_deg, principal_v, image_h_px, boxes):
+    pitch = math.radians(pitch_deg)
+    camera = CameraParams.from_fov(pitch, math.radians(fov_deg), 1.6,
+                                   image_h_px, image_h_px,
+                                   principal_v * image_h_px)
+    f = camera.focal_px / image_h_px
+    v0 = horizon_from_pitch(camera).v0
+    # Bottoms from above the horizon to past the row where the ground
+    # ray turns behind the camera, 2f / |sin(2 pitch)| below the horizon.
+    reach = 2.0 * f / max(abs(math.sin(2.0 * pitch)), 1e-3)
+    t, span = np.array(boxes).T
+    v_bottom = v0 + t * reach
+    ones = np.ones_like(t)
+    arrays = SceneArrays(v_bottom - span, v_bottom, ones, ones, ones)
+    numerator = f * f + (arrays.v_bottom - principal_v) * (v0 - principal_v)
+    assume(np.all(np.abs(numerator) > 1e-9))
+    assume(np.all(np.abs(arrays.v_bottom - v0 - 1e-6) > 1e-9))
+    mask, excluded = classify_boxes(camera, arrays)
+    expect_mask, expect_excluded = _depth_classification(camera, arrays)
+    assert mask.tolist() == expect_mask.tolist()
+    assert excluded == expect_excluded
+
+
 def test_the_cascade_excludes_bottoms_behind_the_camera():
     # A horizon far above the image tilts the camera almost straight
     # down: every bottom ray meets the ground behind the camera.
@@ -172,10 +235,6 @@ def test_usable_boxes_names_the_first_reason_each_box_meets():
                         (3, "bottom-on-horizon"), (4, "bottom-above-horizon"),
                         (5, "bottom-behind-camera"),
                         (6, "bottom-behind-camera"))
-    # Without depths the rule is the horizon-ratio model's.
-    mask, excluded = geometry.usable_boxes(v0, v_top, v_bottom)
-    assert mask.tolist() == [True] + [False] * 4 + [True, True]
-    assert [i for i, _ in excluded] == [1, 2, 3, 4]
 
 
 # Every refusal of a method names one of these reasons.
