@@ -64,8 +64,8 @@ def _ratio_votes(v0: float, arrays: SceneArrays, keep) -> np.ndarray:
 
 def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
             heights, h_cam: float, ill_posed: bool) -> SceneEstimate:
-    """Estimate with a one-entry trace of the linear-model reprojection of
-    the kept boxes and the prior loss of their heights."""
+    """Estimate with the linear-model reprojection of the kept boxes and a
+    one-entry trace of its loss and the prior loss of their heights."""
     used = np.flatnonzero(keep)
     v_bottom = arrays.v_bottom[used]
     tops = v_bottom + heights[used] * (v0 - v_bottom) / h_cam
@@ -79,12 +79,9 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
     trace = LayerTrace(
         layer=0,
         cam_height_m=h_cam,
-        heights_m=heights_full,
         l_vt=l_vt,
         prior_loss=float(np.mean(pen)),
         total_loss=l_vt,
-        spans=spans,
-        residuals=residuals,
     )
     return SceneEstimate(
         method=method,
@@ -92,6 +89,8 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
         heights_m=heights_full,
         upright_heights_m=heights_full,
         upright_ratios=(1.0,) * n,
+        spans=spans,
+        residuals=residuals,
         excluded=excluded,
         converged=True,
         ill_posed=ill_posed,

@@ -28,10 +28,11 @@ from .baselines import CAM_HEIGHT_PRIOR, CANONICAL_HEIGHTS
 from .metrics import GroundTruth
 from .priors import (HeightPrior, KeypointSet, DEFAULT_PRIORS,
                      HEAD_KEYPOINT_NAMES)
-from .solver import (DetectionBox, DetectionColumns, SceneEstimate,
-                     RefinementConfig, detection_columns)
+from .solver import (DetectionBox, DetectionColumns, LayerTrace,
+                     SceneEstimate, RefinementConfig, detection_columns)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1          # detection documents
+RESULTS_SCHEMA_VERSION = 2  # results; `parse_results` reads version 1 too
 
 
 class SchemaError(ValueError):
@@ -326,21 +327,18 @@ def canonical_json(payload) -> str:
     renders the plain dicts, lists, tuples, strings, numbers, booleans and
     None a payload is made of itself.  A column is a list or tuple of
     exact floats or ints, or of equal-length rows of exact floats, with
-    None entries anywhere: a trace's heights and residuals, its spans.  It
-    is rendered by parts, one `map(float.__repr__, ...)` each: the floats
-    themselves, or each place of the rows (a span's tops, its bottoms),
-    which one join interleaves.
+    None entries anywhere: an estimate's heights and residuals, its spans.
+    It is rendered by parts, one `map(float.__repr__, ...)` each: the
+    floats themselves, or each place of the rows (a span's tops, its
+    bottoms), which one join interleaves.
 
-    Within one call, a float column reuses the texts of the last column
-    written under the same mapping key, or for a key's first column, of
-    the last written in the same mapping: all of a part's texts when it is
-    the very tuple (a copied trace layer, `pgm`'s one heights tuple), else
-    the text of each float whose bits equal those of the float in the same
-    place (the span bottoms every layer shares).  Bits, not `==`, so -0.0
-    never takes the text of 0.0.  A mapping writes its columns after its
-    other values, so `estimate.heights_m` follows the trace whose last
-    layer holds it, and `upright_heights_m` follows `heights_m`.  Only the
-    last column of each key is held.
+    A mapping writes its columns after its other values, in key order,
+    and each later float column reuses the texts of its first one (an
+    estimate's `heights_m`): all of a part's texts when it is the very
+    tuple (`pgm`'s upright heights), else the text of each float whose
+    bits equal those of the float in the same place (the upright heights
+    of boxes with a posture ratio of 1).  Bits, not `==`, so -0.0 never
+    takes the text of 0.0.
 
     Any other value, and any value `json.dumps` refuses (a non-finite
     float, a float subclass), sends the payload to `json.dumps`, which
@@ -352,10 +350,8 @@ def canonical_json(payload) -> str:
     except (_Deferred, TypeError, ValueError, RecursionError):
         return json.dumps(payload, sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
-    chunks = writer.chunks
-    del writer              # and the texts it held for reuse, before the join
-    chunks.append("\n")
-    return "".join(chunks)
+    writer.chunks.append("\n")
+    return "".join(writer.chunks)
 
 
 class _Deferred(Exception):
@@ -419,12 +415,10 @@ def _column_parts(o) -> tuple[list | tuple, int] | None:
 
 
 class _Writer:
-    """One `canonical_json` call: the chunks of text written so far, and
-    the parts of the last float column written under each mapping key."""
+    """One `canonical_json` call: the chunks of text written so far."""
 
     def __init__(self) -> None:
         self.chunks: list[str] = []
-        self.last: dict[str, tuple[_Part, ...]] = {}
 
     def write(self, o, indent: str) -> None:
         """Append one value as `json.dumps(..., sort_keys=True, indent=2)`
@@ -493,18 +487,17 @@ class _Writer:
             elif (t is list or t is tuple) and v and (
                     column := _column_parts(v)) is not None:
                 out(head)
-                columns.append((len(self.chunks), k, v, column))
+                columns.append((len(self.chunks), v, column))
                 out("")
             else:
                 out(head)
                 self.write(v, inner)
         out("\n" + indent + "}")
-        parts = ()
-        for i, k, v, (present, width) in columns:
+        first = ()
+        for i, v, (present, width) in columns:
             self.chunks[i], parts = _column_text(v, present, width, inner,
-                                                 self.last.get(k, parts))
-            if parts:
-                self.last[k] = parts
+                                                 first)
+            first = first or parts
 
 
 def _column_text(o, present, width: int, indent: str, prev: tuple[_Part, ...]
@@ -760,21 +753,20 @@ class ResultsDocument:
 
 def emit_results(estimate: SceneEstimate, *, config_hash: str = "",
                  source_indices=None) -> str:
-    """Serialize an estimate (with its full trace) to canonical JSON text.
-    The payload holds the estimate's own tuples, so `canonical_json` sees
-    which columns repeat."""
+    """Serialize an estimate to canonical JSON text: its per-box columns
+    (heights, posture ratios, the final reprojection's spans and
+    residuals) and the scalars of each trace layer.  The payload holds
+    the estimate's own tuples, so `canonical_json` sees which columns
+    repeat."""
     trace = [{
         "layer": t.layer,
         "cam_height_m": t.cam_height_m,
-        "heights_m": t.heights_m,
         "l_vt": t.l_vt,
         "prior_loss": t.prior_loss,
         "total_loss": t.total_loss,
-        "spans": t.spans,
-        "residuals": t.residuals,
     } for t in estimate.trace]
     payload: dict[str, object] = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": RESULTS_SCHEMA_VERSION,
         "method": estimate.method,
         "config_hash": config_hash,
         "estimate": {
@@ -782,6 +774,8 @@ def emit_results(estimate: SceneEstimate, *, config_hash: str = "",
             "heights_m": estimate.heights_m,
             "upright_heights_m": estimate.upright_heights_m,
             "upright_ratios": estimate.upright_ratios,
+            "spans": estimate.spans,
+            "residuals": estimate.residuals,
             "excluded": estimate.excluded,
             "converged": estimate.converged,
             "ill_posed": estimate.ill_posed,
@@ -793,8 +787,39 @@ def emit_results(estimate: SceneEstimate, *, config_hash: str = "",
     return canonical_json(payload)
 
 
+@dataclass(frozen=True)
+class _LayerTraceV1:
+    """A trace layer of a schema 1 results file, which carried the
+    layer's per-box rows."""
+
+    layer: int
+    cam_height_m: float
+    heights_m: tuple[float, ...]
+    l_vt: float
+    prior_loss: float
+    total_loss: float
+    spans: tuple[tuple[float, float] | None, ...]
+    residuals: tuple[float | None, ...]
+
+
+_LAYER_KEYS = tuple(f.name for f in dataclasses.fields(LayerTrace))
+
+
+def _estimate_from_v1(est_raw: dict) -> dict:
+    """A schema 1 estimate in the version 2 layout: every trace layer is
+    type-checked, the last layer's `spans` and `residuals` become the
+    estimate's, and the layers keep their scalars."""
+    layers = _require(est_raw, "trace", "estimate")
+    _from_plain(layers, tuple[_LayerTraceV1, ...], "results.estimate.trace")
+    rows = layers[-1] if layers else {"spans": [], "residuals": []}
+    return {**est_raw, "spans": rows["spans"], "residuals": rows["residuals"],
+            "trace": [{key: layer[key] for key in _LAYER_KEYS}
+                      for layer in layers]}
+
+
 def parse_results(data: bytes | str) -> ResultsDocument:
-    """Parse result JSON back into a SceneEstimate; SchemaError on violations."""
+    """Parse result JSON of schema version 2 or 1 back into a
+    SceneEstimate; SchemaError on violations."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -807,12 +832,19 @@ def parse_results(data: bytes | str) -> ResultsDocument:
         raise SchemaError("results root must be an object")
     _check_keys(raw, {"schema_version", "method", "config_hash", "estimate",
                       "source_indices"}, "results")
-    if _require(raw, "schema_version", "results") != SCHEMA_VERSION:
-        raise SchemaError("unsupported results schema_version")
+    version = _require(raw, "schema_version", "results")
+    if version not in (1, RESULTS_SCHEMA_VERSION):
+        raise SchemaError(f"unsupported results schema_version {version!r}; "
+                          f"this build reads versions 1 and "
+                          f"{RESULTS_SCHEMA_VERSION}")
     est_raw = _require(raw, "estimate", "results")
     # The method of the estimate is written at the root.
-    _check_keys(est_raw, {name for name, _, _ in _form(SceneEstimate)[1]}
-                - {"method"}, "estimate")
+    keys = {name for name, _, _ in _form(SceneEstimate)[1]} - {"method"}
+    if version == 1:
+        _check_keys(est_raw, keys - {"spans", "residuals"}, "estimate")
+        est_raw = _estimate_from_v1(est_raw)
+    else:
+        _check_keys(est_raw, keys, "estimate")
     plain = {key: raw[key] for key in ("config_hash", "source_indices")
              if key in raw}
     plain["estimate"] = {**est_raw, "method": _from_plain(

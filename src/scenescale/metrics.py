@@ -89,7 +89,7 @@ def compute_metrics(estimate: SceneEstimate, truth: GroundTruth, *,
             f"correspondence mismatch: indices {indices} out of range for "
             f"{len(gt)} ground-truth heights")
     e_obj = tuple(abs(heights[k] - gt[i]) for k, i in enumerate(indices))
-    l_vt = tuple(abs(r) for r in estimate.trace[-1].residuals if r is not None)
+    l_vt = tuple(abs(r) for r in estimate.residuals if r is not None)
     return MetricReport(
         e_cam=(abs(estimate.cam_height_m - truth.cam_height_m),),
         e_obj=e_obj,

@@ -80,7 +80,7 @@ def render_overlay(doc: DetectionDocument, estimate: SceneEstimate,
     ]
 
     excluded = {i for i, _ in estimate.excluded}
-    spans = estimate.trace[-1].spans
+    spans = estimate.spans
     dets = doc.detections.take(source_indices)
     for slot, (u_left, u_right, v_top, v_bottom) in enumerate(zip(
             dets.u_left.tolist(), dets.u_right.tolist(), dets.v_top.tolist(),
@@ -91,7 +91,7 @@ def render_overlay(doc: DetectionDocument, estimate: SceneEstimate,
         h = (v_bottom - v_top) * height
         lines.append(_rect(x, y, w, h, _DETECTED_COLOR, stroke))
 
-        if slot < len(spans) and spans[slot] is not None:
+        if spans[slot] is not None:
             v_top_hat, v_bot_hat = spans[slot]
             lines.append(_rect(x, v_top_hat * height, w,
                                (v_bot_hat - v_top_hat) * height,

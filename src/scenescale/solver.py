@@ -38,7 +38,9 @@ absolute scale comes from category size priors.  The pipeline:
      arrow-shaped; the Schur complement of its diagonal block solves it
      in O(k) time and memory for k objects.  Once the loss stops
      falling, a layer's entry is the previous one with its own layer
-     number.
+     number.  A trace entry holds a layer's camera height and losses;
+     the per-box rows (reprojected spans, residuals) are built once, for
+     the final evaluation (`trace_rows`).
 
 Object depths are anchored to the detected bottom coordinate throughout:
 depth is always the ground intersection of the bottom ray under the
@@ -191,27 +193,31 @@ class RefinementConfig:
 
 @dataclass(frozen=True)
 class LayerTrace:
-    """Losses and reprojections after one layer (layer 0 = initialization)."""
+    """Camera height and losses after one layer (layer 0 = initialization)."""
 
     layer: int
     cam_height_m: float
-    heights_m: tuple[float, ...]
     l_vt: float
     prior_loss: float
     total_loss: float
-    spans: tuple[tuple[float, float] | None, ...]
-    residuals: tuple[float | None, ...]
 
 
 @dataclass(frozen=True)
 class SceneEstimate:
-    """Final scene estimate plus the full per-layer trace."""
+    """Final scene estimate: one entry per box in each per-box column (the
+    heights, posture ratios and the final reprojection), and the losses of
+    every layer."""
 
     method: str
     cam_height_m: float
     heights_m: tuple[float, ...]           # actual (posture-scaled) heights
     upright_heights_m: tuple[float, ...]
     upright_ratios: tuple[float, ...]
+    # Reprojected top and detected bottom of each used box, and its detected
+    # minus reprojected top, at the final evaluation; None for an excluded
+    # box.
+    spans: tuple[tuple[float, float] | None, ...]
+    residuals: tuple[float | None, ...]
     excluded: tuple[tuple[int, str], ...]  # (object index, reason)
     converged: bool
     ill_posed: bool
@@ -220,6 +226,16 @@ class SceneEstimate:
     def __post_init__(self) -> None:
         if not self.trace:
             raise ValueError("trace must hold at least one layer")
+        n = len(self.heights_m)
+        for name in ("upright_heights_m", "upright_ratios", "spans",
+                     "residuals"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} and heights_m differ in length "
+                                 f"({len(getattr(self, name))} != {n})")
+        for i, _ in self.excluded:
+            if not 0 <= i < n:
+                raise ValueError(
+                    f"excluded index {i} is not one of the {n} boxes")
 
 
 class Evaluation(NamedTuple):
@@ -543,7 +559,7 @@ def refine_layer(ev: Evaluation, boxes: LossBoxes,
 
 def trace_rows(n: int, used, v_tops, v_bottoms, residuals
                ) -> tuple[tuple, tuple]:
-    """LayerTrace `spans` and `residuals` of `n` boxes: the values of the
+    """SceneEstimate `spans` and `residuals` of `n` boxes: the values of the
     boxes at indices `used`, given in that order, and None for the rest."""
     spans, rows = [None] * n, [None] * n
     for i, t, b, r in zip(used.tolist(), v_tops.tolist(), v_bottoms.tolist(),
@@ -553,25 +569,9 @@ def trace_rows(n: int, used, v_tops, v_bottoms, residuals
     return tuple(spans), tuple(rows)
 
 
-def _layer_trace(layer: int, ev: Evaluation, boxes: LossBoxes,
-                 used: np.ndarray, heights: np.ndarray) -> LayerTrace:
-    """Trace entry of an evaluation of the used boxes, `boxes` at indices
-    `used`: `heights` holds every box's actual height, and the used
-    boxes' are taken from the evaluation."""
-    heights = heights.copy()
-    heights[used] = ev.heights
-    spans, residuals = trace_rows(len(heights), used, ev.tops, boxes.v_bottom,
-                                  ev.residuals)
-    return LayerTrace(
-        layer=layer,
-        cam_height_m=ev.camera.cam_height_m,
-        heights_m=tuple(heights.tolist()),
-        l_vt=ev.l_vt,
-        prior_loss=ev.prior_loss,
-        total_loss=ev.total_loss,
-        spans=spans,
-        residuals=residuals,
-    )
+def _layer_trace(layer: int, ev: Evaluation) -> LayerTrace:
+    return LayerTrace(layer, ev.camera.cam_height_m, ev.l_vt, ev.prior_loss,
+                      ev.total_loss)
 
 
 def solve_scene(v0: float, fov_rad: float, boxes,
@@ -591,12 +591,9 @@ def solve_scene(v0: float, fov_rad: float, boxes,
     used_boxes = loss_boxes(camera, arrays, ratios, used)
     cam_height, upright = init_camera_height(camera, arrays, ratios, active,
                                              config)
-    # The layers solve for the used boxes alone; the others keep their
-    # start.
-    heights = upright * np.array(ratios)
     ev = total_loss(used_boxes, replace(camera, cam_height_m=cam_height),
                     upright[used], config)
-    trace = [_layer_trace(0, ev, used_boxes, used, heights)]
+    trace = [_layer_trace(0, ev)]
 
     converged = False
     for j in range(1, config.num_layers + 1):
@@ -605,15 +602,21 @@ def solve_scene(v0: float, fov_rad: float, boxes,
             entry = replace(trace[-1], layer=j)
         else:
             ev = moved
-            entry = _layer_trace(j, ev, used_boxes, used, heights)
+            entry = _layer_trace(j, ev)
         trace.append(entry)
         if trace[-2].total_loss - entry.total_loss < config.loss_tolerance:
             converged = True
 
-    final = trace[-1]
+    # The layers solve for the used boxes alone; the others keep their
+    # start.
+    heights = upright * np.array(ratios)
+    heights[used] = ev.heights
     upright[used] = ev.upright
+    spans, residuals = trace_rows(len(arrays), used, ev.tops,
+                                  used_boxes.v_bottom, ev.residuals)
     return SceneEstimate(
-        method="cascade", cam_height_m=final.cam_height_m,
-        heights_m=final.heights_m, upright_heights_m=tuple(upright.tolist()),
-        upright_ratios=ratios, excluded=excluded, converged=converged,
-        ill_posed=False, trace=tuple(trace))
+        method="cascade", cam_height_m=ev.camera.cam_height_m,
+        heights_m=tuple(heights.tolist()),
+        upright_heights_m=tuple(upright.tolist()), upright_ratios=ratios,
+        spans=spans, residuals=residuals, excluded=excluded,
+        converged=converged, ill_posed=False, trace=tuple(trace))

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in-process against cli.main."""
 
+import dataclasses
 import json
 import math
 import os
@@ -423,8 +424,8 @@ def _set_item(*path_and_value):
      "results.estimate.cam_height_m: expected a number"),
     (_set_item("estimate", "heights_m", "abc"),
      "results.estimate.heights_m: expected a list"),
-    (_set_item("estimate", "trace", -1, "residuals", "abc"),
-     "results.estimate.trace[3].residuals: expected a list"),
+    (_set_item("estimate", "residuals", "abc"),
+     "results.estimate.residuals: expected a list"),
     (_set_item("source_indices", ["a", "b", "c", "d"]),
      "results.source_indices[0]: expected an integer"),
     (_set_item("source_indices", 5),
@@ -458,6 +459,25 @@ def test_overlay_with_a_source_index_out_of_range_exits_one(tmp_path, capsys):
     assert cli.main(["overlay", str(_FIXTURES / "scene_0000.json"), str(bad),
                      "--out", str(tmp_path / "out.svg")]) == 1
     assert "error: source indices out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, where", [
+    (_set_item("estimate", "spans", [[0.4, 0.6]]),
+     "results.estimate: spans and heights_m differ in length (1 != 4)"),
+    (_set_item("estimate", "excluded", [[99, "zero-span"]]),
+     "results.estimate: excluded index 99 is not one of the 4 boxes"),
+], ids=["one-span-row", "excluded-index-99"])
+def test_overlay_of_results_that_do_not_match_their_boxes_exits_one(
+        tmp_path, capsys, change, where):
+    raw = json.loads((_FIXTURES / "scene_0000.results.json").read_text())
+    change(raw)
+    bad = tmp_path / "scene_0000.results.json"
+    bad.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["overlay", str(_FIXTURES / "scene_0000.json"), str(bad),
+                     "--out", str(tmp_path / "out.svg")]) == 1
+    assert f"error: {where}" in capsys.readouterr().err
+    assert not (tmp_path / "out.svg").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +795,7 @@ def test_cli_outputs_never_take_the_json_dumps_fallback(tmp_path, capsys,
 def test_large_uneven_results_never_take_the_json_dumps_fallback(
         tmp_path, capsys, monkeypatch):
     # A 200-object scene with one box in the horizon band, refined for up
-    # to 30 layers: null trace rows, copied layers and long columns.
+    # to 30 layers: null rows, copied layers and long columns.
     data = tmp_path / "data"
     assert cli.main(["synth", "--out", str(data), "--scenes", "1",
                      "--objects", "200", "--seed", "5",
@@ -799,11 +819,10 @@ def test_large_uneven_results_never_take_the_json_dumps_fallback(
             (out / "scene_0000.results.json").read_bytes()).estimate
         assert len(est.heights_m) == 200
         assert est.excluded == ((0, "bottom-on-horizon"),)
-        assert all(t.spans[0] is None and t.residuals[0] is None
-                   for t in est.trace)
+        assert est.spans[0] is None and est.residuals[0] is None
         if method == "cascade":
             assert len(est.trace) == 31
-            assert any(a.heights_m == b.heights_m and a.spans == b.spans
+            assert any(dataclasses.replace(a, layer=b.layer) == b
                        for a, b in zip(est.trace, est.trace[1:]))
     capsys.readouterr()
     assert indented == []

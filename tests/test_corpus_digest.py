@@ -9,7 +9,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-PINNED_TOTAL = "79489515b812e7f24ee4ec4471c1063baff042eba9bf32b555284e880165f814"
+PINNED_TOTAL = "3838ccb49cd3602d13deaf34a83e432c6acf5399fab754b177cac0a4fdd7ab02"
 
 
 def test_corpus_digest_total_is_pinned(tmp_path):

@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -28,6 +29,8 @@ from scenescale.priors import (COCO_KEYPOINT_NAMES, HEAD_KEYPOINT_NAMES,
                                HeightPrior, KeypointSet)
 from scenescale.solver import (DetectionBox, LayerTrace, RefinementConfig,
                                SceneEstimate, detection_columns, solve_scene)
+
+_FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _raw_doc() -> dict:
@@ -194,20 +197,20 @@ def test_canonical_json_defers_other_types_to_json():
 def _plain_results(est: SceneEstimate, source_indices) -> dict:
     """The payload `emit_results` writes, as unshared plain lists."""
     return {
-        "schema_version": 1, "method": est.method, "config_hash": "abc",
+        "schema_version": 2, "method": est.method, "config_hash": "abc",
         "estimate": {
             "cam_height_m": est.cam_height_m,
             "heights_m": list(est.heights_m),
             "upright_heights_m": list(est.upright_heights_m),
             "upright_ratios": list(est.upright_ratios),
+            "spans": [None if s is None else list(s) for s in est.spans],
+            "residuals": list(est.residuals),
             "excluded": [[i, reason] for i, reason in est.excluded],
             "converged": est.converged, "ill_posed": est.ill_posed,
             "trace": [{
                 "layer": t.layer, "cam_height_m": t.cam_height_m,
-                "heights_m": list(t.heights_m), "l_vt": t.l_vt,
-                "prior_loss": t.prior_loss, "total_loss": t.total_loss,
-                "spans": [None if s is None else list(s) for s in t.spans],
-                "residuals": list(t.residuals)} for t in est.trace],
+                "l_vt": t.l_vt, "prior_loss": t.prior_loss,
+                "total_loss": t.total_loss} for t in est.trace],
         },
         "source_indices": list(source_indices),
     }
@@ -229,33 +232,24 @@ def _same_bits(x: float) -> float:
 @st.composite
 def _estimates(draw):
     """Estimates shaped as the solvers build them: excluded boxes with None
-    rows, copied layers that share their tuples, bottoms repeated (as new
-    objects) or moved from layer to layer, and upright heights that are the
-    heights tuple itself, its values, or its values with each zero's sign
-    flipped (a ratio of 1.0 keeps the bits, and -0.0 must not print 0.0)."""
+    rows, copied trace layers, upright heights that are the heights tuple
+    itself, its values, or its values with each zero's sign flipped (a
+    ratio of 1.0 keeps the bits, and -0.0 must not print 0.0), and span
+    tops and bottoms and residuals that repeat the heights' values (as new
+    objects) or not."""
     n = draw(st.integers(1, 5))
     values = st.lists(_VALUE, min_size=n, max_size=n)
     used = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     used[draw(st.integers(0, n - 1))] = True
-    bottoms = draw(values)
     trace = []
     for j in range(draw(st.integers(1, 4))):
         if trace and draw(st.booleans()):
             trace.append(dataclasses.replace(trace[-1], layer=j))
             continue
-        bottoms = (draw(values) if draw(st.booleans())
-                   else list(map(_same_bits, bottoms)))
-        tops, residuals = draw(values), draw(values)
         trace.append(LayerTrace(
-            layer=j, cam_height_m=draw(_VALUE),
-            heights_m=tuple(draw(values)), l_vt=draw(_VALUE),
-            prior_loss=draw(_VALUE), total_loss=draw(_VALUE),
-            spans=tuple((t, b) if u else None
-                        for u, t, b in zip(used, tops, bottoms)),
-            residuals=tuple(r if u else None
-                            for u, r in zip(used, residuals))))
-    heights = (trace[-1].heights_m if draw(st.booleans())
-               else tuple(draw(values)))
+            layer=j, cam_height_m=draw(_VALUE), l_vt=draw(_VALUE),
+            prior_loss=draw(_VALUE), total_loss=draw(_VALUE)))
+    heights = tuple(draw(values))
     upright = draw(st.sampled_from(["same", "bits", "zeros flipped", "own"]))
     if upright == "zeros flipped":
         heights = list(heights)
@@ -269,10 +263,16 @@ def _estimates(draw):
                "own": tuple(draw(values))}[upright]
     ratios = tuple(draw(st.lists(st.one_of(st.just(1.0), _VALUE),
                                  min_size=n, max_size=n)))
+    tops, bottoms, residuals = (
+        list(map(_same_bits, heights)) if draw(st.booleans())
+        else draw(values) for _ in range(3))
     return SceneEstimate(
         method=draw(st.sampled_from(VALID_METHODS)),
         cam_height_m=draw(_VALUE), heights_m=heights,
         upright_heights_m=upright, upright_ratios=ratios,
+        spans=tuple((t, b) if u else None
+                    for u, t, b in zip(used, tops, bottoms)),
+        residuals=tuple(r if u else None for u, r in zip(used, residuals)),
         excluded=tuple((i, "bottom-on-horizon")
                        for i, u in enumerate(used) if not u),
         converged=draw(st.booleans()), ill_posed=draw(st.booleans()),
@@ -285,11 +285,6 @@ def test_emit_results_is_json_dumps_of_the_plain_payload(est):
     indices = range(len(est.heights_m))
     assert (emit_results(est, config_hash="abc", source_indices=indices)
             == _json_dumps(_plain_results(est, indices)))
-
-
-def _in_last_layer(est, **change):
-    return dataclasses.replace(est, trace=est.trace[:-1] + (
-        dataclasses.replace(est.trace[-1], **change),))
 
 
 def _first_span(spans, x, place):
@@ -307,15 +302,14 @@ _SPOIL = {
         e, upright_heights_m=e.upright_heights_m[:-1] + (x,)),
     "upright_ratios": lambda e, x: dataclasses.replace(
         e, upright_ratios=(x,) + e.upright_ratios[1:]),
-    "trace heights_m": lambda e, x: _in_last_layer(
-        e, heights_m=e.trace[-1].heights_m[:-1] + (x,)),
-    "trace l_vt": lambda e, x: _in_last_layer(e, l_vt=x),
-    "span top": lambda e, x: _in_last_layer(
-        e, spans=_first_span(e.trace[-1].spans, x, 0)),
-    "span bottom": lambda e, x: _in_last_layer(
-        e, spans=_first_span(e.trace[-1].spans, x, 1)),
-    "residual": lambda e, x: _in_last_layer(e, residuals=tuple(
-        x if r is not None else None for r in e.trace[-1].residuals)),
+    "trace l_vt": lambda e, x: dataclasses.replace(e, trace=e.trace[:-1] + (
+        dataclasses.replace(e.trace[-1], l_vt=x),)),
+    "span top": lambda e, x: dataclasses.replace(
+        e, spans=_first_span(e.spans, x, 0)),
+    "span bottom": lambda e, x: dataclasses.replace(
+        e, spans=_first_span(e.spans, x, 1)),
+    "residual": lambda e, x: dataclasses.replace(e, residuals=tuple(
+        x if r is not None else None for r in e.residuals)),
 }
 
 
@@ -1181,15 +1175,15 @@ def _results_raw() -> dict:
 
 def test_parse_results_reads_gaps_and_integers():
     raw = _results_raw()
-    layer = raw["estimate"]["trace"][-1]
-    layer["residuals"][0] = None
-    layer["spans"][1] = None
-    raw["estimate"]["heights_m"][0] = 2
+    est_raw = raw["estimate"]
+    est_raw["residuals"][0] = None
+    est_raw["spans"][1] = None
+    est_raw["heights_m"][0] = 2
     res = parse_results(json.dumps(raw))
-    trace = res.estimate.trace[-1]
-    assert trace.residuals[0] is None and trace.residuals[1] is not None
-    assert trace.spans[1] is None
-    assert trace.spans[0] == tuple(layer["spans"][0])
+    est = res.estimate
+    assert est.residuals[0] is None and est.residuals[1] is not None
+    assert est.spans[1] is None
+    assert est.spans[0] == tuple(est_raw["spans"][0])
     assert res.estimate.heights_m[0] == 2.0
     assert type(res.estimate.heights_m[0]) is float
 
@@ -1201,8 +1195,26 @@ def test_parse_results_reads_gaps_and_integers():
      "results.estimate.converged: expected true or false"),
     (lambda r: r["estimate"]["trace"][0].update(layer=0.0),
      "results.estimate.trace[0].layer: expected an integer"),
-    (lambda r: r["estimate"]["trace"][0]["spans"].__setitem__(1, [0.5]),
-     "results.estimate.trace[0].spans[1]: expected a list of 2"),
+    (lambda r: r["estimate"]["spans"].__setitem__(1, [0.5]),
+     "results.estimate.spans[1]: expected a list of 2"),
+    (lambda r: r["estimate"]["trace"][0].update(spans=[]),
+     "results.estimate.trace[0]: unknown keys ['spans']"),
+    (lambda r: r["estimate"]["spans"].pop(),
+     "results.estimate: spans and heights_m differ in length (1 != 2)"),
+    (lambda r: r["estimate"]["residuals"].append(0.0),
+     "results.estimate: residuals and heights_m differ in length (3 != 2)"),
+    (lambda r: r["estimate"]["upright_heights_m"].pop(),
+     "results.estimate: upright_heights_m and heights_m differ in length "
+     "(1 != 2)"),
+    (lambda r: r["estimate"]["upright_ratios"].append(1.0),
+     "results.estimate: upright_ratios and heights_m differ in length "
+     "(3 != 2)"),
+    (lambda r: r["estimate"].update(excluded=[[99, "zero-span"]]),
+     "results.estimate: excluded index 99 is not one of the 2 boxes"),
+    (lambda r: r["estimate"].update(excluded=[[-1, "zero-span"]]),
+     "results.estimate: excluded index -1 is not one of the 2 boxes"),
+    (lambda r: r.update(schema_version=3),
+     "unsupported results schema_version 3"),
     (lambda r: r["estimate"]["heights_m"].__setitem__(1, math.nan),
      "results.estimate.heights_m[1]: expected a number"),
     (lambda r: r["estimate"].update(excluded=[[0, 5]]),
@@ -1217,6 +1229,51 @@ def test_parse_results_reads_gaps_and_integers():
 ])
 def test_parse_results_errors_name_the_path(change, where):
     raw = _results_raw()
+    change(raw)
+    with pytest.raises(SchemaError) as info:
+        parse_results(json.dumps(raw))
+    assert str(info.value).startswith(where)
+
+
+# ---------------------------------------------------------------------------
+# Schema 1 results: every layer carried its per-box rows.
+
+@pytest.mark.parametrize("stem", ["scene_0000", "scene_0000.pgm"])
+def test_schema_1_results_emit_as_the_regenerated_schema_2_file(stem):
+    # Both files were written by the same solve, so every number that
+    # schema 2 keeps has the bits it had in schema 1.
+    res = parse_results((_FIXTURES / f"{stem}.v1.results.json").read_bytes())
+    assert res.estimate == parse_results(
+        (_FIXTURES / f"{stem}.results.json").read_bytes()).estimate
+    assert emit_results(
+        res.estimate, config_hash=res.config_hash,
+        source_indices=res.source_indices).encode() == (
+            _FIXTURES / f"{stem}.results.json").read_bytes()
+
+
+@pytest.mark.parametrize("change, where", [
+    (lambda r: r["estimate"]["trace"][0]["spans"].__setitem__(1, [0.5]),
+     "results.estimate.trace[0].spans[1]: expected a list of 2"),
+    (lambda r: r["estimate"]["trace"][1]["residuals"].__setitem__(0, "a"),
+     "results.estimate.trace[1].residuals[0]: expected a number"),
+    (lambda r: r["estimate"]["trace"][2]["heights_m"].__setitem__(0, None),
+     "results.estimate.trace[2].heights_m[0]: expected a number"),
+    (lambda r: r["estimate"]["trace"][2].pop("spans"),
+     "results.estimate.trace[2]: missing required key 'spans'"),
+    (lambda r: r["estimate"]["trace"][-1]["spans"].pop(),
+     "results.estimate: spans and heights_m differ in length (3 != 4)"),
+    (lambda r: r["estimate"].update(spans=[]),
+     "estimate: unknown keys ['spans']"),
+    (lambda r: r["estimate"].update(trace=[]),
+     "results.estimate: trace must hold at least one layer"),
+    (lambda r: r["estimate"].update(trace={}),
+     "results.estimate.trace: expected a list"),
+    (lambda r: r["estimate"].pop("trace"),
+     "estimate: missing required key 'trace'"),
+])
+def test_parse_schema_1_results_checks_every_layer(change, where):
+    raw = json.loads((_FIXTURES / "scene_0000.v1.results.json").read_text())
+    assert raw["schema_version"] == 1
     change(raw)
     with pytest.raises(SchemaError) as info:
         parse_results(json.dumps(raw))

@@ -14,15 +14,14 @@ def _estimate(cam=1.6, heights=(1.7,), upright=None, residuals=None):
     upright = heights if upright is None else upright
     if residuals is None:
         residuals = tuple(0.0 for _ in heights)
-    trace = LayerTrace(layer=0, cam_height_m=cam, heights_m=heights,
-                       l_vt=0.0, prior_loss=0.0, total_loss=0.0,
-                       spans=tuple((0.4, 0.8) for _ in heights),
-                       residuals=residuals)
+    trace = LayerTrace(layer=0, cam_height_m=cam, l_vt=0.0, prior_loss=0.0,
+                       total_loss=0.0)
     return SceneEstimate(method="cascade", cam_height_m=cam,
                          heights_m=heights, upright_heights_m=upright,
                          upright_ratios=tuple(1.0 for _ in heights),
-                         excluded=(), converged=True, ill_posed=False,
-                         trace=(trace,))
+                         spans=tuple((0.4, 0.8) for _ in heights),
+                         residuals=residuals, excluded=(), converged=True,
+                         ill_posed=False, trace=(trace,))
 
 
 # ---------------------------------------------------------------------------

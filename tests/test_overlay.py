@@ -128,15 +128,15 @@ def test_source_indices_count_mismatch_raises():
 def test_excluded_slots_get_no_reference_bar():
     doc, _ = _doc_and_estimate(n=2)
     heights = (1.7, 1.7)
-    trace = LayerTrace(layer=0, cam_height_m=1.6, heights_m=heights,
-                       l_vt=0.0, prior_loss=0.0, total_loss=0.0,
-                       spans=(None,
-                              (doc.detections.v_top[1],
-                               doc.detections.v_bottom[1])),
-                       residuals=(None, 0.0))
+    trace = LayerTrace(layer=0, cam_height_m=1.6, l_vt=0.0, prior_loss=0.0,
+                       total_loss=0.0)
     est = SceneEstimate(method="cascade", cam_height_m=1.6,
                         heights_m=heights, upright_heights_m=heights,
                         upright_ratios=(1.0, 1.0),
+                        spans=(None,
+                               (doc.detections.v_top[1],
+                                doc.detections.v_bottom[1])),
+                        residuals=(None, 0.0),
                         excluded=((0, "zero-span"),), converged=True,
                         ill_posed=False, trace=(trace,))
     svg = render_overlay(doc, est)

@@ -8,6 +8,7 @@ known ground truth.
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from scenescale import geometry, solver, synth
 from scenescale.baselines import weighted_median
+from scenescale.documents import parse_document
 from scenescale.geometry import CameraParams, GroundObject, \
     horizon_from_pitch, project_tops_with_grads, project_vertical
 from scenescale.priors import (DEFAULT_PRIORS, COCO_KEYPOINT_NAMES,
@@ -543,7 +545,7 @@ def test_zero_layers_returns_initialization():
     assert len(est.trace) == 1
     assert not est.excluded
     assert est.trace[0].l_vt <= 1e-12
-    assert max(map(abs, est.trace[0].residuals)) <= 1e-12
+    assert max(map(abs, est.residuals)) <= 1e-12
     camera = CameraParams.from_fov(
         geometry.pitch_from_horizon(v0, geometry.focal_from_fov(
             scene.camera.fov_rad, 1.0), 1.0), scene.camera.fov_rad,
@@ -626,8 +628,8 @@ def test_estimate_reports_exclusions_and_keeps_prior_height():
                        category="person")
     est = solve_scene(0.5, cam.fov_rad, [good, sky])
     assert [i for i, _ in est.excluded] == [1]
-    assert est.trace[-1].spans[1] is None
-    assert est.trace[-1].residuals[1] is None
+    assert est.spans[1] is None
+    assert est.residuals[1] is None
     assert est.heights_m[1] == pytest.approx(1.70, abs=1e-9)
 
 
@@ -758,6 +760,46 @@ def test_a_weight_two_box_solves_like_the_box_listed_twice(config):
     # The layers move the camera from the closed-form start in both.
     assert est_w.trace[-1].total_loss < est_w.trace[0].total_loss
     assert est_2.trace[-1].total_loss < est_2.trace[0].total_loss
+
+
+def _fixture_inputs():
+    doc = parse_document(
+        (Path(__file__).parent / "fixtures" / "scene_0000.json").read_bytes())
+    cal = doc.calibration
+    return cal.horizon_v0(), cal.fov_rad, doc.detections
+
+
+def _noisy_synth_inputs():
+    scene, boxes, v0 = _scene_inputs(seed=21, n_objects=6,
+                                     noise=synth.NoiseModel(box_sigma=0.003))
+    return v0, scene.camera.fov_rad, boxes
+
+
+@pytest.mark.parametrize("inputs", [_fixture_inputs, _noisy_synth_inputs],
+                         ids=["fixture", "noisy-synth"])
+def test_a_shorter_solve_traces_a_prefix_and_reports_its_own_rows(inputs):
+    # The rows of layer j of a solve are the final rows of the same solve
+    # run with j layers.
+    v0, fov, boxes = inputs()
+    full = solve_scene(v0, fov, boxes, config=RefinementConfig(num_layers=3))
+    assert len({t.total_loss for t in full.trace}) > 1
+    for j in range(4):
+        est = solve_scene(v0, fov, boxes,
+                          config=RefinementConfig(num_layers=j))
+        assert est.trace == full.trace[:j + 1]
+        assert est.cam_height_m == est.trace[-1].cam_height_m
+        excluded = dict(est.excluded)
+        used = [i for i in range(len(est.heights_m)) if i not in excluded]
+        assert used
+        for i in range(len(est.heights_m)):
+            if i in excluded:
+                assert est.spans[i] is None and est.residuals[i] is None
+            else:
+                assert all(map(math.isfinite, (*est.spans[i],
+                                               est.residuals[i])))
+        # The rows are the last layer's: their mean |residual| is its l_vt.
+        assert np.mean([abs(est.residuals[i]) for i in used]) == (
+            pytest.approx(est.trace[-1].l_vt, rel=1e-12))
 
 
 def test_a_layer_traced_after_convergence_repeats_the_previous_entry():

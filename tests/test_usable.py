@@ -48,11 +48,10 @@ def _outcome(estimate):
 def _numbers(est) -> list[float]:
     out = [est.cam_height_m, *est.heights_m, *est.upright_heights_m,
            *est.upright_ratios]
+    out += [v for span in est.spans if span is not None for v in span]
+    out += [r for r in est.residuals if r is not None]
     for t in est.trace:
-        out += [t.cam_height_m, *t.heights_m, t.l_vt, t.prior_loss,
-                t.total_loss]
-        out += [v for span in t.spans if span is not None for v in span]
-        out += [r for r in t.residuals if r is not None]
+        out += [t.cam_height_m, t.l_vt, t.prior_loss, t.total_loss]
     return out
 
 

@@ -55,8 +55,8 @@ overlay: {reference_height_m: 1.5}
 """
 # Three people seen by a level 1.6 m camera, and a car that the ingestion
 # filters keep but whose bottom lies 5e-7 below the horizon: every method
-# excludes it as `bottom-on-horizon`, so its results hold null `spans` and
-# `residuals` rows.
+# excludes it as `bottom-on-horizon`, so the estimate's `spans` and
+# `residuals` in its results hold null for it.
 HORIZON_SCENE = {
     "schema_version": 1,
     "image": {"width_px": 640, "height_px": 480},
