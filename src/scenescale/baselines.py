@@ -72,7 +72,7 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
     res = arrays.v_top[used] - tops
     l_vt = float(np.mean(np.abs(res)))
     pen = priors.prior_penalty(heights[used], arrays.mu[used],
-                               arrays.sigma[used], "log_density")
+                               arrays.sigma[used])
     n = len(arrays)
     spans, residuals = trace_rows(n, used, tops, v_bottom, res)
     heights_full = tuple(heights.tolist())

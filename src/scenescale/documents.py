@@ -141,7 +141,8 @@ def parse_document(data: bytes | str) -> DetectionDocument:
     _check_keys(raw, {"schema_version", "image", "calibration", "detections",
                       "ground_truth", "meta"}, "document")
     version = _require(raw, "schema_version", "document")
-    if version != SCHEMA_VERSION:
+    # True == 1 and 1.0 == 1, but neither is a version.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r}; "
                           f"this build reads version {SCHEMA_VERSION}")
 
@@ -833,7 +834,7 @@ def parse_results(data: bytes | str) -> ResultsDocument:
     _check_keys(raw, {"schema_version", "method", "config_hash", "estimate",
                       "source_indices"}, "results")
     version = _require(raw, "schema_version", "results")
-    if version not in (1, RESULTS_SCHEMA_VERSION):
+    if type(version) is not int or version not in (1, RESULTS_SCHEMA_VERSION):
         raise SchemaError(f"unsupported results schema_version {version!r}; "
                           f"this build reads versions 1 and "
                           f"{RESULTS_SCHEMA_VERSION}")

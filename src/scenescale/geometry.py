@@ -31,7 +31,6 @@ import numpy as np
 
 # Guards against numerically meaningless configurations.
 _SINGULAR_DEPTH = 1e-12     # camera-plane crossings (meters, camera z)
-_HORIZON_EPS = 1e-9         # normalized v distance treated as "on the horizon"
 _CONSISTENCY_RTOL = 1e-9    # allowed focal/fov mismatch
 
 
@@ -340,11 +339,12 @@ def depth_from_bottom(camera: CameraParams, v_bottom: float) -> float:
     """Ground depth whose projection lands at normalized v_bottom.
 
     The result scales linearly with camera.cam_height_m.  Raises
-    ValueError if v_bottom sits on the horizon (depth diverges) or on the
-    sky side of it (no ground intersection in front of the camera).
+    ValueError if v_bottom sits on the horizon, within the 1e-6 band that
+    `usable_boxes` excludes as "bottom-on-horizon" (depth diverges), or
+    on the sky side of it (no ground intersection in front of the camera).
     """
     v0 = horizon_from_pitch(camera).v0
-    if abs(v_bottom - v0) <= _HORIZON_EPS:
+    if abs(v_bottom - v0) <= _USABLE_BAND_EPS:
         raise ValueError(
             f"bottom coordinate {v_bottom} coincides with the horizon {v0}")
     z = float(depths_from_bottoms(camera, v_bottom))
@@ -376,13 +376,14 @@ def height_from_box_linear(cam_height_m: float, v0: float | HorizonEstimate,
 
     h = cam_height * (v_top - v_bottom) / (v0 - v_bottom).  Agrees with
     the exact inversion only at zero pitch; elsewhere it is biased.
+    Raises ValueError for a bottom within 1e-6 of v0.
     """
     if isinstance(v0, HorizonEstimate):
         v0 = v0.v0
     if cam_height_m <= 0:
         raise ValueError(f"camera height must be positive, got {cam_height_m}")
     denom = v0 - span.v_bottom
-    if abs(denom) <= _HORIZON_EPS:
+    if abs(denom) <= _USABLE_BAND_EPS:
         raise ValueError(
             f"bottom coordinate {span.v_bottom} coincides with the horizon {v0}")
     return cam_height_m * (span.v_top - span.v_bottom) / denom

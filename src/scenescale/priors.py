@@ -1,6 +1,7 @@
 """Category size priors and keypoint-based posture handling.
 
-Height priors are Gaussians over the metric height of an UPRIGHT object.
+Height priors are Gaussians over the metric height of an UPRIGHT object;
+the penalty of a height is its negative log density (`prior_penalty`).
 A detected person may be crouching or sitting; the keypoint skeleton
 gives a posture ratio (actual vertical extent over reconstructed upright
 extent) that converts between the two so the prior always applies to the
@@ -182,55 +183,22 @@ def upright_ratio(kps: KeypointSet,
     return UprightRatio(ratio)
 
 
-# ---------------------------------------------------------------------------
-# Prior penalty, elementwise over heights with per-object mean and sigma.
-#
-# mode="log_density" is the negative log density (the solver's default and
-# the prior loss the baselines report); mode="density" is the negative
-# density, bounded below by -pdf(mean) and not scale-invariant.
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _gaussian_pdf(heights, mu, sigma):
-    z = (heights - mu) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
-
-
-def _unknown_mode(mode: str) -> ValueError:
-    return ValueError(f"unknown prior mode {mode!r}")
-
-
-def prior_penalty(heights_m, mu, sigma, mode: str):
-    """Prior penalty of each height under N(mu, sigma^2)."""
+def prior_penalty(heights_m, mu, sigma):
+    """Prior penalty of each height: its negative log density under
+    N(mu, sigma^2), elementwise with per-object mean and sigma."""
     h = np.asarray(heights_m, dtype=float)
-    if mode == "density":
-        return -_gaussian_pdf(h, mu, sigma)
-    if mode == "log_density":
-        z = (h - mu) / sigma
-        return 0.5 * z * z + np.log(sigma * _SQRT_2PI)
-    raise _unknown_mode(mode)
+    z = (h - mu) / sigma
+    return 0.5 * z * z + np.log(sigma * _SQRT_2PI)
 
 
-def prior_penalty_grad(heights_m, mu, sigma, mode: str):
-    """d prior_penalty_i / d height_i."""
+def prior_penalty_grad(heights_m, mu, sigma):
+    """d prior_penalty_i / d height_i; the second derivative is the
+    constant 1 / sigma^2."""
     h = np.asarray(heights_m, dtype=float)
-    if mode == "density":
-        return _gaussian_pdf(h, mu, sigma) * (h - mu) / sigma ** 2
-    if mode == "log_density":
-        return (h - mu) / sigma ** 2
-    raise _unknown_mode(mode)
-
-
-def prior_curvature(heights_m, mu, sigma, mode: str):
-    """Nonnegative curvature of each penalty for a Gauss-Newton step model:
-    exact in log_density mode, the positive part in density mode."""
-    h = np.asarray(heights_m, dtype=float)
-    if mode == "density":
-        return _gaussian_pdf(h, mu, sigma) / sigma ** 2
-    if mode == "log_density":
-        return np.ones_like(h) / sigma ** 2
-    raise _unknown_mode(mode)
+    return (h - mu) / sigma ** 2
 
 
 def scale_map(q, mu, sigma, weight, prior=None) -> tuple[float, float]:

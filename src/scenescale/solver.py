@@ -22,8 +22,9 @@ absolute scale comes from category size priors.  The pipeline:
      height (`priors.scale_map`), and each object starts at the height
      that camera height implies for it.
   2. Run a fixed number of refinement layers.  The total loss is the L1
-     reprojection of the box tops (`reprojection_loss`) plus a Gaussian
-     prior penalty on the upright heights, each a mean weighted by the
+     reprojection of the box tops (`reprojection_loss`) plus 0.1 times
+     the Gaussian prior penalty on the upright heights (their negative
+     log density, `priors.prior_penalty`), each a mean weighted by the
      boxes' `weight`, so a box of weight 2 pulls like the same box listed
      twice.  `total_loss` scores one point (camera height, upright
      heights) and returns an `Evaluation`: the tops, their derivatives
@@ -64,6 +65,12 @@ from .priors import HeightPrior, KeypointSet
 
 _IRLS_FLOOR = 1e-6        # residual magnitude floor for the L1 weights
 MAX_LAYERS = 1000         # cap on refine.num_layers: each layer is traced
+
+_REPROJECTION_WEIGHT = 1.0  # multiplies the L1 top-reprojection term
+_PRIOR_WEIGHT = 0.1         # multiplies the height-prior term
+_DAMPING = 1e-3             # Levenberg-style diagonal damping
+_MAX_BACKTRACKS = 20
+_LOSS_TOLERANCE = 1e-10     # decrease below this counts as converged
 
 
 @dataclass(frozen=True)
@@ -161,28 +168,14 @@ class RefinementConfig:
     """Knobs of the cascade refinement."""
 
     num_layers: int = 3                # at most MAX_LAYERS
-    reprojection_weight: float = 1.0   # multiplies the L1 top-reprojection term
-    prior_weight: float = 0.1          # multiplies the height-prior term
-    damping: float = 1e-3              # Levenberg-style diagonal damping
-    max_backtracks: int = 20
-    loss_tolerance: float = 1e-10      # decrease below this counts as converged
-    prior_mode: str = "log_density"    # or "density"
     cam_height_bounds: tuple[float, float] = (0.1, 50.0)
     object_height_bounds: tuple[float, float] = (0.1, 10.0)
     use_upright_ratio: bool = True     # posture-correct heights via keypoints
 
     def __post_init__(self) -> None:
-        if self.num_layers < 0 or self.max_backtracks < 0:
-            raise ValueError("num_layers and max_backtracks must be >= 0")
-        if self.num_layers > MAX_LAYERS:
-            raise ValueError(f"num_layers must be at most {MAX_LAYERS}, "
+        if not 0 <= self.num_layers <= MAX_LAYERS:
+            raise ValueError(f"num_layers must lie in [0, {MAX_LAYERS}], "
                              f"got {self.num_layers}")
-        for name in ("reprojection_weight", "prior_weight", "damping",
-                     "loss_tolerance"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-        if self.prior_mode not in ("density", "log_density"):
-            raise ValueError(f"unknown prior mode {self.prior_mode!r}")
         lo, hi = self.cam_height_bounds
         if not 0 < lo < hi:
             raise ValueError(f"bad camera height bounds {self.cam_height_bounds}")
@@ -427,7 +420,7 @@ def total_loss(boxes: LossBoxes, camera: CameraParams, upright: np.ndarray,
     """The loss at this camera and these upright heights of `boxes`: the
     L1 reprojection of the tops (`reprojection_loss`) and the prior
     penalty, each a weighted mean sum(w*x)/sum(w) over the boxes, summed
-    with the config's weights.
+    with the weights `_REPROJECTION_WEIGHT` and `_PRIOR_WEIGHT`.
 
     The total is +inf when the heights push some top across the camera
     plane, so line searches reject such candidates.
@@ -436,21 +429,19 @@ def total_loss(boxes: LossBoxes, camera: CameraParams, upright: np.ndarray,
     tops, d_cam, d_height, depths, residuals, l_vt = reprojection_loss(
         boxes, camera, heights)
     pen = float(np.sum(boxes.weight * priors.prior_penalty(
-        upright, boxes.mu, boxes.sigma, config.prior_mode))
-        / boxes.total_weight)
+        upright, boxes.mu, boxes.sigma)) / boxes.total_weight)
     # Camera-frame z of the anchored tops must stay positive.
     st, ct = math.sin(camera.pitch_rad), math.cos(camera.pitch_rad)
     top_z = depths * ct + (heights - camera.cam_height_m) * st
     if not np.all(np.isfinite(tops)) or np.any(top_z <= 0):
         loss = math.inf
     else:
-        loss = config.reprojection_weight * l_vt + config.prior_weight * pen
+        loss = _REPROJECTION_WEIGHT * l_vt + _PRIOR_WEIGHT * pen
     return Evaluation(camera, upright, heights, residuals, tops, d_cam,
                       d_height, l_vt, pen, loss)
 
 
-def total_loss_gradient(boxes: LossBoxes, ev: Evaluation,
-                        config: RefinementConfig) -> np.ndarray:
+def total_loss_gradient(boxes: LossBoxes, ev: Evaluation) -> np.ndarray:
     """Analytic gradient of `total_loss` at `ev` w.r.t. [cam_height,
     *upright_heights] of `boxes`.
 
@@ -458,14 +449,13 @@ def total_loss_gradient(boxes: LossBoxes, ev: Evaluation,
     """
     weight = boxes.weight
     sign = np.sign(ev.residuals)
-    coef = config.reprojection_weight / boxes.total_weight
+    coef = _REPROJECTION_WEIGHT / boxes.total_weight
     dr_dH = -ev.d_height * boxes.ratios
-    pg = priors.prior_penalty_grad(ev.upright, boxes.mu, boxes.sigma,
-                                   config.prior_mode)
+    pg = priors.prior_penalty_grad(ev.upright, boxes.mu, boxes.sigma)
     return np.concatenate((
         [coef * np.sum(weight * sign * -ev.d_cam)],
         coef * weight * sign * dr_dH
-        + config.prior_weight / boxes.total_weight * weight * pg))
+        + _PRIOR_WEIGHT / boxes.total_weight * weight * pg))
 
 
 def _clamp_vars(x: np.ndarray, config: RefinementConfig) -> np.ndarray:
@@ -476,8 +466,7 @@ def _clamp_vars(x: np.ndarray, config: RefinementConfig) -> np.ndarray:
     return out
 
 
-def _arrow_system(boxes: LossBoxes, ev: Evaluation,
-                  config: RefinementConfig):
+def _arrow_system(boxes: LossBoxes, ev: Evaluation):
     """Damped Gauss-Newton system of one layer at `ev`, in arrow form.
 
     The unknowns are the camera height and the upright height of each
@@ -489,26 +478,25 @@ def _arrow_system(boxes: LossBoxes, ev: Evaluation,
     """
     r = ev.residuals                       # detected minus reprojected top
 
-    # IRLS quadratic model of the L1 term plus exact/nonnegative prior
-    # model; `w` is each box's IRLS weight times its box weight.
+    # IRLS quadratic model of the L1 term plus the prior, which is
+    # quadratic already; `w` is each box's IRLS weight times its box
+    # weight.
     weight = boxes.weight
     w = weight / np.maximum(np.abs(r), _IRLS_FLOOR)
-    coef = config.reprojection_weight / boxes.total_weight
-    prior_coef = config.prior_weight / boxes.total_weight * weight
+    coef = _REPROJECTION_WEIGHT / boxes.total_weight
+    prior_coef = _PRIOR_WEIGHT / boxes.total_weight * weight
     a = -ev.d_cam                          # d r / d cam height
     b = -ev.d_height * boxes.ratios        # d r / d upright height
-    pg = priors.prior_penalty_grad(ev.upright, boxes.mu, boxes.sigma,
-                                   config.prior_mode)
-    pc = priors.prior_curvature(ev.upright, boxes.mu, boxes.sigma,
-                                config.prior_mode)
+    pg = priors.prior_penalty_grad(ev.upright, boxes.mu, boxes.sigma)
+    pc = np.ones_like(ev.upright) / boxes.sigma ** 2
 
     m00 = coef * np.sum(w * a * a)
     g0 = coef * np.sum(w * r * a)
     diag = coef * w * b * b + prior_coef * pc
     off = coef * w * a * b
     g1 = coef * w * r * b + prior_coef * pg
-    m00 += config.damping * max(m00, 1e-12)
-    diag += config.damping * np.maximum(diag, 1e-12)
+    m00 += _DAMPING * max(m00, 1e-12)
+    diag += _DAMPING * np.maximum(diag, 1e-12)
     return m00, off, diag, g0, g1
 
 
@@ -540,13 +528,13 @@ def refine_layer(ev: Evaluation, boxes: LossBoxes,
     """
     if not math.isfinite(ev.total_loss):
         return ev
-    delta = _arrow_solve(*_arrow_system(boxes, ev, config))
+    delta = _arrow_solve(*_arrow_system(boxes, ev))
     if not np.all(np.isfinite(delta)):
         return ev
 
     x0 = np.concatenate(([ev.camera.cam_height_m], ev.upright))
     step = 1.0
-    for _ in range(config.max_backtracks + 1):
+    for _ in range(_MAX_BACKTRACKS + 1):
         cand = _clamp_vars(x0 + step * delta, config)
         cand_ev = total_loss(
             boxes, replace(ev.camera, cam_height_m=float(cand[0])), cand[1:],
@@ -604,7 +592,7 @@ def solve_scene(v0: float, fov_rad: float, boxes,
             ev = moved
             entry = _layer_trace(j, ev)
         trace.append(entry)
-        if trace[-2].total_loss - entry.total_loss < config.loss_tolerance:
+        if trace[-2].total_loss - entry.total_loss < _LOSS_TOLERANCE:
             converged = True
 
     # The layers solve for the used boxes alone; the others keep their

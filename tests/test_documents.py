@@ -369,6 +369,12 @@ def test_rejects_missing_and_wrong_schema_version():
     raw["schema_version"] = 999
     with pytest.raises(SchemaError, match="999"):
         _parse(raw)
+    # Only an int names a version: true and 1.0 equal 1 in Python.
+    for version in (True, 1.0, 2.0):
+        raw["schema_version"] = version
+        with pytest.raises(SchemaError,
+                           match=f"unsupported schema_version {version!r}"):
+            _parse(raw)
 
 
 def test_rejects_bad_calibration():
@@ -979,7 +985,7 @@ def test_config_yaml_round_trip_default_and_modified():
     assert config_from_yaml(config_to_yaml(cfg)) == cfg
     custom = config_from_dict({
         "method": "pgm",
-        "refine": {"num_layers": 5, "prior_weight": 0.25},
+        "refine": {"num_layers": 5, "use_upright_ratio": False},
         "overlay": {"reference_height_m": 2.0},
     })
     assert custom.method == "pgm"
@@ -1041,10 +1047,6 @@ _CONFIGS = st.builds(
     cam_height_prior=st.builds(HeightPrior, _POSITIVE, _POSITIVE),
     refine=st.builds(
         RefinementConfig, num_layers=st.integers(0, 10),
-        reprojection_weight=_NONNEGATIVE, prior_weight=_NONNEGATIVE,
-        damping=_NONNEGATIVE, max_backtracks=st.integers(0, 50),
-        loss_tolerance=_NONNEGATIVE,
-        prior_mode=st.sampled_from(["density", "log_density"]),
         cam_height_bounds=_BOUNDS, object_height_bounds=_BOUNDS,
         use_upright_ratio=st.booleans()),
     filters=st.builds(FilterConfig, aspect_range=_keyed(_RANGE),
@@ -1064,29 +1066,30 @@ def test_config_yaml_round_trip_of_any_config(config):
 def test_config_reads_numeric_strings_and_infinite_bounds():
     # YAML 1.1 reads 1e-3, without a dot, as a string.
     config = config_from_yaml(
-        "refine: {damping: 1e-3, cam_height_bounds: [1, .inf]}\n"
+        "refine: {object_height_bounds: [1e-3, 10],"
+        " cam_height_bounds: [1, .inf]}\n"
         "filters: {aspect_range: {person: [1.2, .inf]}}\n")
-    assert config.refine.damping == 0.001
+    assert config.refine.object_height_bounds == (0.001, 10.0)
     assert config.refine.cam_height_bounds == (1.0, math.inf)
     assert type(config.refine.cam_height_bounds[0]) is float
     assert config.filters.aspect_range == (("person", (1.2, math.inf)),)
 
 
 @pytest.mark.parametrize("raw, where", [
-    ({"refine": {"damping": math.nan}},
-     "config.refine.damping: expected a number"),
-    ({"refine": {"damping": "fast"}},
-     "config.refine.damping: expected a number"),
-    ({"refine": {"damping": True}},
-     "config.refine.damping: expected a number"),
-    ({"refine": {"damping": 10 ** 400}},
-     "config.refine.damping: expected a number"),
+    ({"refine": {"cam_height_bounds": [math.nan, 1.0]}},
+     "config.refine.cam_height_bounds[0]: expected a number"),
+    ({"refine": {"cam_height_bounds": [0.1, "fast"]}},
+     "config.refine.cam_height_bounds[1]: expected a number"),
+    ({"refine": {"object_height_bounds": [True, 1.0]}},
+     "config.refine.object_height_bounds[0]: expected a number"),
+    ({"refine": {"object_height_bounds": [0.1, 10 ** 400]}},
+     "config.refine.object_height_bounds[1]: expected a number"),
     ({"refine": {"num_layers": 2.0}},
      "config.refine.num_layers: expected an integer"),
     ({"refine": {"use_upright_ratio": 1}},
      "config.refine.use_upright_ratio: expected true or false"),
-    ({"refine": {"prior_mode": None}},
-     "config.refine.prior_mode: expected a string"),
+    ({"refine": {"prior_mode": "density"}},
+     "config.refine: unknown keys ['prior_mode']"),
     ({"refine": {"cam_height_bounds": [1.0]}},
      "config.refine.cam_height_bounds: expected a list of 2"),
     ({"priors": {"person": {"mean_m": 1.7}}},
@@ -1110,10 +1113,10 @@ def test_config_errors_name_the_path(raw, where):
     lambda: HeightPrior(1.7, math.inf),
     lambda: HeightPrior(math.inf, 0.5),
     lambda: HeightPrior(1.6, math.nan),
-    lambda: RefinementConfig(damping=math.nan),
-    lambda: RefinementConfig(prior_weight=math.inf),
-    lambda: RefinementConfig(loss_tolerance=-1e-3),
-    lambda: RefinementConfig(max_backtracks=-1),
+    lambda: RefinementConfig(num_layers=-1),
+    lambda: RefinementConfig(num_layers=1001),
+    lambda: RefinementConfig(cam_height_bounds=(0.0, 1.0)),
+    lambda: RefinementConfig(object_height_bounds=(2.0, math.nan)),
     lambda: OverlayConfig(reference_height_m=math.inf),
     lambda: ToolkitConfig(canonical_heights=(("person", -1.7),)),
     lambda: ToolkitConfig(canonical_heights=(("car", math.nan),)),
@@ -1215,6 +1218,12 @@ def test_parse_results_reads_gaps_and_integers():
      "results.estimate: excluded index -1 is not one of the 2 boxes"),
     (lambda r: r.update(schema_version=3),
      "unsupported results schema_version 3"),
+    (lambda r: r.update(schema_version=True),
+     "unsupported results schema_version True"),
+    (lambda r: r.update(schema_version=1.0),
+     "unsupported results schema_version 1.0"),
+    (lambda r: r.update(schema_version=2.0),
+     "unsupported results schema_version 2.0"),
     (lambda r: r["estimate"]["heights_m"].__setitem__(1, math.nan),
      "results.estimate.heights_m[1]: expected a number"),
     (lambda r: r["estimate"].update(excluded=[[0, 5]]),
@@ -1241,12 +1250,15 @@ def test_parse_results_errors_name_the_path(change, where):
 @pytest.mark.parametrize("stem", ["scene_0000", "scene_0000.pgm"])
 def test_schema_1_results_emit_as_the_regenerated_schema_2_file(stem):
     # Both files were written by the same solve, so every number that
-    # schema 2 keeps has the bits it had in schema 1.
+    # schema 2 keeps has the bits it had in schema 1.  The schema 1 file
+    # keeps the config hash of the build that wrote it; the regenerated
+    # file holds today's.
     res = parse_results((_FIXTURES / f"{stem}.v1.results.json").read_bytes())
-    assert res.estimate == parse_results(
-        (_FIXTURES / f"{stem}.results.json").read_bytes()).estimate
+    regenerated = parse_results(
+        (_FIXTURES / f"{stem}.results.json").read_bytes())
+    assert res.estimate == regenerated.estimate
     assert emit_results(
-        res.estimate, config_hash=res.config_hash,
+        res.estimate, config_hash=regenerated.config_hash,
         source_indices=res.source_indices).encode() == (
             _FIXTURES / f"{stem}.results.json").read_bytes()
 

@@ -23,7 +23,8 @@ from scenescale.geometry import (CameraParams, GroundObject, HorizonEstimate,
                                  horizon_from_pitch, oracle_project_points,
                                  pitch_from_horizon, project_spans,
                                  project_tops_with_grads, project_vertical,
-                                 projection_matrix, projection_oracle)
+                                 projection_matrix, projection_oracle,
+                                 usable_boxes)
 
 
 def _camera(pitch_deg=0.0, fov_deg=60.0, cam_height=1.6, w=640.0, h=512.0):
@@ -271,6 +272,21 @@ def test_linear_model_rejects_bottom_on_horizon():
     span = ImageVerticalSpan(v_top=0.35, v_bottom=0.4)
     with pytest.raises(ValueError):
         height_from_box_linear(1.6, HorizonEstimate(0.4), span)
+
+
+def test_the_inversions_refuse_the_band_the_estimators_exclude():
+    # A bottom 5e-7 below v0 is "bottom-on-horizon" to every estimator, so
+    # the inversions refuse it too rather than return a depth of 1.7e6
+    # camera heights or a height of 2.6e5 m.
+    cam = _camera(fov_deg=60.0, cam_height=1.0)
+    v0 = horizon_from_pitch(cam).v0
+    span = ImageVerticalSpan(v_top=0.42, v_bottom=v0 + 5e-7)
+    _, excluded = usable_boxes(v0, [span.v_top], [span.v_bottom], np.ones(1))
+    assert excluded == ((0, "bottom-on-horizon"),)
+    with pytest.raises(ValueError, match="coincides with the horizon"):
+        depth_from_bottom(cam, span.v_bottom)
+    with pytest.raises(ValueError, match="coincides with the horizon"):
+        height_from_box_linear(1.6, v0, span)
 
 
 # ---------------------------------------------------------------------------

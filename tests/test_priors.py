@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scenescale.priors import (COCO_KEYPOINT_NAMES, HeightPrior,
                                DEFAULT_PRIORS, HEAD_KEYPOINT_NAMES,
                                KeypointSet, MissingKeypointsError,
-                               UprightRatio, _gaussian_pdf,
-                               prior_curvature, prior_penalty,
+                               UprightRatio, prior_penalty,
                                prior_penalty_grad, scale_map, upright_ratio)
 
 PERSON = DEFAULT_PRIORS["person"]
@@ -56,36 +55,35 @@ def test_prior_rejects_nonpositive_sigma():
 # ---------------------------------------------------------------------------
 # Prior penalty.
 
-def _penalty(heights, prior, mode):
-    return prior_penalty(heights, prior.mean_m, prior.sigma_m, mode)
+def _penalty(heights, prior):
+    return prior_penalty(heights, prior.mean_m, prior.sigma_m)
 
 
 def test_density_loss_at_person_mean():
-    expected = -1.0 / (0.09 * math.sqrt(2.0 * math.pi))
-    loss = _penalty([1.70], PERSON, "density")[0]
+    # The negative log of the density's peak 1 / (sigma sqrt(2 pi)).
+    expected = math.log(0.09 * math.sqrt(2.0 * math.pi))
+    loss = _penalty([1.70], PERSON)[0]
     assert loss == pytest.approx(expected, rel=1e-12)
-    assert loss == pytest.approx(-4.4326, abs=1e-4)
+    assert loss == pytest.approx(-1.4890, abs=1e-4)
 
 
 def test_density_loss_at_car_mean():
-    loss = _penalty([1.59], CAR, "density")[0]
-    assert loss == pytest.approx(-1.0 / (0.21 * math.sqrt(2.0 * math.pi)),
+    loss = _penalty([1.59], CAR)[0]
+    assert loss == pytest.approx(math.log(0.21 * math.sqrt(2.0 * math.pi)),
                                  rel=1e-12)
-    assert loss == pytest.approx(-1.8997, abs=1e-4)
+    assert loss == pytest.approx(-0.6417, abs=1e-4)
 
 
-@pytest.mark.parametrize("mode", ["density", "log_density"])
-def test_mean_is_the_global_minimizer(mode):
-    at_mean = _penalty([PERSON.mean_m], PERSON, mode)[0]
+def test_mean_is_the_global_minimizer():
+    at_mean = _penalty([PERSON.mean_m], PERSON)[0]
     for delta in (0.05, -0.05, 0.3, -0.3):
-        assert at_mean < _penalty([PERSON.mean_m + delta], PERSON, mode)[0]
+        assert at_mean < _penalty([PERSON.mean_m + delta], PERSON)[0]
 
 
-@pytest.mark.parametrize("mode", ["density", "log_density"])
-def test_loss_is_symmetric_about_the_mean(mode):
+def test_loss_is_symmetric_about_the_mean():
     for delta in (0.01, 0.12, 0.5):
-        hi = _penalty([PERSON.mean_m + delta], PERSON, mode)[0]
-        lo = _penalty([PERSON.mean_m - delta], PERSON, mode)[0]
+        hi = _penalty([PERSON.mean_m + delta], PERSON)[0]
+        lo = _penalty([PERSON.mean_m - delta], PERSON)[0]
         assert hi == pytest.approx(lo, abs=1e-12)
 
 
@@ -95,55 +93,40 @@ def test_loss_averages_over_heights():
     heights = [1.7, 1.5, 1.7]
     mu = np.array([PERSON.mean_m, CAR.mean_m, PERSON.mean_m])
     sigma = np.array([PERSON.sigma_m, CAR.sigma_m, PERSON.sigma_m])
-    batch = prior_penalty(heights, mu, sigma, "density")
-    singles = [prior_penalty([h], m, s, "density")[0]
+    batch = prior_penalty(heights, mu, sigma)
+    singles = [prior_penalty([h], m, s)[0]
                for h, m, s in zip(heights, mu, sigma)]
     np.testing.assert_array_equal(batch, singles)
-    assert np.mean(prior_penalty([1.7] * 3, PERSON.mean_m, PERSON.sigma_m,
-                                 "density")) == pytest.approx(
-        _penalty([1.7], PERSON, "density")[0], rel=1e-12)
+    assert np.mean(prior_penalty([1.7] * 3, PERSON.mean_m,
+                                 PERSON.sigma_m)) == pytest.approx(
+        _penalty([1.7], PERSON)[0], rel=1e-12)
 
 
-def test_unknown_mode_rejected():
-    for fn in (prior_penalty, prior_penalty_grad, prior_curvature):
-        with pytest.raises(ValueError):
-            fn([1.7], PERSON.mean_m, PERSON.sigma_m, "huber")
-
-
-@pytest.mark.parametrize("mode", ["density", "log_density"])
-def test_gradient_matches_central_differences(mode):
+def test_gradient_matches_central_differences():
     rng = np.random.default_rng(3)
     heights = PERSON.mean_m + rng.uniform(-3, 3, 8) * PERSON.sigma_m
-    grad = prior_penalty_grad(heights, PERSON.mean_m, PERSON.sigma_m, mode)
+    grad = prior_penalty_grad(heights, PERSON.mean_m, PERSON.sigma_m)
     eps = 1e-6
-    fd = (_penalty(heights + eps, PERSON, mode)
-          - _penalty(heights - eps, PERSON, mode)) / (2 * eps)
+    fd = (_penalty(heights + eps, PERSON)
+          - _penalty(heights - eps, PERSON)) / (2 * eps)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
 
 
 def test_gaussian_pdf_peak():
-    # The density that all three density-mode functions share.
-    assert _gaussian_pdf(1.70, 1.70, 0.09) == pytest.approx(
+    # The penalty is the negative log of the Gaussian density.
+    assert math.exp(-_penalty([1.70], PERSON)[0]) == pytest.approx(
         1.0 / (0.09 * math.sqrt(2 * math.pi)), rel=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["density", "log_density"])
-def test_curvature_is_the_step_model_second_derivative(mode):
-    # Exact second derivative in log_density mode; in density mode the
-    # nonnegative surrogate, which is exact at the mean.
+def test_curvature_is_the_step_model_second_derivative():
+    # The refine step's model takes the penalty's curvature as the
+    # constant 1 / sigma^2 (`solver._arrow_system`).
     heights = PERSON.mean_m + np.linspace(-3, 3, 7) * PERSON.sigma_m
-    curv = prior_curvature(heights, PERSON.mean_m, PERSON.sigma_m, mode)
     eps = 1e-6
-    fd = (prior_penalty_grad(heights + eps, PERSON.mean_m, PERSON.sigma_m,
-                             mode)
-          - prior_penalty_grad(heights - eps, PERSON.mean_m, PERSON.sigma_m,
-                               mode)) / (2 * eps)
-    assert np.all(curv > 0)
-    if mode == "log_density":
-        np.testing.assert_allclose(curv, fd, rtol=1e-5)
-    else:
-        assert curv[3] == pytest.approx(fd[3], rel=1e-5)
-        assert np.all(curv >= fd - 1e-9)
+    fd = (prior_penalty_grad(heights + eps, PERSON.mean_m, PERSON.sigma_m)
+          - prior_penalty_grad(heights - eps, PERSON.mean_m, PERSON.sigma_m)
+          ) / (2 * eps)
+    np.testing.assert_allclose(fd, 1.0 / PERSON.sigma_m ** 2, rtol=1e-5)
 
 
 # ---------------------------------------------------------------------------

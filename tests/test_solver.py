@@ -20,8 +20,7 @@ from scenescale.documents import parse_document
 from scenescale.geometry import CameraParams, GroundObject, \
     horizon_from_pitch, project_tops_with_grads, project_vertical
 from scenescale.priors import (DEFAULT_PRIORS, COCO_KEYPOINT_NAMES,
-                               KeypointSet, prior_curvature, prior_penalty,
-                               prior_penalty_grad)
+                               KeypointSet, prior_penalty, prior_penalty_grad)
 from scenescale.solver import (DetectionBox, RefinementConfig, box_ratios,
                                classify_boxes, init_camera_height, loss_boxes,
                                refine_layer, reprojection_loss, scene_arrays,
@@ -284,26 +283,15 @@ def _evaluate(cam, boxes, heights, config=RefinementConfig()):
         used_boxes, cam, np.asarray(heights, dtype=float)[used], config)
 
 
-def test_total_loss_reduces_to_reprojection_when_prior_weight_zero():
-    cam = _camera(pitch_deg=5.0, cam_height=1.9)
-    boxes = [_box_for(cam, 6.0, 1.7), _box_for(cam, 11.0, 1.6)]
-    config = RefinementConfig(prior_weight=0.0)
-    _, ev = _evaluate(cam, boxes, [1.8, 1.5], config)
-    _, l_vt = _reprojection(cam, [1.8, 1.5], boxes)
-    assert ev.total_loss == pytest.approx(l_vt, rel=1e-12)
-
-
 def test_total_loss_prior_only_matches_prior_module():
     cam = _camera(pitch_deg=5.0, cam_height=1.9)
     boxes = [_box_for(cam, 6.0, 1.7), _box_for(cam, 11.0, 1.7, "car")]
-    config = RefinementConfig(reprojection_weight=0.0, prior_weight=1.0,
-                              prior_mode="log_density")
     person, car = DEFAULT_PRIORS["person"], DEFAULT_PRIORS["car"]
     expected = np.mean(prior_penalty(
         [1.7, 1.75], np.array([person.mean_m, car.mean_m]),
-        np.array([person.sigma_m, car.sigma_m]), "log_density"))
-    _, ev = _evaluate(cam, boxes, [1.7, 1.75], config)
-    assert ev.total_loss == pytest.approx(expected, rel=1e-12)
+        np.array([person.sigma_m, car.sigma_m])))
+    _, ev = _evaluate(cam, boxes, [1.7, 1.75])
+    assert ev.prior_loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_total_loss_infinite_when_top_crosses_camera_plane():
@@ -313,13 +301,11 @@ def test_total_loss_infinite_when_top_crosses_camera_plane():
     assert _evaluate(cam, boxes, [7.5])[1].total_loss == math.inf
 
 
-@pytest.mark.parametrize("mode, weighted", [
-    ("density", False), ("log_density", False),
-    ("density", True), ("log_density", True),
-], ids=["density", "log_density", "density-weighted", "log_density-weighted"])
-def test_gradient_matches_finite_differences(mode, weighted):
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["unit", "weighted"])
+def test_gradient_matches_finite_differences(weighted):
     rng = np.random.default_rng(5)
-    config = RefinementConfig(prior_mode=mode)
+    config = RefinementConfig()
     for trial in range(20):
         scene, boxes, v0 = _scene_inputs(seed=100 + trial, n_objects=4)
         cam = CameraParams.from_fov(
@@ -331,7 +317,7 @@ def test_gradient_matches_finite_differences(mode, weighted):
             boxes = [dataclasses.replace(box, weight=w) for box, w in
                      zip(boxes, rng.uniform(0.2, 4.0, len(boxes)))]
         used_boxes, ev = _evaluate(cam, boxes, heights, config)
-        grad = total_loss_gradient(used_boxes, ev, config)
+        grad = total_loss_gradient(used_boxes, ev)
 
         def loss_at(x):
             cam_x = CameraParams.from_fov(cam.pitch_rad, cam.fov_rad, x[0],
@@ -372,10 +358,10 @@ def test_layer_reduces_overestimated_camera_height():
 # ---------------------------------------------------------------------------
 # The arrow-shaped Gauss-Newton step.
 
-def _arrow_case(rng, k: int, mode: str):
+def _arrow_case(rng, k: int):
     """k objects seen by a random camera and an evaluation away from the
-    truth (camera height, heights and posture ratios), with random loss
-    weights and random box weights: (config, used boxes, evaluation)."""
+    truth (camera height, heights and posture ratios), with random box
+    weights: (used boxes, evaluation)."""
     cam_true = _camera(pitch_deg=rng.uniform(-3.0, 10.0),
                        fov_deg=rng.uniform(40.0, 90.0),
                        cam_height=rng.uniform(1.2, 5.0))
@@ -385,18 +371,14 @@ def _arrow_case(rng, k: int, mode: str):
         cam_true, cam_height_m=cam_true.cam_height_m * rng.uniform(0.7, 1.3))
     upright = rng.uniform(1.4, 2.0, k)
     ratios = tuple(rng.uniform(0.6, 1.0, k).tolist())
-    config = RefinementConfig(prior_mode=mode,
-                              reprojection_weight=rng.uniform(0.1, 5.0),
-                              prior_weight=rng.uniform(0.01, 2.0),
-                              damping=rng.uniform(1e-4, 1e-1))
     boxes = [dataclasses.replace(box, weight=w)
              for box, w in zip(boxes, rng.uniform(0.2, 4.0, k))]
     used_boxes, used = _used_boxes(cam, boxes, ratios)
-    return config, used_boxes, total_loss(used_boxes, cam, upright[used],
-                                          config)
+    return used_boxes, total_loss(used_boxes, cam, upright[used],
+                                  RefinementConfig())
 
 
-def _dense_step(boxes, ev, config):
+def _dense_step(boxes, ev):
     """The damped Gauss-Newton step from the dense (k+1)x(k+1) system,
     assembled entry by entry and solved by LU."""
     ratios, upright = boxes.ratios, ev.upright
@@ -405,8 +387,8 @@ def _dense_step(boxes, ev, config):
     r = boxes.v_top - vt
     weight = boxes.weight
     w = weight / np.maximum(np.abs(r), 1e-6)
-    coef = config.reprojection_weight / weight.sum()
-    prior_coef = config.prior_weight / weight.sum() * weight
+    coef = solver._REPROJECTION_WEIGHT / weight.sum()
+    prior_coef = solver._PRIOR_WEIGHT / weight.sum() * weight
     a, b = -d_hc, -d_h * ratios
     mu, sigma = boxes.mu, boxes.sigma
     k = len(r)
@@ -416,45 +398,41 @@ def _dense_step(boxes, ev, config):
     g[0] = coef * np.sum(w * r * a)
     for i in range(k):
         m[0, i + 1] = m[i + 1, 0] = coef * w[i] * a[i] * b[i]
-        m[i + 1, i + 1] = (coef * w[i] * b[i] ** 2 + prior_coef[i]
-                           * prior_curvature(upright[i], mu[i], sigma[i],
-                                             config.prior_mode))
+        # The penalty's second derivative is 1 / sigma^2.
+        m[i + 1, i + 1] = (coef * w[i] * b[i] ** 2
+                           + prior_coef[i] / sigma[i] ** 2)
         g[i + 1] = (coef * w[i] * r[i] * b[i] + prior_coef[i]
-                    * prior_penalty_grad(upright[i], mu[i], sigma[i],
-                                         config.prior_mode))
-    m[np.diag_indices_from(m)] += config.damping * np.maximum(np.diag(m), 1e-12)
+                    * prior_penalty_grad(upright[i], mu[i], sigma[i]))
+    m[np.diag_indices_from(m)] += solver._DAMPING * np.maximum(np.diag(m),
+                                                               1e-12)
     return np.linalg.solve(m, -g)
 
 
-def _arrow_step(boxes, ev, config):
-    return solver._arrow_solve(*solver._arrow_system(boxes, ev, config))
+def _arrow_step(boxes, ev):
+    return solver._arrow_solve(*solver._arrow_system(boxes, ev))
 
 
-@pytest.mark.parametrize("mode", ["density", "log_density"])
 @pytest.mark.parametrize("k", [1, 2, 50, 2000])
-def test_arrow_step_matches_the_dense_solve(k, mode):
-    rng = np.random.default_rng([k, len(mode)])
+def test_arrow_step_matches_the_dense_solve(k):
+    rng = np.random.default_rng(k)
     for _ in range(3 if k < 2000 else 1):
-        config, boxes, ev = _arrow_case(rng, k, mode)
+        boxes, ev = _arrow_case(rng, k)
         assert len(boxes.v_top) == k
-        np.testing.assert_allclose(_arrow_step(boxes, ev, config),
-                                   _dense_step(boxes, ev, config),
-                                   rtol=1e-9)
+        np.testing.assert_allclose(_arrow_step(boxes, ev),
+                                   _dense_step(boxes, ev), rtol=1e-9)
 
 
-@pytest.mark.parametrize("mode", ["density", "log_density"])
 @pytest.mark.parametrize("k", [1, 2, 50, 2000])
-def test_arrow_gradient_is_the_loss_gradient(k, mode):
+def test_arrow_gradient_is_the_loss_gradient(k):
     # Off the IRLS floor each weight is 1/|r|, so the model's gradient
     # (g0, g1) is the gradient of the L1 loss itself.
-    rng = np.random.default_rng([k, len(mode), 8])
+    rng = np.random.default_rng([k, 8])
     for _ in range(3 if k < 2000 else 1):
-        config, boxes, ev = _arrow_case(rng, k, mode)
+        boxes, ev = _arrow_case(rng, k)
         assert np.all(np.abs(ev.residuals) >= 1e-6)
-        _, _, _, g0, g1 = solver._arrow_system(boxes, ev, config)
+        _, _, _, g0, g1 = solver._arrow_system(boxes, ev)
         np.testing.assert_allclose(
-            np.concatenate(([g0], g1)),
-            total_loss_gradient(boxes, ev, config),
+            np.concatenate(([g0], g1)), total_loss_gradient(boxes, ev),
             rtol=1e-12, atol=1e-15)
 
 
@@ -463,20 +441,6 @@ def _assert_finite_or_unchanged(ev, out):
         math.isfinite(out.camera.cam_height_m)
         and np.all(np.isfinite(out.upright))
         and math.isfinite(out.total_loss))
-
-
-@pytest.mark.parametrize("mode", ["density", "log_density"])
-@pytest.mark.parametrize("prior_weight", [0.5, 0.0])
-def test_arrow_step_without_reprojection_term_is_finite(mode, prior_weight):
-    # Only the prior is left, or nothing: the camera row, and without a
-    # prior every row, is the damping floor alone.
-    rng = np.random.default_rng(3)
-    config, boxes, ev = _arrow_case(rng, 20, mode)
-    config = dataclasses.replace(config, reprojection_weight=0.0,
-                                 prior_weight=prior_weight)
-    ev = total_loss(boxes, ev.camera, ev.upright, config)
-    assert np.all(np.isfinite(_arrow_step(boxes, ev, config)))
-    _assert_finite_or_unchanged(ev, refine_layer(ev, boxes, config))
 
 
 def test_arrow_step_without_camera_sensitivity_is_finite(monkeypatch):
@@ -488,10 +452,11 @@ def test_arrow_step_without_camera_sensitivity_is_finite(monkeypatch):
         return vt, np.zeros_like(d_hc), d_h, depth
 
     rng = np.random.default_rng(4)
-    config, boxes, ev = _arrow_case(rng, 20, "log_density")
+    config = RefinementConfig()
+    boxes, ev = _arrow_case(rng, 20)
     monkeypatch.setattr(geometry, "project_tops_with_grads", flat_in_camera)
     ev = total_loss(boxes, ev.camera, ev.upright, config)
-    step = _arrow_step(boxes, ev, config)
+    step = _arrow_step(boxes, ev)
     assert np.all(np.isfinite(step))
     assert step[0] == 0.0
     _assert_finite_or_unchanged(ev, refine_layer(ev, boxes, config))
@@ -502,19 +467,19 @@ def test_singular_arrow_system_returns_the_input_state(monkeypatch, m00):
     # The Schur complement s = m00 - off^2/d is 0 or not finite: the step
     # is not finite and the layer returns its input evaluation.
     rng = np.random.default_rng(5)
-    config, boxes, ev = _arrow_case(rng, 1, "log_density")
+    boxes, ev = _arrow_case(rng, 1)
     monkeypatch.setattr(solver, "_arrow_system", lambda *args: (
         m00, np.array([1.0]), np.array([1.0]), 1.0, np.array([0.5])))
-    assert refine_layer(ev, boxes, config) is ev
+    assert refine_layer(ev, boxes, RefinementConfig()) is ev
 
 
 def test_refine_layer_memory_is_linear_in_k():
     # A dense (k+1)^2 system at k=2000 is 32 MB on its own.
     rng = np.random.default_rng(6)
-    config, boxes, ev = _arrow_case(rng, 2000, "log_density")
+    boxes, ev = _arrow_case(rng, 2000)
     tracemalloc.start()
     try:
-        out = refine_layer(ev, boxes, config)
+        out = refine_layer(ev, boxes, RefinementConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -594,8 +559,7 @@ def test_permutation_invariance_property(seed):
 
 def test_scale_family_spans_and_losses_identical():
     # scaling camera height, depths and heights together leaves the
-    # rendered v coordinates fixed, so with no prior term every solve
-    # sees the same problem
+    # rendered v coordinates fixed, so every solve sees the same problem
     base, _, v0 = _scene_inputs(seed=31, n_objects=4)
     traces = []
     for lam in (0.5, 1.0, 2.0):
@@ -608,8 +572,7 @@ def test_scale_family_spans_and_losses_identical():
                         for o in base.objects)
         scene = dataclasses.replace(base, camera=cam_s, objects=objects)
         boxes = synth.render_detections(scene)
-        config = RefinementConfig(prior_weight=0.0)
-        est = solve_scene(v0, cam.fov_rad, boxes, config=config)
+        est = solve_scene(v0, cam.fov_rad, boxes)
         traces.append([t.l_vt for t in est.trace])
         if lam == 0.5:
             ref_v = [(b.v_top, b.v_bottom) for b in boxes]
@@ -810,7 +773,7 @@ def test_a_layer_traced_after_convergence_repeats_the_previous_entry():
     assert est.converged
     losses = [t.total_loss for t in est.trace]
     first = next(j for j in range(1, len(losses))
-                 if losses[j - 1] - losses[j] < config.loss_tolerance)
+                 if losses[j - 1] - losses[j] < solver._LOSS_TOLERANCE)
     assert first < len(est.trace) - 1
     for prev, entry in zip(est.trace[first:], est.trace[first + 1:]):
         assert entry.layer == prev.layer + 1
@@ -833,8 +796,8 @@ def test_trace_total_loss_is_consistent_with_parts():
     config = RefinementConfig()
     est = solve_scene(v0, scene.camera.fov_rad, boxes, config=config)
     for t in est.trace:
-        expected = (config.reprojection_weight * t.l_vt
-                    + config.prior_weight * t.prior_loss)
+        expected = (solver._REPROJECTION_WEIGHT * t.l_vt
+                    + solver._PRIOR_WEIGHT * t.prior_loss)
         assert t.total_loss == pytest.approx(expected, rel=1e-9)
 
 
@@ -908,17 +871,19 @@ def test_upright_ratio_can_be_disabled():
 # Config and box validation.
 
 def test_refinement_config_validation():
-    with pytest.raises(ValueError):
-        RefinementConfig(num_layers=-1)
+    assert [f.name for f in dataclasses.fields(RefinementConfig)] == [
+        "num_layers", "cam_height_bounds", "object_height_bounds",
+        "use_upright_ratio"]
+    assert RefinementConfig(num_layers=0).num_layers == 0
     assert RefinementConfig(num_layers=solver.MAX_LAYERS).num_layers == 1000
-    with pytest.raises(ValueError, match="num_layers must be at most 1000"):
-        RefinementConfig(num_layers=solver.MAX_LAYERS + 1)
-    with pytest.raises(ValueError):
-        RefinementConfig(prior_mode="huber")
+    for bad in (-1, solver.MAX_LAYERS + 1):
+        with pytest.raises(ValueError,
+                           match=r"num_layers must lie in \[0, 1000\]"):
+            RefinementConfig(num_layers=bad)
     with pytest.raises(ValueError):
         RefinementConfig(cam_height_bounds=(5.0, 1.0))
     with pytest.raises(ValueError):
-        RefinementConfig(reprojection_weight=-0.1)
+        RefinementConfig(object_height_bounds=(0.0, 1.0))
 
 
 def test_detection_box_validation():

@@ -49,7 +49,7 @@ priors:
   car: {mean_m: 1.5, sigma_m: 0.25}
 canonical_heights: {person: 1.72, car: 1.5}
 cam_height_prior: {mean_m: 2, sigma_m: 0.75}
-refine: {num_layers: 2, prior_weight: 0.2, damping: 1e-2, prior_mode: density}
+refine: {num_layers: 2}
 filters: {aspect_range: {}, box_height_range: [0.02, 0.95]}
 overlay: {reference_height_m: 1.5}
 """
