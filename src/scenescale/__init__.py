@@ -11,8 +11,7 @@ from .geometry import (CameraParams, GroundObject, HorizonEstimate,
                        height_from_box_exact, height_from_box_linear,
                        horizon_from_pitch, pitch_from_horizon,
                        project_vertical, depth_from_bottom)
-from .priors import (HeightPrior, KeypointSet, DEFAULT_PRIORS,
-                     MissingKeypointsError, upright_ratio)
+from .priors import HeightPrior, KeypointSet, DEFAULT_PRIORS, upright_ratio
 from .solver import (DetectionBox, RefinementConfig, SceneEstimate,
                      LayerTrace, solve_scene)
 from .baselines import CAM_HEIGHT_PRIOR, pgm_fixed_height, pgm_full
@@ -35,8 +34,7 @@ __all__ = [
     "focal_from_fov", "fov_from_focal", "height_from_box_exact",
     "height_from_box_linear", "horizon_from_pitch", "pitch_from_horizon",
     "project_vertical", "depth_from_bottom",
-    "HeightPrior", "KeypointSet", "DEFAULT_PRIORS",
-    "MissingKeypointsError", "upright_ratio",
+    "HeightPrior", "KeypointSet", "DEFAULT_PRIORS", "upright_ratio",
     "DetectionBox", "RefinementConfig", "SceneEstimate", "LayerTrace",
     "solve_scene",
     "CAM_HEIGHT_PRIOR", "pgm_fixed_height", "pgm_full",

@@ -27,7 +27,7 @@ import yaml
 from .baselines import CAM_HEIGHT_PRIOR, CANONICAL_HEIGHTS
 from .metrics import GroundTruth
 from .priors import (HeightPrior, KeypointSet, DEFAULT_PRIORS,
-                     HEAD_KEYPOINT_NAMES)
+                     head_and_ankle_visible)
 from .solver import (DetectionBox, DetectionColumns, LayerTrace,
                      SceneEstimate, RefinementConfig, detection_columns)
 
@@ -230,7 +230,8 @@ def _detection_columns(dets_raw: list) -> DetectionColumns | None:
     names the first fault.
 
     The checks are those of `_detection_boxes`, so a list accepted here
-    parses there to the same values, as `DetectionBox` objects.
+    parses there to the same values, as `DetectionBox` objects.  The
+    skeletons are the checked keypoint values reshaped to (k, 17, 3).
     """
     if not set(map(type, dets_raw)) <= {dict}:
         return None
@@ -256,10 +257,11 @@ def _detection_columns(dets_raw: list) -> DetectionColumns | None:
     if not (((u_left < u_right) & (v_top < v_bottom)).all()
             and (weights > 0).all()):
         return None
-    keypoints: list[KeypointSet | None] = [None] * len(dets_raw)
-    if any("keypoints" in keys for keys in key_sets):
-        where = [i for i, det in enumerate(dets_raw) if "keypoints" in det]
-        skeletons = [dets_raw[i]["keypoints"] for i in where]
+    has_keypoints = np.fromiter(("keypoints" in det for det in dets_raw),
+                                dtype=bool, count=len(dets_raw))
+    values = np.empty(0)
+    if has_keypoints.any():
+        skeletons = [det["keypoints"] for det in dets_raw if "keypoints" in det]
         if (not set(map(type, skeletons)) <= {list}
                 or not set(map(len, skeletons)) <= {17}):
             return None
@@ -270,12 +272,9 @@ def _detection_columns(dets_raw: list) -> DetectionColumns | None:
         values = _finite_floats(chain.from_iterable(points))
         if values is None:
             return None
-        flat = iter(values.tolist())
-        triples = tuple(zip(flat, flat, flat))
-        for j, i in enumerate(where):
-            keypoints[i] = KeypointSet(triples[17 * j:17 * j + 17])
     return DetectionColumns(u_left, u_right, v_top, v_bottom, weights,
-                            categories, tuple(keypoints))
+                            categories, values.reshape(-1, 17, 3),
+                            has_keypoints)
 
 
 def _detection_boxes(dets_raw: list) -> tuple[DetectionBox, ...]:
@@ -542,19 +541,20 @@ def emit_document(doc: DetectionDocument) -> str:
         cal["pitch_rad"] = doc.calibration.pitch_rad
     columns = doc.detections
     dets = []
-    for category, u_left, u_right, v_top, v_bottom, weight, kps in zip(
+    skeletons = iter(columns.keypoints.tolist())
+    for category, u_left, u_right, v_top, v_bottom, weight, has in zip(
             columns.category, columns.u_left.tolist(),
             columns.u_right.tolist(), columns.v_top.tolist(),
             columns.v_bottom.tolist(), columns.weight.tolist(),
-            columns.keypoints):
+            columns.has_keypoints.tolist()):
         entry: dict[str, object] = {
             "category": category,
             "box": {"u_left": u_left, "u_right": u_right,
                     "v_top": v_top, "v_bottom": v_bottom},
             "weight": weight,
         }
-        if kps is not None:
-            entry["keypoints"] = [list(p) for p in kps.points]
+        if has:
+            entry["keypoints"] = next(skeletons)
         dets.append(entry)
     payload: dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
@@ -591,17 +591,15 @@ def flip_vertical_convention(doc: DetectionDocument) -> DetectionDocument:
     v_top, v_bottom = 1.0 - dets.v_bottom, 1.0 - dets.v_top
     if not (v_top < v_bottom).all():  # rounding made a top meet its bottom
         raise ValueError("v_top must be < v_bottom after the flip")
-    keypoints = tuple(
-        None if kps is None
-        else KeypointSet(tuple((u, 1.0 - v if vis != 0 else v, vis)
-                               for u, v, vis in kps.points))
-        for kps in dets.keypoints)
+    keypoints = dets.keypoints.copy()
+    v, vis = keypoints[..., 1], keypoints[..., 2]
+    keypoints[..., 1] = np.where(vis != 0, 1.0 - v, v)
     return DetectionDocument(
         image_w_px=doc.image_w_px, image_h_px=doc.image_h_px,
         calibration=flipped_cal,
         detections=DetectionColumns(dets.u_left, dets.u_right, v_top,
                                     v_bottom, dets.weight, dets.category,
-                                    keypoints),
+                                    keypoints, dets.has_keypoints),
         ground_truth=doc.ground_truth, meta=doc.meta)
 
 
@@ -917,13 +915,14 @@ def filter_detections(doc: DetectionDocument,
             of_category = np.fromiter(map(category.__eq__, columns.category),
                                       dtype=bool, count=len(columns))
             gate[of_category & ~((lo <= aspect) & (aspect <= hi))] = 2
-    if filters.require_keypoint_visibility:
-        for i, kps in enumerate(columns.keypoints):
-            if (kps is not None and columns.category[i] == "person"
-                    and not (any(kps.visible(n) for n in HEAD_KEYPOINT_NAMES)
-                             and (kps.visible("left_ankle")
-                                  or kps.visible("right_ankle")))):
-                gate[i] = 1
+    if filters.require_keypoint_visibility and len(columns.keypoints):
+        # Persons whose skeleton lacks a head point or both ankles.
+        amodal = columns.has_keypoints.nonzero()[0][
+            ~head_and_ankle_visible(columns.keypoints)]
+        if amodal.size:
+            person = np.fromiter(map("person".__eq__, columns.category),
+                                 dtype=bool, count=len(columns))
+            gate[amodal[person[amodal]]] = 1
     kept = np.flatnonzero(gate == 0)
     rejected = np.flatnonzero(gate)
     return FilterResult(

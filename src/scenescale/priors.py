@@ -5,13 +5,15 @@ the penalty of a height is its negative log density (`prior_penalty`).
 A detected person may be crouching or sitting; the keypoint skeleton
 gives a posture ratio (actual vertical extent over reconstructed upright
 extent) that converts between the two so the prior always applies to the
-upright height.
+upright height.  `upright_ratio` scores a (k, 17, 3) stack of skeletons
+with array operations; `KeypointSet` holds the skeleton of one box.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -21,7 +23,6 @@ COCO_KEYPOINT_NAMES = (
     "left_wrist", "right_wrist", "left_hip", "right_hip",
     "left_knee", "right_knee", "left_ankle", "right_ankle",
 )
-_KP_INDEX = {name: i for i, name in enumerate(COCO_KEYPOINT_NAMES)}
 
 HEAD_KEYPOINT_NAMES = ("nose", "left_eye", "right_eye", "left_ear", "right_ear")
 
@@ -52,14 +53,6 @@ DEFAULT_PRIORS = {
 }
 
 
-class MissingKeypointsError(ValueError):
-    """Raised when a skeleton lacks the joints needed for the posture ratio."""
-
-    def __init__(self, missing: tuple[str, ...]):
-        self.missing = missing
-        super().__init__(f"keypoints missing or invisible: {', '.join(missing)}")
-
-
 @dataclass(frozen=True)
 class KeypointSet:
     """17 COCO-ordered keypoints as (u, v, visibility) triples.
@@ -84,54 +77,26 @@ class KeypointSet:
             raise ValueError(f"keypoint array must be (17, 3), got {a.shape}")
         return cls(tuple((float(u), float(v), float(vis)) for u, v, vis in a))
 
-    def visible(self, name: str) -> bool:
-        return self.points[_KP_INDEX[name]][2] != 0.0
 
-    def coords(self, name: str) -> tuple[float, float]:
-        u, v, _ = self.points[_KP_INDEX[name]]
-        return u, v
-
-
-@dataclass(frozen=True)
-class UprightRatio:
-    """Actual vertical extent over reconstructed upright extent, in (0, 1.05]."""
-
-    ratio: float
-
-    def __post_init__(self) -> None:
-        if not _RATIO_MIN <= self.ratio <= _RATIO_MAX:
-            raise ValueError(
-                f"ratio must lie in [{_RATIO_MIN}, {_RATIO_MAX}], got {self.ratio}")
+# Slices of the COCO order: the head points, and each joint pair's left
+# and right point.  Steps of 6 and 2 pick a side: shoulder and hip, knee
+# and ankle.
+_HEAD = slice(0, 5)
+_ANKLES = slice(15, 17)
+_LEFT_TORSO, _RIGHT_TORSO = slice(5, 12, 6), slice(6, 13, 6)
+_LEFT_LEG, _RIGHT_LEG = slice(13, 16, 2), slice(14, 17, 2)
 
 
-_HEAD = tuple(_KP_INDEX[name] for name in HEAD_KEYPOINT_NAMES)
-_SHOULDERS = (_KP_INDEX["left_shoulder"], _KP_INDEX["right_shoulder"])
-_HIPS = (_KP_INDEX["left_hip"], _KP_INDEX["right_hip"])
-_ANKLES = (_KP_INDEX["left_ankle"], _KP_INDEX["right_ankle"])
-_LEGS = ((_KP_INDEX["left_knee"], _KP_INDEX["left_ankle"]),
-         (_KP_INDEX["right_knee"], _KP_INDEX["right_ankle"]))
+def head_and_ankle_visible(points) -> np.ndarray:
+    """Per skeleton of a (k, 17, 3) array: whether some head keypoint and
+    some ankle are visible."""
+    p = np.asarray(points)
+    return p[:, _HEAD, 2].any(axis=1) & p[:, _ANKLES, 2].any(axis=1)
 
 
-def _visible(points, indices) -> list[tuple[float, float, float]]:
-    """The (u, v, visibility) points at `indices` whose visibility is not 0."""
-    return [points[i] for i in indices if points[i][2] != 0.0]
-
-
-def _midpoint(points, pair) -> tuple[float, float] | None:
-    pts = _visible(points, pair)
-    if not pts:
-        return None
-    return (sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
-
-
-def _dist(a, b) -> float:
-    """Image distance of two points, (u, v) or (u, v, visibility)."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def upright_ratio(kps: KeypointSet,
-                  head_extension: float = DEFAULT_HEAD_EXTENSION) -> UprightRatio:
-    """Posture ratio of a person skeleton.
+def upright_ratio(points,
+                  head_extension: float = DEFAULT_HEAD_EXTENSION) -> np.ndarray:
+    """Posture ratio of each skeleton of a (k, 17, 3) array, in (0, 1.05].
 
     The upright length is the summed segment chain head -> shoulder
     midpoint -> hip midpoint -> knee -> ankle (the longer of the two
@@ -140,47 +105,51 @@ def upright_ratio(kps: KeypointSet,
     actual length is the vertical extent from that extended head top down
     to the lowest visible ankle.  Invariant under uniform scaling and
     translation of the keypoints; clamped to (0, 1.05].
+
+    A skeleton that cannot be scored reads 1.0: one without a visible head
+    point, shoulder, hip or knee and ankle pair on one side, or whose chain
+    has length 0 or an upright length beyond the float range.
     """
-    missing: list[str] = []
-    points = kps.points
-
-    head_pts = _visible(points, _HEAD)
-    if not head_pts:
-        missing.append("head (nose/eyes/ears)")
-    shoulder_mid = _midpoint(points, _SHOULDERS)
-    if shoulder_mid is None:
-        missing.append("shoulders")
-    hip_mid = _midpoint(points, _HIPS)
-    if hip_mid is None:
-        missing.append("hips")
-
-    ankles = _visible(points, _ANKLES)
-    if not ankles:
-        missing.append("ankles")
-
-    legs = [(points[knee], points[ankle]) for knee, ankle in _LEGS
-            if points[knee][2] != 0.0 and points[ankle][2] != 0.0]
-    if not legs:
-        missing.append("knee+ankle pair")
-
-    if missing:
-        raise MissingKeypointsError(tuple(missing))
-
-    head = min(head_pts, key=lambda p: p[1])  # highest in the image
-    torso = _dist(head, shoulder_mid) + _dist(shoulder_mid, hip_mid)
-    chain = max(torso + _dist(hip_mid, knee) + _dist(knee, ankle)
-                for knee, ankle in legs)
-    if chain <= 0.0:
-        raise ValueError("degenerate skeleton: zero chain length")
-
-    extension = head_extension * chain
-    upright = chain + extension
-    head_top_v = head[1] - extension
-    lowest_ankle_v = max(p[1] for p in ankles)
-    actual = lowest_ankle_v - head_top_v
-
-    ratio = min(max(actual / upright, _RATIO_MIN), _RATIO_MAX)
-    return UprightRatio(ratio)
+    p = np.asarray(points, dtype=float)
+    seen = p[..., 2] != 0.0
+    # The highest visible head point: the first of the smallest v.
+    top = np.argmin(np.where(seen[:, _HEAD], p[:, _HEAD, 1], np.inf), axis=1)
+    with np.errstate(all="ignore"):
+        # `known` holds the (u, v) of the visible points and 0 for the
+        # others; `joint` is it over the visibility, so an invisible point
+        # is NaN and so is every length through it.  np.fmax passes over
+        # a NaN leg or ankle; a chain that is NaN or 0, or whose upright
+        # length (>= chain) overflows, so that inf / inf is NaN, reads 1.
+        known = np.where(seen[..., None], p[..., :2], 0.0)
+        joint = known / seen[..., None]
+        # Shoulder and hip midpoints, each the mean of its visible points.
+        mids = ((known[:, _LEFT_TORSO] + known[:, _RIGHT_TORSO])
+                / np.add(seen[:, _LEFT_TORSO], seen[:, _RIGHT_TORSO],
+                         dtype=float)[..., None])
+        head = joint[np.arange(len(p)), top]
+        # Joints in chain order, the hip twice: head, shoulder, hip, left
+        # knee and ankle, hip, right knee and ankle.  Segment 4 (left
+        # ankle to hip) is no segment.
+        joints = np.concatenate(
+            [head[:, None], mids, joint[:, _LEFT_LEG], mids[:, 1:],
+             joint[:, _RIGHT_LEG]], axis=1)
+        delta = joints[:, :-1] - joints[:, 1:]
+        # math.hypot, not np.hypot: the two differ in the last bit of
+        # some lengths, and the ratios keep the bits of the per-skeleton
+        # form.
+        length = np.fromiter(
+            starmap(math.hypot, delta.reshape(-1, 2).tolist()),
+            dtype=float, count=delta.size // 2).reshape(-1, 7)
+        torso = length[:, 0] + length[:, 1]
+        legs = torso[:, None] + length[:, 2::3] + length[:, 3::3]
+        chain = np.fmax(*legs.T)
+        extension = head_extension * chain
+        upright = chain + extension
+        head_top_v = head[:, 1] - extension
+        actual = np.fmax(*joint[:, _ANKLES, 1].T) - head_top_v
+        ratio = np.minimum(np.maximum(actual / upright, _RATIO_MIN),
+                           _RATIO_MAX)
+        return np.where((0.0 < chain) & (upright < np.inf), ratio, 1.0)
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)

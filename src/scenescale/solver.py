@@ -98,9 +98,9 @@ class DetectionBox:
 
 @dataclass(frozen=True, eq=False)
 class DetectionColumns:
-    """Detections as columns, one entry per box in input order: the box
-    coordinates and weights as read-only float64 arrays, the categories
-    and the keypoints (None for a box without) as tuples.
+    """Detections as columns in input order: read-only arrays of the box
+    coordinates, the weights, a mask of the boxes with a skeleton and
+    those k skeletons ((k, 17, 3), in box order), and a categories tuple.
 
     The one in-memory form of detections: documents and filter results
     hold it and the estimators read it.  Its values are those of valid
@@ -114,21 +114,24 @@ class DetectionColumns:
     v_bottom: np.ndarray
     weight: np.ndarray
     category: tuple[str, ...]
-    keypoints: tuple[KeypointSet | None, ...]
+    keypoints: np.ndarray
+    has_keypoints: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.keypoints.shape != (np.count_nonzero(self.has_keypoints), 17, 3):
+            raise ValueError("keypoints need a (17, 3) row per marked box")
         for column in (self.u_left, self.u_right, self.v_top, self.v_bottom,
-                       self.weight):
+                       self.weight, self.keypoints, self.has_keypoints):
             column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.category)
 
     def _values(self) -> tuple:
-        return (self.category, self.keypoints,
+        return (self.category, tuple(self.has_keypoints.tolist()),
                 *(tuple(column.tolist()) for column in (
                     self.u_left, self.u_right, self.v_top, self.v_bottom,
-                    self.weight)))
+                    self.weight, self.keypoints.ravel())))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -141,12 +144,14 @@ class DetectionColumns:
     def take(self, indices) -> "DetectionColumns":
         """The entries at `indices`, in that order."""
         idx = np.asarray(indices, dtype=np.intp)
-        pick = idx.tolist()
+        has = self.has_keypoints[idx]
+        # Box i's skeleton row: the rank of i mod n among boxes with one.
+        rows = self.has_keypoints.nonzero()[0].searchsorted(idx[has] % len(self))
         return DetectionColumns(
             self.u_left[idx], self.u_right[idx], self.v_top[idx],
             self.v_bottom[idx], self.weight[idx],
-            tuple(map(self.category.__getitem__, pick)),
-            tuple(map(self.keypoints.__getitem__, pick)))
+            tuple(map(self.category.__getitem__, idx.tolist())),
+            self.keypoints[rows], has)
 
 
 def detection_columns(boxes) -> DetectionColumns:
@@ -155,9 +160,12 @@ def detection_columns(boxes) -> DetectionColumns:
         return boxes
     boxes = tuple(boxes)
     numbers = np.array(list(map(_box_numbers, boxes)), dtype=float)
+    has = np.array([box.keypoints is not None for box in boxes], dtype=bool)
+    skeletons = [box.keypoints.points for box in boxes if box.keypoints]
     return DetectionColumns(*numbers.reshape(-1, 5).T.copy(),
                             tuple(map(attrgetter("category"), boxes)),
-                            tuple(map(attrgetter("keypoints"), boxes)))
+                            np.array(skeletons, dtype=float).reshape(-1, 17, 3),
+                            has)
 
 
 _box_numbers = attrgetter("u_left", "u_right", "v_top", "v_bottom", "weight")
@@ -320,20 +328,16 @@ def scene_arrays(boxes, prior_map: dict[str, HeightPrior] | None = None
 
 
 def box_ratios(boxes, config: RefinementConfig | None = None) -> tuple[float, ...]:
-    """Posture ratio per box of a box list or a DetectionColumns: computed
-    from keypoints when present and enabled, 1.0 otherwise (including
-    skeletons too sparse to score)."""
+    """Posture ratio per box of a box list or a DetectionColumns: its
+    skeleton's `priors.upright_ratio` when it has one and the ratio is
+    enabled, 1.0 otherwise."""
     config = config or RefinementConfig()
-    keypoints = detection_columns(boxes).keypoints
-    out = [1.0] * len(keypoints)
-    if config.use_upright_ratio:
-        for i, kps in enumerate(keypoints):
-            if kps is not None:
-                try:
-                    out[i] = priors.upright_ratio(kps).ratio
-                except priors.MissingKeypointsError:
-                    pass
-    return tuple(out)
+    columns = detection_columns(boxes)
+    ratios = np.ones(len(columns))
+    # Synth documents carry no skeleton: skip upright_ratio's fixed cost.
+    if config.use_upright_ratio and len(columns.keypoints):
+        ratios[columns.has_keypoints] = priors.upright_ratio(columns.keypoints)
+    return tuple(ratios.tolist())
 
 
 def init_camera_height(camera: CameraParams, arrays: SceneArrays, ratios,

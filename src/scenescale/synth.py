@@ -10,7 +10,7 @@ inverts, which makes noiseless synthetic data exactly recoverable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -18,8 +18,7 @@ import pytest
 
 from scenescale import cli
 from scenescale.baselines import pgm_fixed_height, pgm_full
-from scenescale.documents import (ToolkitConfig, config_digest, emit_document,
-                                  emit_results, filter_detections,
+from scenescale.documents import (emit_document, emit_results,
                                   parse_document, parse_results)
 from scenescale.geometry import (CameraParams, GroundObject, depth_from_bottom,
                                  height_from_box_exact, height_from_box_linear,

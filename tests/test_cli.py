@@ -210,6 +210,51 @@ def test_baseline_fixture_resolves_byte_identically(tmp_path, capsys, method):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("method", VALID_METHODS)
+def test_skeleton_fixture_resolves_byte_identically(tmp_path, capsys, method):
+    # The committed results pin the posture ratios of crouched, standing,
+    # kneeless and one-legged skeletons to the bit
+    # (`tools/skeleton_fixture.py` writes the document).
+    doc = tmp_path / "skeletons.json"
+    doc.write_bytes((_FIXTURES / "skeletons.json").read_bytes())
+    out = tmp_path / "out.json"
+    assert cli.main(["solve", str(doc), "--method", method,
+                     "--out", str(out)]) == 0
+    assert "1 filtered out" in capsys.readouterr().err
+    suffix = "" if method == "cascade" else f".{method}"
+    pinned = _FIXTURES / f"skeletons{suffix}.results.json"
+    assert out.read_bytes() == pinned.read_bytes()
+
+
+def test_cascade_scores_a_skeleton_of_zero_length_as_upright(tmp_path,
+                                                             capsys):
+    # Every keypoint of the second person on one visible spot: the chain
+    # has length 0, so the skeleton cannot be scored and reads 1.0, as a
+    # skeleton with missing joints does, instead of failing the solve.
+    payload = {
+        "schema_version": 1,
+        "image": {"width_px": 640, "height_px": 480},
+        "calibration": {"fov_rad": 1.0, "v0": 0.4},
+        "detections": [
+            {"category": "person",
+             "box": {"u_left": 0.2, "u_right": 0.3, "v_top": 0.5,
+                     "v_bottom": 0.8}},
+            {"category": "person",
+             "box": {"u_left": 0.5, "u_right": 0.58, "v_top": 0.48,
+                     "v_bottom": 0.7},
+             "keypoints": [[0.3, 0.6, 2.0]] * 17},
+        ],
+    }
+    doc = tmp_path / "collapsed.json"
+    doc.write_text(json.dumps(payload))
+    out = tmp_path / "collapsed.results.json"
+    assert cli.main(["solve", str(doc), "--method", "cascade",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    estimate = json.loads(out.read_text())["estimate"]
+    assert estimate["upright_ratios"] == [1.0, 1.0]
+
+
 @pytest.mark.parametrize("method", ["cascade", "pgm", "pgm-fixed"])
 def test_category_without_height_prior_fails_every_method(tmp_path, capsys,
                                                           method):
@@ -734,7 +779,7 @@ def test_the_readme_api_path_matches_the_cli_path(tmp_path, capsys, method,
     assert from_boxes == from_columns
     if document == "skeleton":
         assert kept.rejected == ((5, "above-horizon"),)
-        assert any(kps is not None for kps in kept.kept.keypoints)
+        assert kept.kept.has_keypoints.any()
     if document == "horizon-band":
         assert from_boxes.excluded == ((0, "bottom-on-horizon"),)
     texts = [emit_results(est, config_hash=config_digest(

@@ -5,13 +5,13 @@ trailing newline, so emit(parse(emit(x))) is byte-stable and documents
 diff cleanly under version control.
 """
 
-import copy
 import dataclasses
 import json
 import math
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +20,8 @@ from scenescale.documents import (CalibrationInput, DetectionDocument,
                                   FilterConfig, OverlayConfig, SchemaError,
                                   ToolkitConfig, VALID_METHODS, canonical_json,
                                   config_digest, config_from_dict,
-                                  config_from_yaml, config_to_dict,
-                                  config_to_yaml, emit_document, emit_results,
+                                  config_from_yaml, config_to_yaml,
+                                  emit_document, emit_results,
                                   filter_detections, flip_vertical_convention,
                                   parse_document, parse_results)
 from scenescale.metrics import GroundTruth
@@ -98,7 +98,10 @@ def test_keypoints_and_meta_round_trip():
         {"nose": (0.45, 0.57), "left_ankle": (0.46, 0.81)})
     doc = _parse(raw)
     again = parse_document(emit_document(doc))
-    assert again.detections.keypoints == doc.detections.keypoints
+    assert again.detections == doc.detections
+    assert again.detections.has_keypoints.tolist() == [True, False]
+    np.testing.assert_array_equal(again.detections.keypoints,
+                                  [raw["detections"][0]["keypoints"]])
     assert dict(again.meta) == {"source": "unit-test"}
 
 
@@ -764,6 +767,29 @@ def test_detection_columns_compare_and_hash_by_value():
     assert base != object()
 
 
+def test_take_keeps_each_box_with_its_skeleton():
+    # Boxes 0, 2 and 4 carry skeletons, each its own; taking reorders the
+    # boxes and drops box 2 with its skeleton and box 3 without one.
+    boxes = [(0.1 * i, 0.1 * i + 0.05, 0.3, 0.9, "person",
+              KeypointSet(((0.1 * i, 0.5, 2.0),) * 17) if i % 2 == 0
+              else None)
+             for i in range(6)]
+    columns = _columns(*boxes)
+    order = [4, 1, 5, 0]
+    taken = columns.take(order)
+    expect = _columns(*(boxes[i] for i in order))
+    assert taken == expect and hash(taken) == hash(expect)
+    assert taken.has_keypoints.tolist() == [True, False, False, True]
+    assert taken.keypoints[:, 0, 0].tolist() == [0.4, 0.0]
+    np.testing.assert_array_equal(taken.keypoints, expect.keypoints)
+    assert not taken.keypoints.flags.writeable
+    assert taken != columns.take([0, 1, 5, 4])
+    assert columns.take([-2, 1, -1, -6]) == expect
+    assert columns.take([]) == _columns()
+    with pytest.raises(ValueError, match="row per marked box"):
+        dataclasses.replace(columns, keypoints=columns.keypoints[:2])
+
+
 def _filter_reference(boxes, v0, filters):
     """Per-box filter of `DetectionBox` objects: (kept indices,
     [(index, reason)])."""
@@ -773,10 +799,11 @@ def _filter_reference(boxes, v0, filters):
         reason = None
         if (filters.require_keypoint_visibility and box.category == "person"
                 and box.keypoints is not None):
-            has_head = any(box.keypoints.visible(n)
-                           for n in HEAD_KEYPOINT_NAMES)
-            has_ankle = (box.keypoints.visible("left_ankle")
-                         or box.keypoints.visible("right_ankle"))
+            def visible(name):
+                point = box.keypoints.points[COCO_KEYPOINT_NAMES.index(name)]
+                return point[2] != 0.0
+            has_head = any(visible(n) for n in HEAD_KEYPOINT_NAMES)
+            has_ankle = visible("left_ankle") or visible("right_ankle")
             if not (has_head and has_ankle):
                 reason = "amodal"
         if reason is None and box.category in aspect_map:
@@ -891,13 +918,32 @@ def test_flip_is_involution():
     assert a.v_top == pytest.approx(b.v_top, abs=1e-15)
     assert a.v_bottom == pytest.approx(b.v_bottom, abs=1e-15)
     assert a.category == b.category
-    kp_a = a.keypoints[0].points
-    kp_b = b.keypoints[0].points
+    assert a.has_keypoints.tolist() == b.has_keypoints.tolist()
+    kp_a = a.keypoints[0].tolist()
+    kp_b = b.keypoints[0].tolist()
     for (ua, va, sa), (ub, vb, sb) in zip(kp_a, kp_b):
         assert (ua, sa) == (ub, sb)
         assert va == pytest.approx(vb, abs=1e-15)
     # Invisible keypoints carry no coordinate and must not be remapped.
-    assert kp_a[1] == kp_b[1] == (0.0, 0.0, 0.0)
+    assert kp_a[1] == kp_b[1] == [0.0, 0.0, 0.0]
+
+
+def test_flip_twice_gives_the_skeleton_fixture_back():
+    # The fixture's v values all survive 1 - (1 - v) exactly, so the
+    # double flip gives back its every byte.
+    text = (_FIXTURES / "skeletons.json").read_text()
+    doc = parse_document(text)
+    assert emit_document(doc) == text
+    once = flip_vertical_convention(doc)
+    kps, flipped = doc.detections.keypoints, once.detections.keypoints
+    seen = kps[..., 2] != 0
+    assert (~seen).any()
+    # Only the v of a visible point moves; an invisible one is untouched.
+    assert flipped[~seen].tolist() == kps[~seen].tolist()
+    assert flipped[..., 1][seen].tolist() == (1.0 - kps[..., 1][seen]).tolist()
+    twice = flip_vertical_convention(once)
+    assert twice == doc
+    assert emit_document(twice) == text
 
 
 def test_flip_round_trip_preserves_solution():

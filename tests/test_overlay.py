@@ -14,8 +14,7 @@ import pytest
 from scenescale.documents import OverlayConfig, parse_document
 from scenescale.geometry import CameraParams, GroundObject, project_vertical
 from scenescale.overlay import render_overlay
-from scenescale.solver import (DetectionBox, LayerTrace, SceneEstimate,
-                               solve_scene)
+from scenescale.solver import LayerTrace, SceneEstimate, solve_scene
 
 _DETECTED = "#2e86ab"
 _REPROJECTED = "#f6ae2d"

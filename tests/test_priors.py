@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scenescale.priors import (COCO_KEYPOINT_NAMES, HeightPrior,
                                DEFAULT_PRIORS, HEAD_KEYPOINT_NAMES,
-                               KeypointSet, MissingKeypointsError,
-                               UprightRatio, prior_penalty,
+                               KeypointSet, prior_penalty,
                                prior_penalty_grad, scale_map, upright_ratio)
 
 PERSON = DEFAULT_PRIORS["person"]
@@ -132,32 +131,40 @@ def test_curvature_is_the_step_model_second_derivative():
 # ---------------------------------------------------------------------------
 # Upright ratio.
 
+def _ratio(kps: KeypointSet, head_extension: float = 0.08) -> float:
+    """`upright_ratio` of one skeleton, as a stack of one."""
+    ratios = upright_ratio(np.array([kps.points]), head_extension)
+    assert ratios.shape == (1,)
+    return float(ratios[0])
+
+
 def test_vertical_pose_has_ratio_one():
-    r = upright_ratio(_kps(_vertical_pose()))
-    assert r.ratio == pytest.approx(1.0, abs=1e-12)
+    assert _ratio(_kps(_vertical_pose())) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vertical_pose_ratio_independent_of_head_extension():
     kps = _kps(_vertical_pose())
-    assert upright_ratio(kps, head_extension=0.0).ratio == pytest.approx(1.0)
-    assert upright_ratio(kps, head_extension=0.2).ratio == pytest.approx(1.0)
+    assert _ratio(kps, head_extension=0.0) == pytest.approx(1.0)
+    assert _ratio(kps, head_extension=0.2) == pytest.approx(1.0)
+
+
+_FOLDED_POSE = {
+    "nose": (0.5, 0.10),
+    "left_shoulder": (0.5, 0.20), "right_shoulder": (0.5, 0.20),
+    "left_hip": (0.5, 0.40), "right_hip": (0.5, 0.40),
+    "left_knee": (0.7, 0.40), "left_ankle": (0.8, 0.40),
+}
 
 
 def test_folded_leg_halves_the_extent():
     # torso 0.3 vertical; the leg folds fully horizontal (0.2 + 0.1), so
     # the vertical extent is exactly half the 0.6 chain
-    pose = {
-        "nose": (0.5, 0.10),
-        "left_shoulder": (0.5, 0.20), "right_shoulder": (0.5, 0.20),
-        "left_hip": (0.5, 0.40), "right_hip": (0.5, 0.40),
-        "left_knee": (0.7, 0.40), "left_ankle": (0.8, 0.40),
-    }
-    r = upright_ratio(_kps(pose), head_extension=0.0)
-    assert r.ratio == pytest.approx(0.5, abs=1e-12)
+    assert _ratio(_kps(_FOLDED_POSE), head_extension=0.0) == pytest.approx(
+        0.5, abs=1e-12)
     # with the default 0.08 head extension both lengths grow by the same
     # absolute amount: (0.3 + 0.048) / (0.6 + 0.048)
-    r_ext = upright_ratio(_kps(pose))
-    assert r_ext.ratio == pytest.approx(0.348 / 0.648, abs=1e-12)
+    assert _ratio(_kps(_FOLDED_POSE)) == pytest.approx(0.348 / 0.648,
+                                                       abs=1e-12)
 
 
 def test_ratio_clamped_at_upper_bound():
@@ -169,32 +176,50 @@ def test_ratio_clamped_at_upper_bound():
         "left_knee": (0.5, 0.45), "left_ankle": (0.5, 0.50),
         "right_ankle": (0.5, 0.95),
     }
-    assert upright_ratio(_kps(pose)).ratio == pytest.approx(1.05)
+    assert _ratio(_kps(pose)) == pytest.approx(1.05)
 
 
 @given(scale=st.floats(0.05, 40.0), du=st.floats(-5.0, 5.0),
        dv=st.floats(-5.0, 5.0))
 @settings(deadline=None, max_examples=60)
 def test_ratio_invariant_to_scale_and_translation(scale, du, dv):
-    base = upright_ratio(_kps(_vertical_pose())).ratio
-    moved = upright_ratio(_kps(_vertical_pose(scale, du, dv))).ratio
+    base = _ratio(_kps(_vertical_pose()))
+    moved = _ratio(_kps(_vertical_pose(scale, du, dv)))
     assert moved == pytest.approx(base, rel=1e-9)
 
 
 def test_missing_ankles_reported():
-    pose = _vertical_pose()
-    del pose["left_ankle"], pose["right_ankle"]
-    with pytest.raises(MissingKeypointsError) as err:
-        upright_ratio(_kps(pose))
-    assert any("ankle" in part for part in err.value.missing)
+    # The folded pose, whose ratio is not 1, scores exactly 1.0 once its
+    # one ankle is hidden.
+    pose = dict(_FOLDED_POSE)
+    assert _ratio(_kps(pose)) != 1.0
+    del pose["left_ankle"]
+    assert _ratio(_kps(pose)) == 1.0
 
 
 def test_missing_head_reported():
-    pose = _vertical_pose()
+    # The folded pose scores exactly 1.0 once its one head point is hidden.
+    pose = dict(_FOLDED_POSE)
+    assert _ratio(_kps(pose)) != 1.0
     del pose["nose"]
-    with pytest.raises(MissingKeypointsError) as err:
-        upright_ratio(_kps(pose))
-    assert any("head" in part for part in err.value.missing)
+    assert _ratio(_kps(pose)) == 1.0
+
+
+def test_chain_of_length_zero_or_beyond_the_float_range_reads_one():
+    # Every joint on one spot: visible, but a chain of length 0.
+    assert _ratio(KeypointSet(((0.3, 0.6, 2.0),) * 17)) == 1.0
+    # Finite joints whose chain length overflows to inf.
+    far = KeypointSet(tuple((0.0, (-1.0) ** i * 1e308, 2.0)
+                            for i in range(17)))
+    # A finite chain (1.7e308) whose upright length, 1.08 times it, is inf.
+    tall = {"nose": (0.0, -0.85e308),
+            "left_shoulder": (0.0, -0.4e308), "right_shoulder": (0.0, -0.4e308),
+            "left_hip": (0.0, 0.0), "right_hip": (0.0, 0.0),
+            "left_knee": (0.0, 0.4e308), "right_knee": (0.0, 0.4e308),
+            "left_ankle": (0.0, 0.85e308), "right_ankle": (0.0, 0.85e308)}
+    with np.errstate(all="raise"):
+        assert _ratio(far) == 1.0
+        assert _ratio(_kps(tall)) == 1.0
 
 
 def test_single_visible_shoulder_suffices():
@@ -202,14 +227,29 @@ def test_single_visible_shoulder_suffices():
     pose = _vertical_pose()
     del pose["right_shoulder"]
     pose["left_shoulder"] = (0.5, 0.20)
-    assert upright_ratio(_kps(pose)).ratio == pytest.approx(1.0, abs=1e-9)
+    assert _ratio(_kps(pose)) == pytest.approx(1.0, abs=1e-9)
+
+
+class _Unscorable(ValueError):
+    """The reference's signal for a skeleton it cannot score."""
 
 
 def _reference_upright_ratio(kps, head_extension=0.08):
-    """`upright_ratio` as it was written through `KeypointSet.coords` and
-    `visible`, kept to check that indexing the points changes no bit."""
+    """`upright_ratio` as it was written one skeleton at a time, through
+    per-keypoint lookups, kept to check that the array form changes no
+    bit: a float, or `_Unscorable` for a skeleton without the joints the
+    chain needs or with a chain of length 0."""
+    index = {name: i for i, name in enumerate(COCO_KEYPOINT_NAMES)}
+
+    def visible(name):
+        return kps.points[index[name]][2] != 0.0
+
+    def coords(name):
+        u, v, _ = kps.points[index[name]]
+        return u, v
+
     def midpoint(left, right):
-        pts = [kps.coords(n) for n in (left, right) if kps.visible(n)]
+        pts = [coords(n) for n in (left, right) if visible(n)]
         if not pts:
             return None
         return (sum(p[0] for p in pts) / len(pts),
@@ -219,7 +259,7 @@ def _reference_upright_ratio(kps, head_extension=0.08):
         return math.hypot(a[0] - b[0], a[1] - b[1])
 
     missing = []
-    head_pts = [kps.coords(n) for n in HEAD_KEYPOINT_NAMES if kps.visible(n)]
+    head_pts = [coords(n) for n in HEAD_KEYPOINT_NAMES if visible(n)]
     if not head_pts:
         missing.append("head (nose/eyes/ears)")
     shoulder_mid = midpoint("left_shoulder", "right_shoulder")
@@ -228,38 +268,30 @@ def _reference_upright_ratio(kps, head_extension=0.08):
     hip_mid = midpoint("left_hip", "right_hip")
     if hip_mid is None:
         missing.append("hips")
-    ankles = [kps.coords(n) for n in ("left_ankle", "right_ankle")
-              if kps.visible(n)]
+    ankles = [coords(n) for n in ("left_ankle", "right_ankle") if visible(n)]
     if not ankles:
         missing.append("ankles")
     legs = []
     for side in ("left", "right"):
         knee, ankle = f"{side}_knee", f"{side}_ankle"
-        if kps.visible(knee) and kps.visible(ankle):
-            legs.append((kps.coords(knee), kps.coords(ankle)))
+        if visible(knee) and visible(ankle):
+            legs.append((coords(knee), coords(ankle)))
     if not legs:
         missing.append("knee+ankle pair")
     if missing:
-        raise MissingKeypointsError(tuple(missing))
+        raise _Unscorable(f"keypoints missing or invisible: {missing}")
     head = min(head_pts, key=lambda p: p[1])
     torso = dist(head, shoulder_mid) + dist(shoulder_mid, hip_mid)
     chain = max(torso + dist(hip_mid, knee) + dist(knee, ankle)
                 for knee, ankle in legs)
     if chain <= 0.0:
-        raise ValueError("degenerate skeleton: zero chain length")
+        raise _Unscorable("degenerate skeleton: zero chain length")
     extension = head_extension * chain
     upright = chain + extension
     head_top_v = head[1] - extension
     lowest_ankle_v = max(v for _, v in ankles)
     actual = lowest_ankle_v - head_top_v
-    return UprightRatio(min(max(actual / upright, 1e-6), 1.05))
-
-
-def _outcome(ratio, kps, head_extension):
-    try:
-        return ratio(kps, head_extension).ratio.hex()
-    except ValueError as exc:        # MissingKeypointsError among them
-        return type(exc), str(exc)
+    return min(max(actual / upright, 1e-6), 1.05)
 
 
 # Coordinates with repeats (zero-length segments, ties for the highest
@@ -267,16 +299,36 @@ def _outcome(ratio, kps, head_extension):
 _COORD = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-300]),
                    st.floats(-2.0, 3.0))
 _POINT = st.tuples(_COORD, _COORD, st.sampled_from([0.0, 0.0, 1.0, 2.0]))
+_SKELETON = st.lists(_POINT, min_size=17, max_size=17)
 
 
-@given(points=st.lists(_POINT, min_size=17, max_size=17),
+# A skeleton whose ratio changes in the last bit when the segment lengths
+# come from np.hypot instead of math.hypot.
+_HYPOT_SENSITIVE = [
+    (0.511, -1.141, 2.0), (-0.864, 1.73, 2.0), (-0.731, -0.955, 2.0),
+    (1.414, -1.976, 2.0), (1.887, 2.045, 2.0), (1.256, -0.124, 2.0),
+    (0.06, 0.116, 2.0), (-1.443, 2.312, 2.0), (1.419, 2.576, 2.0),
+    (-0.218, -1.32, 2.0), (0.127, 0.654, 2.0), (2.409, 1.634, 2.0),
+    (2.813, 1.893, 2.0), (0.152, 0.706, 2.0), (0.463, 1.986, 2.0),
+    (2.033, 1.873, 2.0), (-1.323, 1.549, 2.0)]
+
+
+@given(skeletons=st.lists(_SKELETON, min_size=1, max_size=8),
        head_extension=st.one_of(st.just(0.08), st.floats(0.0, 1.0)))
+@example(skeletons=[_HYPOT_SENSITIVE], head_extension=0.08)
 @settings(deadline=None, max_examples=400)
-def test_ratio_keeps_every_bit_of_the_per_keypoint_version(points,
+def test_ratio_keeps_every_bit_of_the_per_keypoint_version(skeletons,
                                                            head_extension):
-    kps = KeypointSet(tuple(points))
-    assert (_outcome(upright_ratio, kps, head_extension)
-            == _outcome(_reference_upright_ratio, kps, head_extension))
+    # A stack of skeletons, so that masks and ties are taken row by row.
+    ratios = upright_ratio(np.array(skeletons), head_extension)
+    assert ratios.shape == (len(skeletons),)
+    for points, ratio in zip(skeletons, ratios.tolist()):
+        try:
+            expect = _reference_upright_ratio(KeypointSet(tuple(points)),
+                                              head_extension)
+        except _Unscorable:
+            expect = 1.0
+        assert ratio.hex() == expect.hex()
 
 
 def test_keypoint_set_requires_seventeen_points():

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from scenescale import (DEFAULT_PRIORS, GroundObject, NoiseModel, SceneRanges,
+from scenescale import (DEFAULT_PRIORS, NoiseModel, SceneRanges,
                         horizon_from_pitch, render_detections, sample_scene,
                         solve_scene)
 from scenescale.baselines import pgm_fixed_height
