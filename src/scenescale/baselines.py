@@ -74,7 +74,6 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
     pen = priors.prior_penalty(heights[used], arrays.mu[used],
                                arrays.sigma[used])
     n = len(arrays)
-    spans, residuals = trace_rows(n, used, tops, v_bottom, res)
     heights_full = tuple(heights.tolist())
     trace = LayerTrace(
         layer=0,
@@ -89,8 +88,7 @@ def _finish(method: str, v0: float, arrays: SceneArrays, keep, excluded,
         heights_m=heights_full,
         upright_heights_m=heights_full,
         upright_ratios=(1.0,) * n,
-        spans=spans,
-        residuals=residuals,
+        tops=trace_rows(n, used, tops),
         excluded=excluded,
         converged=True,
         ill_posed=ill_posed,

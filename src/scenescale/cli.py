@@ -223,7 +223,7 @@ def _cmd_eval(args) -> int:
         if doc.ground_truth is None:
             raise SchemaError(f"{truth_file} carries no ground_truth block")
         report = metrics.compute_metrics(
-            res.estimate, doc.ground_truth,
+            res.estimate, doc.ground_truth, doc.detections.v_top.tolist(),
             compare_upright=args.upright, indices=res.source_indices)
         reports.append(report)
         per_scene.append({
@@ -271,6 +271,7 @@ def _cmd_overlay(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenescale",

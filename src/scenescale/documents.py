@@ -32,7 +32,7 @@ from .solver import (DetectionBox, DetectionColumns, LayerTrace,
                      SceneEstimate, RefinementConfig, detection_columns)
 
 SCHEMA_VERSION = 1          # detection documents
-RESULTS_SCHEMA_VERSION = 2  # results; `parse_results` reads version 1 too
+RESULTS_SCHEMA_VERSION = 3  # results; `parse_results` reads 1 and 2 too
 
 
 class SchemaError(ValueError):
@@ -326,15 +326,13 @@ def canonical_json(payload) -> str:
     With an indent, `json.dumps` cannot use its C encoder; this writer
     renders the plain dicts, lists, tuples, strings, numbers, booleans and
     None a payload is made of itself.  A column is a list or tuple of
-    exact floats or ints, or of equal-length rows of exact floats, with
-    None entries anywhere: an estimate's heights and residuals, its spans.
-    It is rendered by parts, one `map(float.__repr__, ...)` each: the
-    floats themselves, or each place of the rows (a span's tops, its
-    bottoms), which one join interleaves.
+    exact floats or ints, with None entries anywhere (an estimate's
+    heights and tops), rendered by one `map(float.__repr__, ...)` or
+    `map(int.__repr__, ...)`.
 
     A mapping writes its columns after its other values, in key order,
     and each later float column reuses the texts of its first one (an
-    estimate's `heights_m`): all of a part's texts when it is the very
+    estimate's `heights_m`): all of its texts when it is the very
     tuple (`pgm`'s upright heights), else the text of each float whose
     bits equal those of the float in the same place (the upright heights
     of boxes with a posture ratio of 1).  Bits, not `==`, so -0.0 never
@@ -360,11 +358,10 @@ class _Deferred(Exception):
 
 _NONE = type(None)
 _FLOAT, _INT = frozenset((float,)), frozenset((int,))
-_ROW = frozenset((list, tuple))
 
 
 class _Part(typing.NamedTuple):
-    """One part of a float column, rendered."""
+    """A float column, rendered."""
 
     values: list | tuple       # exact finite floats
     bits: np.ndarray           # their bit patterns, as int64
@@ -393,25 +390,15 @@ def _part(values, prev: _Part | None) -> _Part:
     return _Part(values, bits, texts)
 
 
-def _column_parts(o) -> tuple[list | tuple, int] | None:
+def _column_values(o) -> list | tuple | None:
     """A non-empty list or tuple as a column: its entries that are not
-    None, and the row length (0 for a column of floats or ints, which are
-    then those entries, else at least 1); None if it is no column."""
+    None, all floats or all ints; None if it is no column."""
     types = set(map(type, o))
     present = o
     if _NONE in types:
         types.discard(_NONE)
         present = list(filter(_NOT_NONE, o))
-    if types == _FLOAT or types == _INT:
-        return present, 0
-    if not types or not types <= _ROW:
-        return None
-    widths = set(map(len, present))
-    width = widths.pop()
-    if widths or not width or set(map(type, chain.from_iterable(present))
-                                  ) != _FLOAT:
-        return None
-    return present, width
+    return present if types == _FLOAT or types == _INT else None
 
 
 class _Writer:
@@ -441,8 +428,8 @@ class _Writer:
         elif t is list or t is tuple:
             if not o:
                 out("[]")
-            elif (column := _column_parts(o)) is not None:
-                out(_column_text(o, *column, indent, ())[0])
+            elif (column := _column_values(o)) is not None:
+                out(_column_text(o, column, indent, None)[0])
             else:
                 inner = indent + "  "
                 sep = ",\n" + inner
@@ -485,7 +472,7 @@ class _Writer:
             elif t is str:
                 out(head + encode_basestring_ascii(v))
             elif (t is list or t is tuple) and v and (
-                    column := _column_parts(v)) is not None:
+                    column := _column_values(v)) is not None:
                 out(head)
                 columns.append((len(self.chunks), v, column))
                 out("")
@@ -493,42 +480,28 @@ class _Writer:
                 out(head)
                 self.write(v, inner)
         out("\n" + indent + "}")
-        first = ()
-        for i, v, (present, width) in columns:
-            self.chunks[i], parts = _column_text(v, present, width, inner,
-                                                 first)
-            first = first or parts
+        first = None
+        for i, v, present in columns:
+            self.chunks[i], part = _column_text(v, present, inner, first)
+            first = first or part
 
 
-def _column_text(o, present, width: int, indent: str, prev: tuple[_Part, ...]
-                 ) -> tuple[str, tuple[_Part, ...]]:
-    """The text of column `o`, given its `_column_parts`, and the parts it
-    rendered, which reuse the texts of `prev` where they can."""
+def _column_text(o, present, indent: str, prev: _Part | None
+                 ) -> tuple[str, _Part | None]:
+    """The text of column `o`, given its `_column_values`, and the `_Part`
+    it rendered (None for ints), which reuses the texts of `prev` where it
+    can."""
     inner = indent + "  "
     sep = ",\n" + inner
-    if width == 0 and type(present[0]) is int:
-        parts, texts = (), list(map(int.__repr__, present))
-    elif width == 0:
-        parts = (_part(present, prev[0] if prev else None),)
-        texts = parts[0].texts
+    if type(present[0]) is int:
+        part, texts = None, list(map(int.__repr__, present))
     else:
-        prev = prev[:width] + (None,) * (width - len(prev))
-        parts = tuple(map(_part, zip(*present), prev))
-        row, end = "[\n" + inner + "  ", "\n" + inner + "]"
-        mid = ",\n" + inner + "  "
-        if len(present) == len(o):
-            # Each place's texts, interleaved with the separators.
-            pieces = ([mid] * (2 * width - 1) + [end + sep + row]) * len(o)
-            for i, part in enumerate(parts):
-                pieces[2 * i::2 * width] = part.texts
-            pieces[-1] = end
-            return f"[\n{inner}{row}{''.join(pieces)}\n{indent}]", parts
-        texts = [row + mid.join(text) + end
-                 for text in zip(*[p.texts for p in parts])]
+        part = _part(present, prev)
+        texts = part.texts
     if len(present) < len(o):
         texts = iter(texts)
         texts = ["null" if v is None else next(texts) for v in o]
-    return f"[\n{inner}{sep.join(texts)}\n{indent}]", parts
+    return f"[\n{inner}{sep.join(texts)}\n{indent}]", part
 
 
 def emit_document(doc: DetectionDocument) -> str:
@@ -577,8 +550,10 @@ def flip_vertical_convention(doc: DetectionDocument) -> DetectionDocument:
 
     Every v becomes 1 - v, box tops and bottoms swap roles, and the pitch
     sign flips (equivalently the horizon reflects).  Applying the flip
-    twice is the identity, and solving a flipped document after flipping
-    it back must give identical results to solving the original.
+    twice restores each value to within one rounding, not always to its
+    bits (1 - (1 - 0.1) is 0.09999999999999998), so solving a flipped
+    document after flipping it back gives results close to, not always
+    equal to, the original's.
     """
     cal = doc.calibration
     flipped_cal = CalibrationInput(
@@ -712,31 +687,22 @@ def _from_plain(raw, hint, path: str, default=None):
 
 def _whole_list(raw: list, item) -> tuple | None:
     """`raw` read as a `tuple[item, ...]` by checks on the whole list, for
-    an item that is an int, a float or a row of floats, each perhaps None;
-    None when `_from_plain` must read it entry by entry, as it must a
-    fault, an int or a string in place of a float, or an infinity.  A
+    an item that is an int or a float, perhaps None; None when
+    `_from_plain` must read it entry by entry, as it must any other item,
+    a fault, an int or a string in place of a float, or an infinity.  A
     finite sum shows that every float is finite."""
     kind, arg = _form(item)
     present = raw
     if kind == "optional":
         present = list(filter(_NOT_NONE, raw))
         kind, arg = _form(arg)
-    if kind == "row":
-        if (set(arg) != {float} or not set(map(type, present)) <= {list}
-                or not set(map(len, present)) <= {len(arg)}):
-            return None
-        values, flat = map(tuple, present), list(chain.from_iterable(present))
-        arg = float
-    elif arg is int or arg is float:
-        values = flat = present
-    else:
-        return None
-    if not set(map(type, flat)) <= {arg} or (
-            arg is float and not math.isfinite(sum(flat))):
+    if (arg is not int and arg is not float
+            or not set(map(type, present)) <= {arg}
+            or arg is float and not math.isfinite(sum(present))):
         return None
     if len(present) == len(raw):
-        return tuple(values)
-    values = iter(values)
+        return tuple(raw)
+    values = iter(present)
     return tuple(None if v is None else next(values) for v in raw)
 
 
@@ -753,10 +719,9 @@ class ResultsDocument:
 def emit_results(estimate: SceneEstimate, *, config_hash: str = "",
                  source_indices=None) -> str:
     """Serialize an estimate to canonical JSON text: its per-box columns
-    (heights, posture ratios, the final reprojection's spans and
-    residuals) and the scalars of each trace layer.  The payload holds
-    the estimate's own tuples, so `canonical_json` sees which columns
-    repeat."""
+    (heights, posture ratios, the final reprojection's tops) and the
+    scalars of each trace layer.  The payload holds the estimate's own
+    tuples, so `canonical_json` sees which columns repeat."""
     trace = [{
         "layer": t.layer,
         "cam_height_m": t.cam_height_m,
@@ -773,8 +738,7 @@ def emit_results(estimate: SceneEstimate, *, config_hash: str = "",
             "heights_m": estimate.heights_m,
             "upright_heights_m": estimate.upright_heights_m,
             "upright_ratios": estimate.upright_ratios,
-            "spans": estimate.spans,
-            "residuals": estimate.residuals,
+            "tops": estimate.tops,
             "excluded": estimate.excluded,
             "converged": estimate.converged,
             "ill_posed": estimate.ill_posed,
@@ -784,6 +748,21 @@ def emit_results(estimate: SceneEstimate, *, config_hash: str = "",
     if source_indices is not None:
         payload["source_indices"] = list(source_indices)
     return canonical_json(payload)
+
+
+@dataclass(frozen=True)
+class _RowsV2:
+    """The final per-box rows of a schema 2 estimate: each used box's
+    reprojected top and detected bottom, and its detected minus
+    reprojected top."""
+
+    spans: tuple[tuple[float, float] | None, ...]
+    residuals: tuple[float | None, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.residuals) != len(self.spans):
+            raise ValueError(f"residuals and spans differ in length "
+                             f"({len(self.residuals)} != {len(self.spans)})")
 
 
 @dataclass(frozen=True)
@@ -801,6 +780,7 @@ class _LayerTraceV1:
     residuals: tuple[float | None, ...]
 
 
+_ROW_KEYS = ("spans", "residuals")
 _LAYER_KEYS = tuple(f.name for f in dataclasses.fields(LayerTrace))
 
 
@@ -816,8 +796,19 @@ def _estimate_from_v1(est_raw: dict) -> dict:
                       for layer in layers]}
 
 
+def _estimate_from_v2(est_raw: dict) -> dict:
+    """A schema 2 estimate in the version 3 layout: its rows are
+    type-checked, the top of each span becomes `tops` and the residuals
+    are dropped."""
+    rows = _from_plain({key: est_raw[key] for key in _ROW_KEYS
+                        if key in est_raw}, _RowsV2, "results.estimate")
+    est = {key: v for key, v in est_raw.items() if key not in _ROW_KEYS}
+    est["tops"] = [None if span is None else span[0] for span in rows.spans]
+    return est
+
+
 def parse_results(data: bytes | str) -> ResultsDocument:
-    """Parse result JSON of schema version 2 or 1 back into a
+    """Parse result JSON of schema version 3, 2 or 1 back into a
     SceneEstimate; SchemaError on violations."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -832,18 +823,20 @@ def parse_results(data: bytes | str) -> ResultsDocument:
     _check_keys(raw, {"schema_version", "method", "config_hash", "estimate",
                       "source_indices"}, "results")
     version = _require(raw, "schema_version", "results")
-    if type(version) is not int or version not in (1, RESULTS_SCHEMA_VERSION):
+    if type(version) is not int or version not in (1, 2, 3):
         raise SchemaError(f"unsupported results schema_version {version!r}; "
-                          f"this build reads versions 1 and "
-                          f"{RESULTS_SCHEMA_VERSION}")
+                          f"this build reads versions 1, 2 and 3")
     est_raw = _require(raw, "estimate", "results")
     # The method of the estimate is written at the root.
     keys = {name for name, _, _ in _form(SceneEstimate)[1]} - {"method"}
-    if version == 1:
-        _check_keys(est_raw, keys - {"spans", "residuals"}, "estimate")
-        est_raw = _estimate_from_v1(est_raw)
-    else:
+    if version == RESULTS_SCHEMA_VERSION:
         _check_keys(est_raw, keys, "estimate")
+    else:
+        _check_keys(est_raw, keys - {"tops"} | (
+            set(_ROW_KEYS) if version == 2 else set()), "estimate")
+        if version == 1:
+            est_raw = _estimate_from_v1(est_raw)
+        est_raw = _estimate_from_v2(est_raw)
     plain = {key: raw[key] for key in ("config_hash", "source_indices")
              if key in raw}
     plain["estimate"] = {**est_raw, "method": _from_plain(

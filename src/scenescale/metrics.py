@@ -62,16 +62,18 @@ def threshold_curve(residuals, thresholds) -> tuple[tuple[float, float], ...]:
     return tuple((float(t), float(np.mean(r <= t))) for t in thresholds)
 
 
-def compute_metrics(estimate: SceneEstimate, truth: GroundTruth, *,
+def compute_metrics(estimate: SceneEstimate, truth: GroundTruth, v_tops, *,
                     compare_upright: bool = False,
                     indices=None) -> MetricReport:
     """Single-scene errors of an estimate against ground truth.
 
     `indices` maps each estimated object to its entry in the ground-truth
-    height list (needed when ingestion filtered some detections out);
-    by default the two lists must align one-to-one.  With
-    `compare_upright` the estimate's upright heights are scored, matching
-    protocols whose reference sizes are upright heights.
+    height list and in `v_tops`, the detected tops in the same order
+    (needed when ingestion filtered some detections out); by default the
+    lists must align one-to-one.  A used box's residual is its detected
+    minus its reprojected top (`estimate.tops`).  With `compare_upright`
+    the estimate's upright heights are scored, matching protocols whose
+    reference sizes are upright heights.
     """
     heights = estimate.upright_heights_m if compare_upright else estimate.heights_m
     n = len(heights)
@@ -83,12 +85,16 @@ def compute_metrics(estimate: SceneEstimate, truth: GroundTruth, *,
             f"correspondence mismatch: {n} estimated heights but "
             f"{len(indices)} indices")
     gt = truth.object_heights_m
+    if len(v_tops) != len(gt):
+        raise ValueError(f"{len(v_tops)} detected tops for {len(gt)} "
+                         "ground-truth heights")
     if any(not 0 <= i < len(gt) for i in indices):
         raise ValueError(
             f"correspondence mismatch: indices {indices} out of range for "
             f"{len(gt)} ground-truth heights")
     e_obj = tuple(abs(heights[k] - gt[i]) for k, i in enumerate(indices))
-    l_vt = tuple(abs(r) for r in estimate.residuals if r is not None)
+    l_vt = tuple(abs(v_tops[i] - t) for i, t in zip(indices, estimate.tops)
+                 if t is not None)
     return MetricReport(
         e_cam=(abs(estimate.cam_height_m - truth.cam_height_m),),
         e_obj=e_obj,

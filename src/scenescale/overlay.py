@@ -80,7 +80,6 @@ def render_overlay(doc: DetectionDocument, estimate: SceneEstimate,
     ]
 
     excluded = {i for i, _ in estimate.excluded}
-    spans = estimate.spans
     dets = doc.detections.take(source_indices)
     for slot, (u_left, u_right, v_top, v_bottom) in enumerate(zip(
             dets.u_left.tolist(), dets.u_right.tolist(), dets.v_top.tolist(),
@@ -91,10 +90,10 @@ def render_overlay(doc: DetectionDocument, estimate: SceneEstimate,
         h = (v_bottom - v_top) * height
         lines.append(_rect(x, y, w, h, _DETECTED_COLOR, stroke))
 
-        if spans[slot] is not None:
-            v_top_hat, v_bot_hat = spans[slot]
+        v_top_hat = estimate.tops[slot]
+        if v_top_hat is not None:
             lines.append(_rect(x, v_top_hat * height, w,
-                               (v_bot_hat - v_top_hat) * height,
+                               (v_bottom - v_top_hat) * height,
                                _REPROJECTED_COLOR, stroke, dashed=True))
 
         if slot not in excluded:

@@ -40,8 +40,8 @@ absolute scale comes from category size priors.  The pipeline:
      in O(k) time and memory for k objects.  Once the loss stops
      falling, a layer's entry is the previous one with its own layer
      number.  A trace entry holds a layer's camera height and losses;
-     the per-box rows (reprojected spans, residuals) are built once, for
-     the final evaluation (`trace_rows`).
+     the per-box row (the reprojected tops) is built once, for the final
+     evaluation (`trace_rows`).
 
 Object depths are anchored to the detected bottom coordinate throughout:
 depth is always the ground intersection of the bottom ray under the
@@ -214,11 +214,9 @@ class SceneEstimate:
     heights_m: tuple[float, ...]           # actual (posture-scaled) heights
     upright_heights_m: tuple[float, ...]
     upright_ratios: tuple[float, ...]
-    # Reprojected top and detected bottom of each used box, and its detected
-    # minus reprojected top, at the final evaluation; None for an excluded
-    # box.
-    spans: tuple[tuple[float, float] | None, ...]
-    residuals: tuple[float | None, ...]
+    # Reprojected top of each used box at the final evaluation; None for an
+    # excluded box.  Its residual is the detected top minus this one.
+    tops: tuple[float | None, ...]
     excluded: tuple[tuple[int, str], ...]  # (object index, reason)
     converged: bool
     ill_posed: bool
@@ -228,8 +226,7 @@ class SceneEstimate:
         if not self.trace:
             raise ValueError("trace must hold at least one layer")
         n = len(self.heights_m)
-        for name in ("upright_heights_m", "upright_ratios", "spans",
-                     "residuals"):
+        for name in ("upright_heights_m", "upright_ratios", "tops"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} and heights_m differ in length "
                                  f"({len(getattr(self, name))} != {n})")
@@ -549,16 +546,13 @@ def refine_layer(ev: Evaluation, boxes: LossBoxes,
     return ev
 
 
-def trace_rows(n: int, used, v_tops, v_bottoms, residuals
-               ) -> tuple[tuple, tuple]:
-    """SceneEstimate `spans` and `residuals` of `n` boxes: the values of the
-    boxes at indices `used`, given in that order, and None for the rest."""
-    spans, rows = [None] * n, [None] * n
-    for i, t, b, r in zip(used.tolist(), v_tops.tolist(), v_bottoms.tolist(),
-                          residuals.tolist()):
-        spans[i] = (t, b)
-        rows[i] = r
-    return tuple(spans), tuple(rows)
+def trace_rows(n: int, used, v_tops) -> tuple[float | None, ...]:
+    """SceneEstimate `tops` of `n` boxes: the tops of the boxes at indices
+    `used`, given in that order, and None for the rest."""
+    tops = [None] * n
+    for i, t in zip(used.tolist(), v_tops.tolist()):
+        tops[i] = t
+    return tuple(tops)
 
 
 def _layer_trace(layer: int, ev: Evaluation) -> LayerTrace:
@@ -604,11 +598,9 @@ def solve_scene(v0: float, fov_rad: float, boxes,
     heights = upright * np.array(ratios)
     heights[used] = ev.heights
     upright[used] = ev.upright
-    spans, residuals = trace_rows(len(arrays), used, ev.tops,
-                                  used_boxes.v_bottom, ev.residuals)
     return SceneEstimate(
         method="cascade", cam_height_m=ev.camera.cam_height_m,
         heights_m=tuple(heights.tolist()),
         upright_heights_m=tuple(upright.tolist()), upright_ratios=ratios,
-        spans=spans, residuals=residuals, excluded=excluded,
+        tops=trace_rows(len(arrays), used, ev.tops), excluded=excluded,
         converged=converged, ill_posed=False, trace=tuple(trace))

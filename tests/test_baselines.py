@@ -109,8 +109,8 @@ def test_pgm_fixed_excludes_degenerates_with_reasons():
                               v_bottom=v0 + 1e-9, category="person")
     est = pgm_fixed_height(v0, camera.fov_rad, [sliver, ok, on_horizon])
     assert dict(est.excluded) == {0: "zero-span", 2: "bottom-on-horizon"}
-    assert est.spans[0] is None
-    assert est.residuals[2] is None
+    assert est.tops[0] is None
+    assert est.tops[2] is None
     assert est.cam_height_m == pytest.approx(1.6, rel=1e-12)
 
 
@@ -198,8 +198,8 @@ def test_pgm_full_reprojection_loss_is_zero():
                                       cam.image_w_px / cam.image_h_px, 1.0)
         est = pgm_full(horizon_from_pitch(cam_n).v0, cam_n.fov_rad, boxes)
         assert est.trace[-1].l_vt <= 1e-9
-        for r in est.residuals:
-            assert r is None or abs(r) <= 1e-9
+        for b, t in zip(boxes, est.tops):
+            assert t is None or abs(b.v_top - t) <= 1e-9
 
 
 def test_pgm_full_flat_priors_flag_ill_posed():
@@ -223,7 +223,7 @@ def test_pgm_full_excluded_boxes_fall_back_to_prior_mean():
     est = pgm_full(v0, camera.fov_rad, [ok, sliver])
     assert dict(est.excluded) == {1: "zero-span"}
     assert est.heights_m[1] == DEFAULT_PRIORS["car"].mean_m
-    assert est.spans[1] is None
+    assert est.tops[1] is None
 
 
 def test_pgm_full_permutation_invariant():

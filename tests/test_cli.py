@@ -448,6 +448,16 @@ def _set_item(*path_and_value):
     return change
 
 
+def _in_schema_2(change):
+    """`change` applied to the fixture's results in their schema 2 form."""
+    def in_schema_2(raw):
+        raw.clear()
+        raw.update(json.loads(
+            (_FIXTURES / "scene_0000.v2.results.json").read_text()))
+        change(raw)
+    return in_schema_2
+
+
 @pytest.mark.parametrize("command", ["eval", "overlay"])
 @pytest.mark.parametrize("change, where", [
     (_set_item("estimate", "cam_height_m", "a"),
@@ -456,15 +466,17 @@ def _set_item(*path_and_value):
      "results.estimate.cam_height_m: expected a number"),
     (_set_item("estimate", "heights_m", "abc"),
      "results.estimate.heights_m: expected a list"),
-    (_set_item("estimate", "residuals", "abc"),
+    (_in_schema_2(_set_item("estimate", "residuals", "abc")),
      "results.estimate.residuals: expected a list"),
+    (_set_item("estimate", "tops", "abc"),
+     "results.estimate.tops: expected a list"),
     (_set_item("source_indices", ["a", "b", "c", "d"]),
      "results.source_indices[0]: expected an integer"),
     (_set_item("source_indices", 5),
      "results.source_indices: expected a list"),
     (_set_item("estimate", "trace", []),
      "results.estimate: trace must hold at least one layer"),
-], ids=["cam-str", "cam-null", "heights-str", "residuals-str",
+], ids=["cam-str", "cam-null", "heights-str", "residuals-str", "tops-str",
         "indices-str", "indices-int", "trace-empty"])
 def test_malformed_results_exit_one_naming_the_path(tmp_path, capsys,
                                                     command, change, where):
@@ -494,11 +506,13 @@ def test_overlay_with_a_source_index_out_of_range_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change, where", [
-    (_set_item("estimate", "spans", [[0.4, 0.6]]),
-     "results.estimate: spans and heights_m differ in length (1 != 4)"),
+    (_in_schema_2(_set_item("estimate", "spans", [[0.4, 0.6]])),
+     "results.estimate: residuals and spans differ in length (4 != 1)"),
+    (_set_item("estimate", "tops", [0.4]),
+     "results.estimate: tops and heights_m differ in length (1 != 4)"),
     (_set_item("estimate", "excluded", [[99, "zero-span"]]),
      "results.estimate: excluded index 99 is not one of the 4 boxes"),
-], ids=["one-span-row", "excluded-index-99"])
+], ids=["one-span-row", "one-top", "excluded-index-99"])
 def test_overlay_of_results_that_do_not_match_their_boxes_exits_one(
         tmp_path, capsys, change, where):
     raw = json.loads((_FIXTURES / "scene_0000.results.json").read_text())
@@ -520,6 +534,28 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["solve"]) == 1
     assert cli.main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_main_calls_in_a_row_share_no_option_values(tmp_path, capsys):
+    # The parser is built once per process, and each call parses its own
+    # arguments: no value of one call, nor its subcommand, reaches the next.
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.main(["solve", "--method", "pgm", "--print-config"]) == 0
+    assert "method: pgm" in capsys.readouterr().out
+    assert cli.main(["solve", "--print-config"]) == 0
+    assert "method: cascade" in capsys.readouterr().out
+    doc = tmp_path / "scene_0000.json"
+    doc.write_bytes((_FIXTURES / "scene_0000.json").read_bytes())
+    assert cli.main(["solve", str(doc), "--jobs", "0"]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert cli.main(["solve", str(doc), "--jobs", "2"]) == 0
+    assert cli.main(["solve", str(doc)]) == 0
+    results = str(tmp_path / "scene_0000.results.json")
+    capsys.readouterr()
+    assert cli.main(["eval", "--results", results, "--upright"]) == 0
+    assert json.loads(capsys.readouterr().out)["compare_upright"] is True
+    assert cli.main(["eval", "--results", results]) == 0
+    assert json.loads(capsys.readouterr().out)["compare_upright"] is False
 
 
 def test_help_exits_zero(capsys):
@@ -851,7 +887,7 @@ def test_large_uneven_results_never_take_the_json_dumps_fallback(
             (out / "scene_0000.results.json").read_bytes()).estimate
         assert len(est.heights_m) == 200
         assert est.excluded == ((0, "bottom-on-horizon"),)
-        assert est.spans[0] is None and est.residuals[0] is None
+        assert est.tops[0] is None
         if method == "cascade":
             assert len(est.trace) == 31
             assert any(dataclasses.replace(a, layer=b.layer) == b

@@ -9,7 +9,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-PINNED_TOTAL = "39d04c8fdbb352db83b89afe321b5d25dcc063160d6d5e072d8cfaaabe7e51ec"
+PINNED_TOTAL = "2018540741b3666b013322e789beaf5e08e58b65027059c349403248aa07b55b"
 
 
 def test_corpus_digest_total_is_pinned(tmp_path):

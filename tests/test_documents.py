@@ -8,6 +8,7 @@ diff cleanly under version control.
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -200,14 +201,13 @@ def test_canonical_json_defers_other_types_to_json():
 def _plain_results(est: SceneEstimate, source_indices) -> dict:
     """The payload `emit_results` writes, as unshared plain lists."""
     return {
-        "schema_version": 2, "method": est.method, "config_hash": "abc",
+        "schema_version": 3, "method": est.method, "config_hash": "abc",
         "estimate": {
             "cam_height_m": est.cam_height_m,
             "heights_m": list(est.heights_m),
             "upright_heights_m": list(est.upright_heights_m),
             "upright_ratios": list(est.upright_ratios),
-            "spans": [None if s is None else list(s) for s in est.spans],
-            "residuals": list(est.residuals),
+            "tops": list(est.tops),
             "excluded": [[i, reason] for i, reason in est.excluded],
             "converged": est.converged, "ill_posed": est.ill_posed,
             "trace": [{
@@ -237,9 +237,8 @@ def _estimates(draw):
     """Estimates shaped as the solvers build them: excluded boxes with None
     rows, copied trace layers, upright heights that are the heights tuple
     itself, its values, or its values with each zero's sign flipped (a
-    ratio of 1.0 keeps the bits, and -0.0 must not print 0.0), and span
-    tops and bottoms and residuals that repeat the heights' values (as new
-    objects) or not."""
+    ratio of 1.0 keeps the bits, and -0.0 must not print 0.0), and tops
+    that repeat the heights' values (as new objects) or not."""
     n = draw(st.integers(1, 5))
     values = st.lists(_VALUE, min_size=n, max_size=n)
     used = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -266,16 +265,13 @@ def _estimates(draw):
                "own": tuple(draw(values))}[upright]
     ratios = tuple(draw(st.lists(st.one_of(st.just(1.0), _VALUE),
                                  min_size=n, max_size=n)))
-    tops, bottoms, residuals = (
-        list(map(_same_bits, heights)) if draw(st.booleans())
-        else draw(values) for _ in range(3))
+    tops = (list(map(_same_bits, heights)) if draw(st.booleans())
+            else draw(values))
     return SceneEstimate(
         method=draw(st.sampled_from(VALID_METHODS)),
         cam_height_m=draw(_VALUE), heights_m=heights,
         upright_heights_m=upright, upright_ratios=ratios,
-        spans=tuple((t, b) if u else None
-                    for u, t, b in zip(used, tops, bottoms)),
-        residuals=tuple(r if u else None for u, r in zip(used, residuals)),
+        tops=tuple(t if u else None for u, t in zip(used, tops)),
         excluded=tuple((i, "bottom-on-horizon")
                        for i, u in enumerate(used) if not u),
         converged=draw(st.booleans()), ill_posed=draw(st.booleans()),
@@ -290,13 +286,6 @@ def test_emit_results_is_json_dumps_of_the_plain_payload(est):
             == _json_dumps(_plain_results(est, indices)))
 
 
-def _first_span(spans, x, place):
-    i = next(i for i, s in enumerate(spans) if s is not None)
-    span = list(spans[i])
-    span[place] = x
-    return spans[:i] + (tuple(span),) + spans[i + 1:]
-
-
 _SPOIL = {
     "cam_height_m": lambda e, x: dataclasses.replace(e, cam_height_m=x),
     "heights_m": lambda e, x: dataclasses.replace(
@@ -307,12 +296,8 @@ _SPOIL = {
         e, upright_ratios=(x,) + e.upright_ratios[1:]),
     "trace l_vt": lambda e, x: dataclasses.replace(e, trace=e.trace[:-1] + (
         dataclasses.replace(e.trace[-1], l_vt=x),)),
-    "span top": lambda e, x: dataclasses.replace(
-        e, spans=_first_span(e.spans, x, 0)),
-    "span bottom": lambda e, x: dataclasses.replace(
-        e, spans=_first_span(e.spans, x, 1)),
-    "residual": lambda e, x: dataclasses.replace(e, residuals=tuple(
-        x if r is not None else None for r in e.residuals)),
+    "top": lambda e, x: dataclasses.replace(e, tops=tuple(
+        x if t is not None else None for t in e.tops)),
 }
 
 
@@ -946,6 +931,19 @@ def test_flip_twice_gives_the_skeleton_fixture_back():
     assert emit_document(twice) == text
 
 
+def test_flip_twice_restores_each_value_within_one_rounding():
+    # 1 - (1 - v) is not v for every float: a v_top of 0.1 comes back
+    # lower by the rounding of 1 - 0.1, at most half a unit in its last
+    # place.
+    raw = _raw_doc()
+    raw["detections"][0]["box"]["v_top"] = 0.1
+    doc = _parse(raw)
+    twice = flip_vertical_convention(flip_vertical_convention(doc))
+    assert twice.detections.v_top[0] == 0.09999999999999998
+    assert abs(twice.detections.v_top[0] - 0.1) <= math.ulp(0.9) / 2
+    assert twice != doc
+
+
 def test_flip_round_trip_preserves_solution():
     doc = _parse(_raw_doc())
     back = flip_vertical_convention(flip_vertical_convention(doc))
@@ -1222,19 +1220,33 @@ def _results_raw() -> dict:
     return json.loads(emit_results(est, source_indices=[0, 1]))
 
 
+def _to_schema_2(raw: dict) -> dict:
+    """`raw`, results of `_raw_doc()`'s boxes, changed in place to schema
+    2: `tops` gives way to each top with its detected bottom (`spans`) and
+    the detected minus the reprojected top (`residuals`)."""
+    boxes = _parse(_raw_doc()).detections
+    est_raw = raw["estimate"]
+    tops = est_raw.pop("tops")
+    est_raw["spans"] = [None if t is None else [t, b]
+                        for t, b in zip(tops, boxes.v_bottom.tolist())]
+    est_raw["residuals"] = [None if t is None else v - t
+                            for t, v in zip(tops, boxes.v_top.tolist())]
+    raw["schema_version"] = 2
+    return raw
+
+
 def test_parse_results_reads_gaps_and_integers():
     raw = _results_raw()
     est_raw = raw["estimate"]
-    est_raw["residuals"][0] = None
-    est_raw["spans"][1] = None
+    est_raw["tops"][1] = None
     est_raw["heights_m"][0] = 2
-    res = parse_results(json.dumps(raw))
-    est = res.estimate
-    assert est.residuals[0] is None and est.residuals[1] is not None
-    assert est.spans[1] is None
-    assert est.spans[0] == tuple(est_raw["spans"][0])
-    assert res.estimate.heights_m[0] == 2.0
-    assert type(res.estimate.heights_m[0]) is float
+    legacy = _to_schema_2(json.loads(json.dumps(raw)))
+    legacy["estimate"]["residuals"][0] = None
+    for res in map(parse_results, map(json.dumps, (raw, legacy))):
+        est = res.estimate
+        assert est.tops == (est_raw["tops"][0], None)
+        assert est.heights_m[0] == 2.0
+        assert type(est.heights_m[0]) is float
 
 
 @pytest.mark.parametrize("change, where", [
@@ -1244,14 +1256,26 @@ def test_parse_results_reads_gaps_and_integers():
      "results.estimate.converged: expected true or false"),
     (lambda r: r["estimate"]["trace"][0].update(layer=0.0),
      "results.estimate.trace[0].layer: expected an integer"),
-    (lambda r: r["estimate"]["spans"].__setitem__(1, [0.5]),
+    (lambda r: _to_schema_2(r)["estimate"]["spans"].__setitem__(1, [0.5]),
      "results.estimate.spans[1]: expected a list of 2"),
+    (lambda r: _to_schema_2(r)["estimate"]["residuals"].__setitem__(0, "a"),
+     "results.estimate.residuals[0]: expected a number"),
+    (lambda r: r["estimate"]["tops"].__setitem__(0, [0.5]),
+     "results.estimate.tops[0]: expected a number"),
     (lambda r: r["estimate"]["trace"][0].update(spans=[]),
      "results.estimate.trace[0]: unknown keys ['spans']"),
-    (lambda r: r["estimate"]["spans"].pop(),
-     "results.estimate: spans and heights_m differ in length (1 != 2)"),
-    (lambda r: r["estimate"]["residuals"].append(0.0),
-     "results.estimate: residuals and heights_m differ in length (3 != 2)"),
+    (lambda r: r["estimate"]["tops"].pop(),
+     "results.estimate: tops and heights_m differ in length (1 != 2)"),
+    (lambda r: _to_schema_2(r)["estimate"]["residuals"].append(0.0),
+     "results.estimate: residuals and spans differ in length (3 != 2)"),
+    (lambda r: _to_schema_2(r)["estimate"]["spans"].pop(),
+     "results.estimate: residuals and spans differ in length (2 != 1)"),
+    (lambda r: _to_schema_2(r)["estimate"].pop("residuals"),
+     "results.estimate: missing required key 'residuals'"),
+    (lambda r: r["estimate"].update(spans=[]),
+     "estimate: unknown keys ['spans']"),
+    (lambda r: _to_schema_2(r)["estimate"].update(tops=[]),
+     "estimate: unknown keys ['tops']"),
     (lambda r: r["estimate"]["upright_heights_m"].pop(),
      "results.estimate: upright_heights_m and heights_m differ in length "
      "(1 != 2)"),
@@ -1262,8 +1286,8 @@ def test_parse_results_reads_gaps_and_integers():
      "results.estimate: excluded index 99 is not one of the 2 boxes"),
     (lambda r: r["estimate"].update(excluded=[[-1, "zero-span"]]),
      "results.estimate: excluded index -1 is not one of the 2 boxes"),
-    (lambda r: r.update(schema_version=3),
-     "unsupported results schema_version 3"),
+    (lambda r: r.update(schema_version=4),
+     "unsupported results schema_version 4"),
     (lambda r: r.update(schema_version=True),
      "unsupported results schema_version True"),
     (lambda r: r.update(schema_version=1.0),
@@ -1291,22 +1315,24 @@ def test_parse_results_errors_name_the_path(change, where):
 
 
 # ---------------------------------------------------------------------------
-# Schema 1 results: every layer carried its per-box rows.
+# Results of schema 1, whose every layer carried its per-box rows, and of
+# schema 2, whose estimate carried the final spans and residuals.
 
-@pytest.mark.parametrize("stem", ["scene_0000", "scene_0000.pgm"])
-def test_schema_1_results_emit_as_the_regenerated_schema_2_file(stem):
-    # Both files were written by the same solve, so every number that
-    # schema 2 keeps has the bits it had in schema 1.  The schema 1 file
-    # keeps the config hash of the build that wrote it; the regenerated
-    # file holds today's.
-    res = parse_results((_FIXTURES / f"{stem}.v1.results.json").read_bytes())
-    regenerated = parse_results(
-        (_FIXTURES / f"{stem}.results.json").read_bytes())
-    assert res.estimate == regenerated.estimate
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in _FIXTURES.glob("*.results.json")))
+def test_every_results_version_emits_as_its_schema_3_file(name):
+    # The files of a stem were written by the same solve, so every number
+    # that schema 3 keeps has the same bits in each.  A schema 1 file
+    # keeps the config hash of the build that wrote it; the others hold
+    # today's.
+    stem = re.sub(r"(\.v\d)?\.results\.json$", "", name)
+    current = (_FIXTURES / f"{stem}.results.json").read_bytes()
+    pinned = parse_results(current)
+    res = parse_results((_FIXTURES / name).read_bytes())
+    assert res.estimate == pinned.estimate
     assert emit_results(
-        res.estimate, config_hash=regenerated.config_hash,
-        source_indices=res.source_indices).encode() == (
-            _FIXTURES / f"{stem}.results.json").read_bytes()
+        res.estimate, config_hash=pinned.config_hash,
+        source_indices=res.source_indices).encode() == current
 
 
 @pytest.mark.parametrize("change, where", [
@@ -1319,7 +1345,10 @@ def test_schema_1_results_emit_as_the_regenerated_schema_2_file(stem):
     (lambda r: r["estimate"]["trace"][2].pop("spans"),
      "results.estimate.trace[2]: missing required key 'spans'"),
     (lambda r: r["estimate"]["trace"][-1]["spans"].pop(),
-     "results.estimate: spans and heights_m differ in length (3 != 4)"),
+     "results.estimate: residuals and spans differ in length (4 != 3)"),
+    (lambda r: [r["estimate"]["trace"][-1][key].pop()
+                for key in ("spans", "residuals")],
+     "results.estimate: tops and heights_m differ in length (3 != 4)"),
     (lambda r: r["estimate"].update(spans=[]),
      "estimate: unknown keys ['spans']"),
     (lambda r: r["estimate"].update(trace=[]),

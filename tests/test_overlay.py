@@ -132,10 +132,7 @@ def test_excluded_slots_get_no_reference_bar():
     est = SceneEstimate(method="cascade", cam_height_m=1.6,
                         heights_m=heights, upright_heights_m=heights,
                         upright_ratios=(1.0, 1.0),
-                        spans=(None,
-                               (doc.detections.v_top[1],
-                                doc.detections.v_bottom[1])),
-                        residuals=(None, 0.0),
+                        tops=(None, doc.detections.v_top[1]),
                         excluded=((0, "zero-span"),), converged=True,
                         ill_posed=False, trace=(trace,))
     svg = render_overlay(doc, est)

@@ -22,9 +22,10 @@ from scenescale.geometry import CameraParams, GroundObject, \
 from scenescale.priors import (DEFAULT_PRIORS, COCO_KEYPOINT_NAMES,
                                KeypointSet, prior_penalty, prior_penalty_grad)
 from scenescale.solver import (DetectionBox, RefinementConfig, box_ratios,
-                               classify_boxes, init_camera_height, loss_boxes,
-                               refine_layer, reprojection_loss, scene_arrays,
-                               solve_scene, total_loss, total_loss_gradient)
+                               classify_boxes, detection_columns,
+                               init_camera_height, loss_boxes, refine_layer,
+                               reprojection_loss, scene_arrays, solve_scene,
+                               total_loss, total_loss_gradient)
 
 
 def _box_for(camera: CameraParams, depth: float, height: float,
@@ -510,7 +511,7 @@ def test_zero_layers_returns_initialization():
     assert len(est.trace) == 1
     assert not est.excluded
     assert est.trace[0].l_vt <= 1e-12
-    assert max(map(abs, est.residuals)) <= 1e-12
+    assert max(abs(b.v_top - t) for b, t in zip(boxes, est.tops)) <= 1e-12
     camera = CameraParams.from_fov(
         geometry.pitch_from_horizon(v0, geometry.focal_from_fov(
             scene.camera.fov_rad, 1.0), 1.0), scene.camera.fov_rad,
@@ -591,8 +592,7 @@ def test_estimate_reports_exclusions_and_keeps_prior_height():
                        category="person")
     est = solve_scene(0.5, cam.fov_rad, [good, sky])
     assert [i for i, _ in est.excluded] == [1]
-    assert est.spans[1] is None
-    assert est.residuals[1] is None
+    assert est.tops[1] is None
     assert est.heights_m[1] == pytest.approx(1.70, abs=1e-9)
 
 
@@ -744,6 +744,7 @@ def test_a_shorter_solve_traces_a_prefix_and_reports_its_own_rows(inputs):
     # The rows of layer j of a solve are the final rows of the same solve
     # run with j layers.
     v0, fov, boxes = inputs()
+    v_tops = detection_columns(boxes).v_top.tolist()
     full = solve_scene(v0, fov, boxes, config=RefinementConfig(num_layers=3))
     assert len({t.total_loss for t in full.trace}) > 1
     for j in range(4):
@@ -756,12 +757,11 @@ def test_a_shorter_solve_traces_a_prefix_and_reports_its_own_rows(inputs):
         assert used
         for i in range(len(est.heights_m)):
             if i in excluded:
-                assert est.spans[i] is None and est.residuals[i] is None
+                assert est.tops[i] is None
             else:
-                assert all(map(math.isfinite, (*est.spans[i],
-                                               est.residuals[i])))
-        # The rows are the last layer's: their mean |residual| is its l_vt.
-        assert np.mean([abs(est.residuals[i]) for i in used]) == (
+                assert math.isfinite(est.tops[i])
+        # The tops are the last layer's: their mean |residual| is its l_vt.
+        assert np.mean([abs(v_tops[i] - est.tops[i]) for i in used]) == (
             pytest.approx(est.trace[-1].l_vt, rel=1e-12))
 
 

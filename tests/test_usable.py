@@ -45,11 +45,13 @@ def _outcome(estimate):
         return None
 
 
-def _numbers(est) -> list[float]:
+def _numbers(est, dets) -> list[float]:
+    """Every number of `est`, and the residual (detected minus reprojected
+    top) of each box of `dets` it uses."""
     out = [est.cam_height_m, *est.heights_m, *est.upright_heights_m,
            *est.upright_ratios]
-    out += [v for span in est.spans if span is not None for v in span]
-    out += [r for r in est.residuals if r is not None]
+    out += [t for t in est.tops if t is not None]
+    out += [d.v_top - t for d, t in zip(dets, est.tops) if t is not None]
     for t in est.trace:
         out += [t.cam_height_m, t.l_vt, t.prior_loss, t.total_loss]
     return out
@@ -83,7 +85,7 @@ def test_every_method_uses_the_same_detections(pitch_deg, fov_deg, boxes):
     assert cascade is None or cascade.excluded == full.excluded
     for est in (full, fixed, start, cascade):
         if est is not None:
-            assert all(map(math.isfinite, _numbers(est)))
+            assert all(map(math.isfinite, _numbers(est, dets)))
     assert full.cam_height_m > 0 and min(full.heights_m) > 0
     assert fixed.cam_height_m > 0
 
@@ -280,7 +282,8 @@ def test_every_method_answers_in_finite_numbers_or_names_its_reason():
                 assert str(exc).startswith(_REASONS), str(exc)
                 refused[method] += 1
                 continue
-            assert all(map(math.isfinite, _numbers(est))), (method, v0, dets)
+            assert all(map(math.isfinite, _numbers(est, dets))), (
+                method, v0, dets)
             assert est.cam_height_m > 0
     # Scenes with boxes to use are the common case, for every method.
     assert max(refused.values()) < 200

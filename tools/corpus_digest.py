@@ -14,8 +14,12 @@ this checkout's `src/`:
     section (`CONFIG`), so the digest covers the results' `config_hash`.
 
 Prints one `sha256 path exit-code` line per output file and per
-command's stderr, in a fixed order, then `total sha256`.  Two checkouts
-that print the same total wrote the same bytes and exit codes.
+command's stderr, in a fixed order; then one `subtotal KIND sha256` line
+per kind of output (`KINDS`: documents, results, eval reports and curves,
+overlays, stderr), the digest of that kind's lines; then `total sha256`,
+the digest of all of them.  Two checkouts that print the same total
+wrote the same bytes and exit codes, and the subtotals show which kinds
+of output differ when the totals do.
 
 Usage: python tools/corpus_digest.py OUT   (OUT must not exist yet)
 """
@@ -55,8 +59,8 @@ overlay: {reference_height_m: 1.5}
 """
 # Three people seen by a level 1.6 m camera, and a car that the ingestion
 # filters keep but whose bottom lies 5e-7 below the horizon: every method
-# excludes it as `bottom-on-horizon`, so the estimate's `spans` and
-# `residuals` in its results hold null for it.
+# excludes it as `bottom-on-horizon`, so the estimate's `tops` in its
+# results hold null for it.
 HORIZON_SCENE = {
     "schema_version": 1,
     "image": {"width_px": 640, "height_px": 480},
@@ -78,6 +82,23 @@ HORIZON_SCENE = {
     "ground_truth": {"cam_height_m": 1.6,
                      "object_heights_m": [1.7, 1.7, 1.7, 1.5]},
 }
+
+
+KINDS = ("documents", "results", "eval", "overlays", "stderr")
+
+
+def _kind(name: str) -> str:
+    """The `KINDS` entry of an output: a synth document, a results file,
+    an eval report or curve, an overlay SVG or a command's stderr."""
+    if name.endswith(".stderr"):
+        return "stderr"
+    if name.endswith(".results.json"):
+        return "results"
+    if name.endswith(("/eval.json", "/curve.csv")):
+        return "eval"
+    if name.endswith(".svg"):
+        return "overlays"
+    return "documents"
 
 
 def _run(log: list, name: str, argv: list[str]) -> int:
@@ -147,10 +168,14 @@ def main(argv=None) -> int:
     rows += [(path.as_posix(), path.read_bytes(), code)
              for path, code in produced.items()]
     total = hashlib.sha256()
+    subtotals = {kind: hashlib.sha256() for kind in KINDS}
     for name, data, code in sorted(rows):
         line = f"{hashlib.sha256(data).hexdigest()} {name} {code}"
         print(line)
         total.update(line.encode() + b"\n")
+        subtotals[_kind(name)].update(line.encode() + b"\n")
+    for kind, digest in subtotals.items():
+        print(f"subtotal {kind} {digest.hexdigest()}")
     print(f"total {total.hexdigest()}")
     return 0
 
